@@ -13,7 +13,6 @@ from .admissible import (
 )
 from .arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S
 from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceError
-from .primes import PrimeClassTable
 from .scans import (
     MaierConfig,
     MaierReport,
@@ -65,7 +64,6 @@ __all__ = [
     "LinearForm",
     "MaierConfig",
     "MaierReport",
-    "PrimeClassTable",
     "ProgressionQuery",
     "QuadFormReport",
     "ResourceError",

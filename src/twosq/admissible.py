@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arith import nu, p1_numbers
+from .arith import nu, p1_numbers, roots_mod
 from .errors import AdmissibilityError, DomainError
 from .primes import factorize, is_prime, sieve_primes
 
@@ -41,18 +41,6 @@ class LinearForm:
         return f"{self.a}n+{self.b}" if self.a != 1 else f"n+{self.b}"
 
 
-def residues_covered(p: int, forms: Sequence[LinearForm]) -> set[int]:
-    """Residues n in [0, p) with p | prod_i L_i(n)."""
-    out = set()
-    for n in range(p):
-        acc = 1
-        for form in forms:
-            acc = (acc * form(n)) % p
-        if acc == 0:
-            out.add(n)
-    return out
-
-
 def is_p3_admissible(forms: Sequence[LinearForm]) -> bool:
     """True iff no prime p = 3 (mod 4) has all residues covering the product.
 
@@ -67,7 +55,7 @@ def is_p3_admissible(forms: Sequence[LinearForm]) -> bool:
         g_ = math.gcd(form.a, form.b)
         candidates.update(p for p in factorize(g_) if p % 4 == 3)
     for p in sorted(candidates):
-        if len(residues_covered(p, forms)) == p:
+        if len(roots_mod(p, forms)) == p:
             return False
     return True
 
@@ -106,8 +94,8 @@ def find_v0(forms: Sequence[LinearForm], W: int) -> int:
     if W == 1:
         return 0
     # Per-prime feasibility first, for a precise error on failure.
-    for p, _ in _factor_squarefree(W):
-        if len(residues_covered(p, forms)) == p:
+    for p in factorize(W):
+        if len(roots_mod(p, forms)) == p:
             raise AdmissibilityError(
                 f"find_v0: every residue mod {p} hits the form product; no valid v0"
             )
@@ -115,23 +103,6 @@ def find_v0(forms: Sequence[LinearForm], W: int) -> int:
         if all(math.gcd(form(v), W) == 1 for form in forms):
             return v
     raise AdmissibilityError("find_v0: no valid residue mod W (unreachable for admissible forms)")
-
-
-def _factor_squarefree(W: int) -> list[tuple[int, int]]:
-    out = []
-    m = W
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
-        f += 2
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def size_conditions(forms: Sequence[LinearForm], X: int) -> list[str]:
@@ -199,7 +170,7 @@ class AdmissibleSystem:
                 raise DomainError("AdmissibleSystem: provide W or X")
             W = compute_W(X, p0)
         else:
-            for p, e in _factor_squarefree(W):
+            for p, e in factorize(W).items():
                 if e > 1 or p % 4 != 3:
                     raise DomainError(f"AdmissibleSystem: W={W} is not a squarefree product of primes = 3 (mod 4)")
                 if p == p0:
@@ -208,7 +179,7 @@ class AdmissibleSystem:
             for msg in size_conditions(forms, X):
                 warnings.warn(f"size condition violated: {msg}", stacklevel=2)
         v0 = find_v0(forms, W)
-        nu_table = {p: nu(p, forms) for p, _ in _factor_squarefree(W)}
+        nu_table = {p: nu(p, forms) for p in factorize(W)}
         return cls(forms=forms, p0=p0, W=W, v0=v0, nu_table=nu_table)
 
     def to_json_dict(self) -> dict:

@@ -14,14 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes
+from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, squarefree_products
 
 __all__ = [
     "phi_S",
     "landau_constant",
     "nu",
     "p1_numbers",
+    "p3_squarefree_factored",
     "p3_squarefree_upto",
+    "roots_mod",
 ]
 
 
@@ -72,44 +74,33 @@ def landau_constant(truncation_limit: int) -> tuple[float, float]:
     return value, tail_bound
 
 
+def roots_mod(p: int, forms: Sequence) -> Sequence[int]:
+    """Ascending residues n in [0, p) with p | prod_i (a_i n + b_i), p prime.
+
+    Closed form: a form with p not dividing a has the single root -b/a mod p;
+    one with p | a has none, unless also p | b, when it covers every residue.
+    """
+    roots = set()
+    for form in forms:
+        if form.a % p:
+            roots.add(-form.b * pow(form.a, -1, p) % p)
+        elif form.b % p == 0:
+            return range(p)
+    return sorted(roots)
+
+
 def nu(p: int, forms: Sequence) -> int:
     """Number of n in [1, p) with p dividing prod_i (a_i * n + b_i).
 
-    Direct evaluation modulo p; the range deliberately excludes n = 0, which
-    is the convention the downstream weight algebra is built on.
+    The nonzero part of roots_mod; the range deliberately excludes n = 0,
+    which is the convention the downstream weight algebra is built on.
     """
     if not is_prime(p):
         raise DomainError(f"nu: p must be prime, got {p}")
     if not forms:
         raise DomainError("nu: forms must be nonempty")
-    if p <= 2**20:
-        n = np.arange(1, p, dtype=np.int64)
-        prod = np.ones(p - 1, dtype=np.int64)
-        for form in forms:
-            prod = (prod * ((form.a * n + form.b) % p)) % p
-        return int(np.count_nonzero(prod == 0))
-    count = 0
-    for n_ in range(1, p):
-        acc = 1
-        for form in forms:
-            acc = (acc * (form.a * n_ + form.b)) % p
-        if acc == 0:
-            count += 1
-    return count
-
-
-def _all_factors_1mod4(n: int) -> bool:
-    if n % 2 == 0:
-        return False
-    m = n
-    f = 3
-    while f * f <= m:
-        while m % f == 0:
-            if f % 4 == 3:
-                return False
-            m //= f
-        f += 2
-    return m == 1 or m % 4 == 1
+    roots = roots_mod(p, forms)
+    return len(roots) - (0 in roots)
 
 
 def p1_numbers(k: int, exclude_prime: int | None = None) -> list[int]:
@@ -125,57 +116,28 @@ def p1_numbers(k: int, exclude_prime: int | None = None) -> list[int]:
     out: list[int] = []
     n = 1
     while len(out) < k:
-        if _all_factors_1mod4(n) and not (exclude_prime and exclude_prime > 1 and n % exclude_prime == 0):
+        excluded = exclude_prime not in (None, 1) and n % exclude_prime == 0
+        if not excluded and all(p % 4 == 1 for p in factorize(n)):
             out.append(n)
         n += 1
     return out
 
 
-def _p3_primes_below(R: int, coprime_to: int = 1) -> list[int]:
-    ps = sieve_primes(R - 1) if R > 3 else np.empty(0, dtype=np.int64)
-    return [int(p) for p in ps[ps % 4 == 3] if math.gcd(int(p), coprime_to) == 1]
-
-
-def p3_squarefree_upto(R: int, coprime_to: int = 1) -> list[int]:
-    """Ascending squarefree r < R with all prime factors = 3 (mod 4).
+def p3_squarefree_factored(R: int, coprime_to: int = 1) -> list[tuple[int, tuple[int, ...]]]:
+    """Ascending (r, prime tuple) for squarefree r < R with all prime
+    factors = 3 (mod 4).
 
     1 is included; r sharing a factor with coprime_to are dropped.  These
     are exactly the admissible divisor-support elements of the weight
     construction.
     """
     if R < 1:
-        raise DomainError(f"p3_squarefree_upto: R must be >= 1, got {R}")
-    primes = _p3_primes_below(R, coprime_to)
-    out = [1]
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        prod, i = stack.pop()
-        for j in range(i, len(primes)):
-            nxt = prod * primes[j]
-            if nxt >= R:
-                # primes ascending, so larger j only overshoots further
-                break
-            out.append(nxt)
-            stack.append((nxt, j + 1))
-    out.sort()
-    return out
+        raise DomainError(f"p3_squarefree: R must be >= 1, got {R}")
+    ps = sieve_primes(R - 1)
+    primes = [int(p) for p in ps[ps % 4 == 3] if math.gcd(int(p), coprime_to) == 1]
+    return sorted(squarefree_products(primes, R))
 
 
-def p3_squarefree_factored(R: int, coprime_to: int = 1) -> list[tuple[int, tuple[int, ...]]]:
-    """Like p3_squarefree_upto but pairing each r with its prime tuple."""
-    if R < 1:
-        raise DomainError(f"p3_squarefree_factored: R must be >= 1, got {R}")
-    primes = _p3_primes_below(R, coprime_to)
-    out: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    stack: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
-    while stack:
-        prod, facs, i = stack.pop()
-        for j in range(i, len(primes)):
-            nxt = prod * primes[j]
-            if nxt >= R:
-                break
-            nfacs = facs + (primes[j],)
-            out.append((nxt, nfacs))
-            stack.append((nxt, nfacs, j + 1))
-    out.sort()
-    return out
+def p3_squarefree_upto(R: int, coprime_to: int = 1) -> list[int]:
+    """The r of p3_squarefree_factored, ascending."""
+    return [r for r, _ in p3_squarefree_factored(R, coprime_to)]

@@ -57,7 +57,6 @@ VERIFY_GRID_W = (1, 21)
 class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
-    subcommand: str
     fmt: str
     out: str | None
     threads: int
@@ -253,7 +252,7 @@ def _cmd_gpy_demo(args, cfg: RunConfig) -> str:
     else:
         doc["margin"] = None
     if args.mass_check:
-        lc = check_weight_mass(ws, x_lo, threads=cfg.threads)
+        lc = check_weight_mass(ws, report)
         doc["mass_check"] = {
             "measured": lc.measured,
             "main_term": lc.main_term,
@@ -465,29 +464,12 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
-_DEFAULT_FORMATS = {
-    "sieve": "json",
-    "count": "json",
-    "scan-intervals": "json",
-    "scan-progressions": "json",
-    "scan-residues": "json",
-    "constants": "json",
-    "special": "text",
-    "admissible": "json",
-    "weights": "json",
-    "gpy-demo": "json",
-    "maier-demo": "json",
-    "verify": "json",
-}
-
-
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format if args.format else _DEFAULT_FORMATS[args.subcommand]
+    fmt = args.format or ("text" if args.subcommand == "special" else "json")
     try:
         cfg = RunConfig(
-            subcommand=args.subcommand,
             fmt=fmt,
             out=args.out,
             threads=_resolve_threads(args.threads),

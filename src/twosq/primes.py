@@ -1,15 +1,14 @@
 """Prime generation and factorization helpers used throughout the toolkit.
 
 Everything here is deliberately elementary: simple and segmented sieves of
-Eratosthenes (numpy bit arrays), trial-division factorization, and the
-partition of odd primes into the residue classes 1 and 3 mod 4.
+Eratosthenes (numpy bit arrays), the one trial-division loop (factorize) and
+the one enumeration of squarefree products over a prime list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,66 +54,42 @@ def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.n
         lo = hi + 1
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for the desk-scale moduli used here."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division; n >= 1."""
     if n < 1:
         raise DomainError(f"factorize: n must be >= 1, got {n}")
     out: dict[int, int] = {}
     m = n
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e:
-        out[2] = e
-    f = 3
+    f = 2
     while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out[f] = e
-        f += 2
+        while m % f == 0:
+            m //= f
+            out[f] = out.get(f, 0) + 1
+        f += 1 if f == 2 else 2
     if m > 1:
         out[m] = 1
     return out
 
 
-@dataclass(frozen=True)
-class PrimeClassTable:
-    """Primes <= limit split by residue class mod 4.
+def is_prime(n: int) -> bool:
+    """Primality by trial division; fine for the desk-scale moduli used here."""
+    return n >= 2 and factorize(n) == {n: 1}
 
-    The union of the two lists with {2} is exactly the set of primes
-    <= limit; the lists are sorted and disjoint.
+
+def squarefree_products(primes: Sequence[int], R: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (r, its primes) for r = 1 and every product r < R of distinct
+    primes from the ascending list primes.
+
+    Depth-first, not in order of r; each prime tuple is ascending.  r = 1
+    (the empty product) is yielded even when R <= 1.
     """
-
-    limit: int
-    primes_1mod4: np.ndarray = field(repr=False)
-    primes_3mod4: np.ndarray = field(repr=False)
-    has_two: bool
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimeClassTable":
-        ps = sieve_primes(limit)
-        odd = ps[ps > 2]
-        return cls(
-            limit=limit,
-            primes_1mod4=odd[odd % 4 == 1],
-            primes_3mod4=odd[odd % 4 == 3],
-            has_two=limit >= 2,
-        )
+    stack: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
+    while stack:
+        r, facs, j0 = stack.pop()
+        yield r, facs
+        for j in range(j0, len(primes)):
+            nxt = r * primes[j]
+            if nxt >= R:
+                # primes ascending, so larger j only overshoots further
+                break
+            stack.append((nxt, facs + (primes[j],), j + 1))

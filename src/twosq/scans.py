@@ -33,6 +33,11 @@ def _landau(truncation: int = DEFAULT_LANDAU_TRUNCATION) -> float:
     return landau_constant(truncation)[0]
 
 
+def _progression_applicable(a: int, q: int) -> bool:
+    """The progression prediction needs gcd(a, q) = 1 and a = 1 (mod gcd(4, q))."""
+    return math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q)
+
+
 @dataclass(frozen=True)
 class PredictedAverage:
     value: float
@@ -59,8 +64,7 @@ def predicted_average(kind: str, **params) -> PredictedAverage:
         if math.log(x) <= 1.0:
             raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
         value = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
-        g4 = math.gcd(4, q)
-        ok = math.gcd(a, q) == 1 and a % g4 == 1 % g4
+        ok = _progression_applicable(a, q)
         note = "" if ok else "prediction requires gcd(a,q)=1 and a=1 (mod gcd(4,q))"
         return PredictedAverage(value=value, applicable=ok, note=note)
     raise DomainError(f"predicted_average: unknown kind {kind!r}")
@@ -239,14 +243,13 @@ def scan_progressions(
     S = _landau(landau_truncation)
     sqrt_log = math.sqrt(math.log(x))
     predicted = [S * x / (float(phi_S(q)) * sqrt_log) for q in qs]
-    applicable = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for q in qs]
     return _summarize(
         kind="progressions",
         params={"x": x, "Q": Q, "a": a},
         keys=qs,
         counts=counts,
         predicted=predicted,
-        applicable=applicable,
+        applicable=[_progression_applicable(a, q) for q in qs],
     )
 
 
@@ -269,14 +272,13 @@ def scan_residues(
     S = _landau(landau_truncation)
     sqrt_log = math.sqrt(math.log(x))
     pred_q = S * x / (float(phi_S(q)) * sqrt_log)
-    applicable = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for a in range(q)]
     return _summarize(
         kind="residues",
         params={"x": x, "q": q},
         keys=list(range(q)),
         counts=counts,
         predicted=[pred_q] * q,
-        applicable=applicable,
+        applicable=[_progression_applicable(a, q) for a in range(q)],
     )
 
 

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import sieve_primes
+from .primes import factorize, sieve_primes
 
 INT64_MAX = 2**63 - 1
 
@@ -38,27 +38,11 @@ MAX_SEGMENT = 1 << 26
 
 
 def is_two_square(n: int) -> bool:
-    """True iff n = a^2 + b^2 for some integers a, b >= 0 (n >= 1).
-
-    Trial division up to sqrt(n); the cofactor surviving it is 1 or prime,
-    so only its residue mod 4 remains to be checked.
-    """
+    """True iff n = a^2 + b^2 for some integers a, b >= 0 (n >= 1): every
+    prime = 3 (mod 4) divides n to an even power."""
     if n < 1:
         raise DomainError(f"is_two_square: n must be >= 1, got {n}")
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            if f % 4 == 3 and e % 2 == 1:
-                return False
-        f += 2
-    return m % 4 != 3
+    return all(e % 2 == 0 for p, e in factorize(n).items() if p % 4 == 3)
 
 
 @dataclass(frozen=True)

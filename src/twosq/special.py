@@ -107,7 +107,6 @@ class DelayTable:
     values: np.ndarray = field(repr=False)
     kink_start: int
     kink_stride: int
-    closed_until: float
     err_estimate: float
 
     def _is_kink(self, idx: int) -> bool:
@@ -314,7 +313,6 @@ def buchstab_table(h: float = DEFAULT_H, u_max: float = DEFAULT_OMEGA_UMAX) -> D
         values=om,
         kink_start=n1,
         kink_stride=n1,
-        closed_until=2.0,
         err_estimate=err,
     )
 
@@ -349,7 +347,6 @@ def halfdim_tables(
         values=Fv,
         kink_start=2 * n1,
         kink_stride=2 * n1,
-        closed_until=2.0,
         err_estimate=errF,
     )
     ft = DelayTable(
@@ -361,7 +358,6 @@ def halfdim_tables(
         values=fv,
         kink_start=n1,
         kink_stride=2 * n1,
-        closed_until=3.0,
         err_estimate=errf,
     )
     return Ft, ft

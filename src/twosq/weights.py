@@ -28,15 +28,14 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .admissible import AdmissibleSystem
-from .arith import nu as nu_of, p3_squarefree_factored
+from .arith import nu as nu_of, p3_squarefree_factored, roots_mod
 from .errors import DomainError, ResourceError
-from .primes import sieve_primes
+from .primes import sieve_primes, squarefree_products
 from .sieve import INT64_MAX, SegmentTable, sieve_segment
 
 # Direct double sums are O(|support|^2); refuse beyond this many pairs.
@@ -50,10 +49,10 @@ MAX_VALUE_SPAN = 1 << 26
 class WeightSystem:
     """Divisor-sum weights for one admissible system at support cutoff R.
 
-    support lists the admissible squarefree d < R with their prime tuples;
-    y_r is identically 1 on the support.  Q_nu and Q_nu_minus1 hold the
-    diagonal-route values of the two quadratic forms (the direct double sums
-    are recomputed by quadratic_forms for verification).
+    support lists the admissible squarefree d < R with their prime tuples.
+    Q_nu and Q_nu_minus1 hold the diagonal-route values of the two quadratic
+    forms (the direct double sums are recomputed by quadratic_forms for
+    verification).
     """
 
     system: AdmissibleSystem
@@ -69,9 +68,6 @@ class WeightSystem:
     @property
     def lambda_max(self) -> Fraction:
         return max(abs(v) for v in self.lam.values())
-
-    def y(self, r: int) -> int:
-        return 1 if r in self.support_factors else 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,20 +317,6 @@ def _scaled_lambdas(ws: WeightSystem) -> tuple[dict[int, int], int]:
     return {d: int(v * denom) for d, v in ws.lam.items()}, denom
 
 
-def _root_residues(ws: WeightSystem) -> dict[int, np.ndarray]:
-    """For each support prime p: all n (mod p) with p | prod_i L_i(n)."""
-    out: dict[int, np.ndarray] = {}
-    forms = ws.system.forms
-    primes = sorted({p for facs in ws.support_factors.values() for p in facs})
-    for p in primes:
-        n = np.arange(p, dtype=np.int64)
-        prod = np.ones(p, dtype=np.int64)
-        for form in forms:
-            prod = (prod * ((form.a * n + form.b) % p)) % p
-        out[p] = np.flatnonzero(prod == 0).astype(np.int64)
-    return out
-
-
 def _membership_tables(system: AdmissibleSystem, X_lo: int, X_hi: int) -> list[SegmentTable]:
     """One membership table per form covering its value range on (X_lo, X_hi]."""
     tables = []
@@ -350,53 +332,22 @@ def _membership_tables(system: AdmissibleSystem, X_lo: int, X_hi: int) -> list[S
 
 def _divisor_sum_totals(
     ns: np.ndarray,
-    roots: dict[int, np.ndarray],
+    roots: dict[int, Sequence[int]],
     lam_scaled: dict[int, int],
     R: int,
 ) -> list[int]:
-    """sum of scaled lambda_d over support d dividing the form product, per n."""
-    lam1 = lam_scaled[1]
-    totals = [lam1] * len(ns)
-    if not roots:
-        return totals
-    hit_idx: list[np.ndarray] = []
-    hit_p: list[int] = []
+    """sum of scaled lambda_d over support d dividing the form product, per n.
+
+    roots maps each support prime, ascending, to its root residues; the
+    primes hitting n are collected in that order, and the support d dividing
+    the product are exactly their squarefree products below R."""
+    hit_primes: list[list[int]] = [[] for _ in range(len(ns))]
     for p, rs in roots.items():
         rem = ns % p
         for r in rs:
-            idx = np.flatnonzero(rem == r)
-            if idx.size:
-                hit_idx.append(idx)
-                hit_p.append(p)
-    if not hit_idx:
-        return totals
-    order = np.concatenate(hit_idx)
-    prime_of = np.concatenate([np.full(ix.size, p, dtype=np.int64) for ix, p in zip(hit_idx, hit_p)])
-    srt = np.argsort(order, kind="stable")
-    order = order[srt]
-    prime_of = prime_of[srt]
-    start = 0
-    m = len(order)
-    while start < m:
-        end = start
-        i = int(order[start])
-        while end < m and order[end] == i:
-            end += 1
-        ps = sorted(int(p) for p in prime_of[start:end])
-        # subset products of the hit primes, pruned at R
-        acc = lam1
-        stack = [(1, 0)]
-        while stack:
-            prod, j0 = stack.pop()
-            for j in range(j0, len(ps)):
-                nxt = prod * ps[j]
-                if nxt >= R:
-                    break
-                acc += lam_scaled[nxt]
-                stack.append((nxt, j + 1))
-        totals[i] = acc
-        start = end
-    return totals
+            for i in np.flatnonzero(rem == r).tolist():
+                hit_primes[i].append(p)
+    return [sum(lam_scaled[d] for d, _ in squarefree_products(ps, R)) for ps in hit_primes]
 
 
 def weighted_experiment(
@@ -444,7 +395,8 @@ def weighted_experiment(
         hits += table.bits[vals - table.lo]
 
     lam_scaled, denom = _scaled_lambdas(ws)
-    roots = _root_residues(ws)
+    primes = sorted({p for facs in ws.support_factors.values() for p in facs})
+    roots = {p: roots_mod(p, sysm.forms) for p in primes}
 
     def chunk_sums(lo_i: int, hi_i: int) -> tuple[int, int]:
         totals = _divisor_sum_totals(ns[lo_i:hi_i], roots, lam_scaled, ws.R)
@@ -495,14 +447,20 @@ class WeightMassReport:
         return abs(self.measured - self.main_term) <= self.bound
 
 
-def check_weight_mass(ws: WeightSystem, X: int, threads: int = 1) -> WeightMassReport:
+def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMassReport:
     """Compare sum of w_n over (X, 2X] in the class against (X/W) Q_nu.
 
-    The discrepancy bound is sum_{d,e} |lambda_d lambda_e| prod_{p|de} nu(p):
-    one unit per (d, e, residue class) triple, since each residue class
-    mod W[d,e] contributes X/(W[d,e]) + theta with |theta| < 1.
+    report is the weighted_experiment of ws over (X, 2X]; its sum_w is the
+    measured mass.  The discrepancy bound is
+    sum_{d,e} |lambda_d lambda_e| prod_{p|de} nu(p): one unit per
+    (d, e, residue class) triple, since each residue class mod W[d,e]
+    contributes X/(W[d,e]) + theta with |theta| < 1.
     """
-    report = weighted_experiment(ws, X, 2 * X, threads=threads)
+    X = report.X_lo
+    if report.X_hi != 2 * X or report.R != ws.R:
+        raise DomainError(
+            f"check_weight_mass: need a report over (X, 2X] at R={ws.R}, got ({X}, {report.X_hi}] at R={report.R}"
+        )
     main = Fraction(X, ws.system.W) * ws.Q_nu
     items = [(set(ws.support_factors[d]), abs(ws.lam[d])) for d in ws.support]
     bound = Fraction(0)
@@ -583,24 +541,23 @@ def verify_sieve_summation(
     ratios = {p: gam[p] / (p - gam[p]) for p in active}
 
     log_R = math.log(R)
-    terms: list[float] = [f(0.0)]  # r = 1
-    stack: list[tuple[int, float, int]] = [(1, 1.0, 0)]
-    while stack:
-        prod, weight, j0 = stack.pop()
-        for j in range(j0, len(active)):
-            p = active[j]
-            nxt = prod * p
-            if nxt >= R:
-                break
-            wt = weight * ratios[p]
-            terms.append(wt * f(math.log(nxt) / log_R))
-            stack.append((nxt, wt, j + 1))
+    terms: list[float] = []
+    for r, facs in squarefree_products(active, R):
+        # multiplied in ascending prime order, so each term's rounding is fixed
+        wt = 1.0
+        for p in facs:
+            wt *= ratios[p]
+        terms.append(wt * f(math.log(r) / log_R))
     lhs = math.fsum(terms)
 
     log_parts = [
         -math.log1p(-gam[p] / p) + kappa * math.log1p(-1.0 / p) for p in primes
     ]
     s_gamma = math.exp(math.fsum(log_parts))
+
+    # Imported here: scipy is most of the package's import time, and only this
+    # check needs it.
+    from scipy.integrate import quad
 
     # int_0^1 f(t) t^(kappa-1) dt with the endpoint singularity removed by
     # t = v^2  (integrable for kappa > 0; smooth for kappa >= 1/2).

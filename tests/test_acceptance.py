@@ -158,7 +158,7 @@ def test_07_weight_mass_main_term():
     X = 10**5
     system = AdmissibleSystem.build(build_default_set(3), W=3)
     ws = build_weights(system, 50)
-    rep = check_weight_mass(ws, X)
+    rep = check_weight_mass(ws, weighted_experiment(ws, X, 2 * X))
     diff = abs(rep.measured - rep.main_term)
     report(
         7,

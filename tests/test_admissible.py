@@ -58,7 +58,7 @@ class TestAdmissibility:
 
     @given(
         coeffs=st.lists(
-            st.tuples(st.integers(1, 12), st.integers(1, 40)),
+            st.tuples(st.integers(1, 50), st.integers(1, 100)),
             min_size=1,
             max_size=4,
             unique=True,

@@ -2,13 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosq.admissible import LinearForm
 from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S
 from twosq.errors import DomainError
-from twosq.primes import PrimeClassTable, factorize, sieve_primes
+from twosq.primes import factorize, sieve_primes
 
 
 class TestPhiS:
@@ -86,9 +86,10 @@ class TestNu:
     @given(
         p=st.sampled_from([3, 7, 11, 19, 23]),
         coeffs=st.lists(
-            st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=4
+            st.tuples(st.integers(1, 2**62), st.integers(1, 2**62)), min_size=1, max_size=4
         ),
     )
+    @example(p=7, coeffs=[(2**62, 1)])
     @settings(max_examples=40)
     def test_brute_force_agreement(self, p, coeffs):
         forms = [LinearForm(a, b) for a, b in coeffs]
@@ -96,6 +97,14 @@ class TestNu:
             1 for n in range(1, p) if math.prod(f(n) for f in forms) % p == 0
         )
         assert nu(p, forms) == direct
+
+    def test_large_coefficients_match_brute_force(self):
+        # a * n overflows int64 here; the root count must stay exact
+        for a in (10**17 + 3, 3 * 10**17 + 7, 9 * 10**18 + 1):
+            forms = [LinearForm(a, 5), LinearForm(1, 2)]
+            for p in sieve_primes(3000)[1:].tolist():
+                direct = sum(1 for n in range(1, p) if (a * n + 5) * (n + 2) % p == 0)
+                assert nu(p, forms) == direct, (a, p)
 
     def test_bounded_by_k_for_unit_slopes(self):
         forms = [LinearForm(1, b) for b in (1, 5, 13)]
@@ -159,14 +168,3 @@ class TestP3Squarefree:
         for r in p3_squarefree_upto(200, 21):
             assert math.gcd(r, 21) == 1
 
-
-class TestPrimeClassTable:
-    def test_partition(self):
-        table = PrimeClassTable.build(200)
-        all_primes = set(int(p) for p in sieve_primes(200))
-        union = set(table.primes_1mod4.tolist()) | set(table.primes_3mod4.tolist())
-        assert union | {2} == all_primes
-        assert not (set(table.primes_1mod4.tolist()) & set(table.primes_3mod4.tolist()))
-        assert table.has_two
-        assert list(table.primes_1mod4) == sorted(table.primes_1mod4)
-        assert list(table.primes_3mod4) == sorted(table.primes_3mod4)

@@ -54,6 +54,14 @@ class TestCliExamples:
         assert doc["forms"] == [[1, 1], [1, 5], [1, 13]]
         assert doc["nu_table"] == {"3": 2, "7": 3}
 
+    def test_admissible_nu_exact_for_huge_slope(self, capsys):
+        # 9000000000000000001 * n wraps in int64; by brute force nu(2971) = 2
+        code, out, _ = run_cli(
+            ["admissible", "--forms", "[[9000000000000000001,5],[1,2]]", "--W", "2971"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["nu_table"] == {"2971": 2}
+
     def test_maier_demo(self, capsys):
         code, out, _ = run_cli(
             ["maier-demo", "--z", "3", "--a", "1", "--x", "10000", "--Q", "100"], capsys

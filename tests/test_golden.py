@@ -1,0 +1,72 @@
+"""Byte-for-byte report regression: small CLI runs against recorded sha256s.
+
+Each digest was recorded from the toolkit before its root-set, trial-division
+and squarefree-product helpers were merged into one copy each.  Any change to
+a report's bytes fails here; re-record a digest only for a deliberate,
+documented format change.
+"""
+
+import hashlib
+
+import pytest
+
+from twosq.cli import dispatch
+
+CASES = {
+    "admissible": (
+        ["admissible", "--k", "3", "--W", "21"],
+        "c03cc0da79b9fb773d504cc76e36acd3e04a66f09423c593591d6909cf0de8fa",
+    ),
+    "admissible_forms": (
+        ["admissible", "--forms", "[[3,1],[1,2],[5,7]]", "--W", "231"],
+        "dda202b2072a1a28760c11f115d5c0cb8c1d08b0bdee2e4f33c842742762dfa1",
+    ),
+    "weights_json": (
+        ["weights", "--k", "3", "--R", "500", "--W", "1"],
+        "6ee6b7f9aea43723d5a184321a23d933e811339c015aa9427e59ec632d75e4ef",
+    ),
+    "weights_csv": (
+        ["weights", "--k", "3", "--R", "500", "--W", "1", "--format", "csv"],
+        "b844d844ab8cab4fb9c19ca76683298e5672ffb54f6557a0bf534c962c09a705",
+    ),
+    "verify": (
+        ["verify", "--threads", "1"],
+        "c1ab1864b52ffcfc794445a1461f669b661b752c531cdf00e5cbde0b0ab45d1c",
+    ),
+    "verify_summation": (
+        ["verify", "--summation", "--summation-R", "1000", "--threads", "1"],
+        "df06129c8a091d90674639dd5c65683bc17c06fe48b8af9c8bc0f08e040f0d01",
+    ),
+    "gpy_demo_mass_check": (
+        ["gpy-demo", "--k", "3", "--X", "20000", "--R", "1000", "--W", "21", "--mass-check", "--threads", "1"],
+        "c3a58ee5afdbbfcbb3b8ae44ceb524c068b9f53e6ac2d9b38c03593b6db87ce3",
+    ),
+    "maier_demo": (
+        ["maier-demo", "--z", "7", "--a", "1", "--x", "10000", "--Q", "100"],
+        "b024c5862fbab47268fdb8e05e9cc5dcf402b141422d690b7c0270d80fec9f4d",
+    ),
+    "count_progression": (
+        ["count", "--x", "100000", "--q", "12", "--a", "5", "--threads", "1"],
+        "d62143b2227a0e40a8e9d540d7faaab465ed82aaa3004a58f0ffcc9467af07e3",
+    ),
+    "scan_residues": (
+        ["scan-residues", "--x", "10000", "--q", "12", "--threads", "1"],
+        "859f868e838bdae84375bb27fc6b79b12a5dde93009f24804ff7f03e082c3af1",
+    ),
+    "special_table_csv": (
+        ["special", "--fn", "halfdim_F", "--from", "1", "--to", "4", "--step", "0.25"],
+        "60cc59e61d4b19414b68b8b56f7c0aad44746281281a00d4f148040f22cd8801",
+    ),
+    "special_table_json": (
+        ["special", "--fn", "buchstab", "--from", "1", "--to", "4", "--step", "0.5", "--format", "json"],
+        "43f744c6626e63dca4b9781080c092a054878fd2684babebacf6bda0fa2a8558",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_unchanged(name, capsys):
+    argv, digest = CASES[name]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

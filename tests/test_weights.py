@@ -70,12 +70,12 @@ class TestBuildWeights:
         for r in ws.support:
             assert math.gcd(r, 21) == 1
 
-    def test_y_indicator(self, k1_weights):
-        assert k1_weights.y(1) == 1
-        assert k1_weights.y(3) == 1
-        assert k1_weights.y(9) == 0  # not squarefree
-        assert k1_weights.y(11) == 0  # beyond the cutoff R = 10
-        assert k1_weights.y(5) == 0  # 5 = 1 (mod 4)
+    def test_support_membership(self, k1_weights):
+        assert 1 in k1_weights.support
+        assert 3 in k1_weights.support
+        assert 9 not in k1_weights.support  # not squarefree
+        assert 11 not in k1_weights.support  # beyond the cutoff R = 10
+        assert 5 not in k1_weights.support  # 5 = 1 (mod 4)
 
 
 class TestQuadraticForms:
@@ -218,15 +218,23 @@ class TestWeightMass:
     def test_within_explicit_bound_small(self):
         system = AdmissibleSystem.build(build_default_set(2), W=3)
         ws = build_weights(system, 30)
-        rep = check_weight_mass(ws, 2 * 10**4)
+        rep = check_weight_mass(ws, weighted_experiment(ws, 2 * 10**4, 4 * 10**4))
         assert rep.within_bound
         assert rep.bound > 0
 
     def test_main_term_is_x_over_w_times_qnu(self):
         system = AdmissibleSystem.build(build_default_set(2), W=3)
         ws = build_weights(system, 30)
-        rep = check_weight_mass(ws, 12345)
+        rep = check_weight_mass(ws, weighted_experiment(ws, 12345, 2 * 12345))
         assert rep.main_term == Fraction(12345, 3) * ws.Q_nu
+
+    def test_rejects_report_not_over_x_2x(self):
+        system = AdmissibleSystem.build(build_default_set(2), W=3)
+        ws = build_weights(system, 30)
+        with pytest.raises(DomainError):
+            check_weight_mass(ws, weighted_experiment(ws, 1000, 3000))
+        with pytest.raises(DomainError):
+            check_weight_mass(ws, weighted_experiment(build_weights(system, 50), 1000, 2000))
 
 
 class TestSummation:
