@@ -20,12 +20,12 @@ from typing import Mapping, Sequence
 
 from .arith import nu, p1_numbers, roots_mod
 from .errors import AdmissibilityError, DomainError
-from .primes import factorize, is_prime, sieve_primes
+from .primes import INT64_MAX, factorize, is_prime, sieve_primes
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """L(n) = a*n + b with a, b > 0."""
+    """L(n) = a*n + b with 0 < a, b <= 2^63 - 1."""
 
     a: int
     b: int
@@ -33,6 +33,8 @@ class LinearForm:
     def __post_init__(self) -> None:
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"LinearForm: coefficients must be positive, got a={self.a}, b={self.b}")
+        if max(self.a, self.b) > INT64_MAX:
+            raise DomainError(f"LinearForm: coefficients must be <= 2^63 - 1, got a={self.a}, b={self.b}")
 
     def __call__(self, n: int) -> int:
         return self.a * n + self.b

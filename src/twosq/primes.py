@@ -1,21 +1,30 @@
 """Prime generation and factorization helpers used throughout the toolkit.
 
-Everything here is deliberately elementary: simple and segmented sieves of
-Eratosthenes (numpy bit arrays), the one trial-division loop (factorize) and
-the one enumeration of squarefree products over a prime list.
+Simple and segmented sieves of Eratosthenes (numpy bit arrays), the one
+factorization routine (trial division by small factors, then Pollard rho
+with deterministic Miller-Rabin, exact on [1, 2^63 - 1]) and the one
+enumeration of squarefree products over a prime list.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
+INT64_MAX = 2**63 - 1
+
 # Segment length (in integers) for streaming prime enumeration.
 PRIME_SEGMENT = 1 << 22
+
+# factorize trial-divides by f < TRIAL_BOUND before splitting the cofactor.
+TRIAL_BOUND = 1 << 10
+
+# Miller-Rabin with these bases is exact below 3.3e24 (far above 2^63).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -55,25 +64,65 @@ def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.n
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division; n >= 1."""
-    if n < 1:
-        raise DomainError(f"factorize: n must be >= 1, got {n}")
+    """Prime factorization {p: exponent}, ascending in p; 1 <= n <= 2^63 - 1."""
+    if not 1 <= n <= INT64_MAX:
+        raise DomainError(f"factorize: need 1 <= n <= 2^63 - 1, got {n}")
     out: dict[int, int] = {}
-    m = n
     f = 2
-    while f * f <= m:
-        while m % f == 0:
-            m //= f
+    while f < TRIAL_BOUND and f * f <= n:
+        while n % f == 0:
+            n //= f
             out[f] = out.get(f, 0) + 1
         f += 1 if f == 2 else 2
-    if m > 1:
-        out[m] = 1
-    return out
+    # Every prime factor left in n is >= f, so a part below f^2 is prime.
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < f * f or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(m: int) -> int:
+    """A factor 1 < d < m of the odd composite m (Pollard rho, Floyd cycles)."""
+    for c in range(1, m):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = gcd(x - y, m)
+        if d != m:
+            return d
+    raise AssertionError(f"_rho_factor: {m} is prime")
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; fine for the desk-scale moduli used here."""
-    return n >= 2 and factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin primality test; n <= 2^63 - 1."""
+    if n > INT64_MAX:
+        raise DomainError(f"is_prime: n must be <= 2^63 - 1, got {n}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def squarefree_products(primes: Sequence[int], R: int) -> Iterator[tuple[int, tuple[int, ...]]]:

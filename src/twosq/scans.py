@@ -194,18 +194,16 @@ def scan_intervals(
     if xs.size > MAX_WINDOWS:
         raise ResourceError(f"scan_intervals: {xs.size} windows exceed budget {MAX_WINDOWS}")
 
-    # Cumulative counts relative to X, sampled at window starts and ends.
-    points = np.unique(np.concatenate([xs, xs + y]))
-    cum_at = np.zeros(points.size, dtype=np.int64)
+    # Members in (X, t], sampled at t = x and t = x + y for every window x.
+    at_start = np.zeros(xs.size, dtype=np.int64)
+    at_end = np.zeros(xs.size, dtype=np.int64)
     base = 0
     for seg in iter_segments(X + 1, 2 * X + y, threads=threads):
-        inseg = (points >= seg.lo) & (points <= seg.hi)
-        if np.any(inseg):
-            cum = np.cumsum(seg.bits)
-            cum_at[inseg] = base + cum[points[inseg] - seg.lo]
-        base += seg.count_range(seg.lo, seg.hi)
-    at_start = cum_at[np.searchsorted(points, xs)]
-    at_end = cum_at[np.searchsorted(points, xs + y)]
+        cum = base + np.cumsum(seg.bits, dtype=np.int64)
+        for at, pts in ((at_start, xs), (at_end, xs + y)):
+            inseg = (pts >= seg.lo) & (pts <= seg.hi)
+            at[inseg] = cum[pts[inseg] - seg.lo]
+        base = int(cum[-1])
     counts = at_end - at_start
 
     S = _landau(landau_truncation)
@@ -235,11 +233,8 @@ def scan_progressions(
     qs = list(range(Q, 2 * Q + 1))
     counts = np.zeros(len(qs), dtype=np.int64)
     for seg in iter_segments(1, x, threads=threads):
-        members = seg.members()
-        if members.size == 0:
-            continue
         for i, q in enumerate(qs):
-            counts[i] += int(np.count_nonzero(members % q == a % q))
+            counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
     S = _landau(landau_truncation)
     sqrt_log = math.sqrt(math.log(x))
     predicted = [S * x / (float(phi_S(q)) * sqrt_log) for q in qs]

@@ -1,11 +1,10 @@
 """Membership and counting for the set of sums of two squares.
 
 An integer n >= 1 is a sum of two squares (a^2 + b^2 with a, b >= 0) exactly
-when every prime p = 3 (mod 4) divides n to an even power.  The bulk sieve
-keeps a residual cofactor per position and divides out full prime powers for
-every prime p <= sqrt(hi), so the residual left at the end is 1 or a single
-prime; a residual = 3 (mod 4), or an odd total valuation at any tracked
-p = 3 (mod 4), excludes the number.
+when every prime p = 3 (mod 4) divides n to an even power.  The parity sieve
+tracks only those parities, for p <= sqrt(hi).  Where all are even, n has at
+most one other prime factor = 3 (mod 4), to the first power, so n is a
+member exactly when its odd part is 1 (mod 4).  Nothing is divided.
 
 Integers are restricted to the signed-64-bit range; work beyond 2^63 - 1 is
 rejected rather than silently overflowing.
@@ -22,13 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import factorize, sieve_primes
-
-INT64_MAX = 2**63 - 1
-
-# Bits per popcount block; build-time constant, keeps subrange counting O(1)
-# blocks plus two partial edges.
-POPCOUNT_BLOCK = 4096
+from .primes import INT64_MAX, factorize, sieve_primes
 
 # Default segment length for streaming scans (integers per segment).
 DEFAULT_SEGMENT = 1 << 21
@@ -49,15 +42,12 @@ def is_two_square(n: int) -> bool:
 class SegmentTable:
     """Immutable membership table for a contiguous range [lo, hi].
 
-    bits[i] is True iff lo + i is a sum of two squares.  block_cum holds
-    cumulative set-bit counts at POPCOUNT_BLOCK boundaries so that
-    count_range works in O(1) full blocks.
+    bits[i] is True iff lo + i is a sum of two squares.
     """
 
     lo: int
     hi: int
     bits: np.ndarray = field(repr=False)
-    block_cum: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -73,84 +63,65 @@ class SegmentTable:
             return 0
         if a < self.lo or b > self.hi:
             raise DomainError(f"count_range: [{a}, {b}] outside [{self.lo}, {self.hi}]")
-        i, j = a - self.lo, b - self.lo + 1
-        bi = (i + POPCOUNT_BLOCK - 1) // POPCOUNT_BLOCK
-        bj = j // POPCOUNT_BLOCK
-        if bi >= bj:
-            return int(np.count_nonzero(self.bits[i:j]))
-        head = int(np.count_nonzero(self.bits[i : bi * POPCOUNT_BLOCK]))
-        tail = int(np.count_nonzero(self.bits[bj * POPCOUNT_BLOCK : j]))
-        mid = int(self.block_cum[bj] - self.block_cum[bi])
-        return head + mid + tail
+        return int(np.count_nonzero(self.bits[a - self.lo : b - self.lo + 1]))
 
     def members(self) -> np.ndarray:
         """All members in [lo, hi], ascending, as int64."""
         return self.lo + np.flatnonzero(self.bits).astype(np.int64)
 
 
-def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> SegmentTable:
-    """Residual sieve for membership over [lo, hi] (hi >= lo >= 1).
+def _base_primes(hi: int, who: str) -> np.ndarray:
+    """The primes p = 3 (mod 4) with p <= sqrt(hi), ascending."""
+    if isqrt(hi) > 1 << 30:
+        raise ResourceError(f"{who}: base prime sieve to sqrt({hi}) exceeds memory budget")
+    primes = sieve_primes(isqrt(hi))
+    return primes[primes % 4 == 3]
 
-    For every prime p <= sqrt(hi) the full p-power is divided out of each
-    multiple; for p = 3 (mod 4) the valuation parity is tracked by toggling
-    once per prime power p, p^2, ... dividing the position.
+
+def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> SegmentTable:
+    """Parity sieve for membership over [lo, hi] (1 <= lo <= hi < 2^63).
+
+    base_primes, if given, must hold the primes = 3 (mod 4) up to at least
+    sqrt(hi) in ascending order; iter_segments passes one list to every
+    segment.
     """
-    if lo < 1 or hi < lo:
-        raise DomainError(f"sieve_segment: need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > INT64_MAX:
-        raise DomainError(f"sieve_segment: hi must be < 2^63, got {hi}")
+    if not 1 <= lo <= hi <= INT64_MAX:
+        raise DomainError(f"sieve_segment: need 1 <= lo <= hi < 2^63, got [{lo}, {hi}]")
     n = hi - lo + 1
     if n > MAX_SEGMENT:
         raise ResourceError(
             f"sieve_segment: segment of {n} integers exceeds budget {MAX_SEGMENT}; "
             "stream smaller segments instead"
         )
-    if base_primes is None and isqrt(hi) > 1 << 30:
-        raise ResourceError(f"sieve_segment: base prime sieve to sqrt({hi}) exceeds memory budget")
-
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
-    toggle = np.zeros(n, dtype=bool)
-
     if base_primes is None:
-        base_primes = sieve_primes(isqrt(hi))
+        base_primes = _base_primes(hi, "sieve_segment")
 
+    # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
+    # are capped at n (which hits the same one position) to stay below 2^63.
+    bad = np.zeros(n, dtype=bool)
+    k = 0
+    while 3 << k <= hi:
+        bad[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = True
+        k += 1
+
+    # Valuation parity: a position divisible by p^j gets j toggles.  toggle is
+    # never cleared, so it holds the parity sum over all primes so far; that
+    # differs from the parity of v_p only where an earlier prime already set bad.
+    toggle = np.zeros(n, dtype=bool)
     for p in base_primes:
         p = int(p)
         if p * p > hi:
             break
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
+        start = -lo % p
+        if start >= n:
             continue
-        pos = np.arange(start - lo, n, p)
+        q = p
+        while q <= hi:
+            toggle[-lo % q :: q] ^= True
+            q *= p
+        bad[start::p] |= toggle[start::p]
 
-        # Divide out the full p-power from every multiple.
-        cur = pos
-        while cur.size:
-            residual[cur] //= p
-            cur = cur[residual[cur] % p == 0]
-
-        # Valuation parity: a position divisible by p^j gets j toggles.
-        if p % 4 == 3:
-            q = p
-            while q <= hi:
-                qstart = ((lo + q - 1) // q) * q
-                if qstart <= hi:
-                    toggle[qstart - lo :: q] ^= True
-                q *= p
-            bad[pos] |= toggle[pos]
-            toggle[pos] = False
-
-    # residual is now 1 or a prime > sqrt(hi); an exponent-1 prime
-    # = 3 (mod 4) excludes the number.
-    bad |= (residual % 4) == 3
-
-    bits = ~bad
-    nblocks = (n + POPCOUNT_BLOCK - 1) // POPCOUNT_BLOCK
-    sums = np.add.reduceat(bits, np.arange(0, n, POPCOUNT_BLOCK)) if n else np.empty(0, int)
-    block_cum = np.zeros(nblocks + 1, dtype=np.int64)
-    np.cumsum(sums, out=block_cum[1:])
-    return SegmentTable(lo=lo, hi=hi, bits=bits, block_cum=block_cum)
+    return SegmentTable(lo=lo, hi=hi, bits=~bad)
 
 
 def iter_segments(
@@ -167,18 +138,12 @@ def iter_segments(
     """
     if hi < lo:
         return
-    if isqrt(hi) > 1 << 30:
-        raise ResourceError(f"iter_segments: base prime sieve to sqrt({hi}) exceeds memory budget")
-    base = sieve_primes(isqrt(hi))
-    ranges = []
-    a = lo
-    while a <= hi:
-        b = min(a + segment - 1, hi)
-        ranges.append((a, b))
-        a = b + 1
+    if lo < 1 or hi > INT64_MAX:
+        raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
+    base = _base_primes(hi, "iter_segments")
+    ranges = [(a, min(a + segment - 1, hi)) for a in range(lo, hi + 1, segment)]
     if threads <= 1 or len(ranges) == 1:
-        for a, b in ranges:
-            yield sieve_segment(a, b, base)
+        yield from (sieve_segment(a, b, base) for a, b in ranges)
         return
     # sliding submission window keeps memory at O(threads * segment) while
     # still yielding strictly in range order
@@ -214,12 +179,7 @@ def count_upto(x: int, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
     """Number of sums of two squares in [1, x]."""
     if x < 0:
         raise DomainError(f"count_upto: x must be >= 0, got {x}")
-    if x == 0:
-        return 0
-    total = 0
-    for seg in iter_segments(1, x, segment=segment, threads=threads):
-        total += seg.count_range(seg.lo, seg.hi)
-    return total
+    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(1, x, segment, threads))
 
 
 def count_interval(x: int, y: int, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
@@ -228,18 +188,11 @@ def count_interval(x: int, y: int, threads: int = 1, segment: int = DEFAULT_SEGM
         raise DomainError(f"count_interval: x must be >= 0, got {x}")
     if y < 1:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
-    total = 0
-    for seg in iter_segments(x + 1, x + y, segment=segment, threads=threads):
-        total += seg.count_range(seg.lo, seg.hi)
-    return total
+    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(x + 1, x + y, segment, threads))
 
 
 def count_progression(query: ProgressionQuery, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
     """Number of members n <= x with n = a (mod q)."""
-    if query.x == 0:
-        return 0
-    total = 0
-    for seg in iter_segments(1, query.x, segment=segment, threads=threads):
-        members = seg.members()
-        total += int(np.count_nonzero(members % query.q == query.a))
-    return total
+    q, a = query.q, query.a
+    segs = iter_segments(1, query.x, segment, threads)
+    return sum(int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])) for seg in segs)

@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles.
 
 The membership oracle here enumerates a^2 + b^2 lattice points directly and
-must stay independent of the residual-sieve implementation it checks.
+must stay independent of the parity-sieve implementation it checks.
 """
 
 from math import isqrt

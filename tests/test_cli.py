@@ -62,6 +62,21 @@ class TestCliExamples:
         assert code == 0
         assert json.loads(out)["nu_table"] == {"2971": 2}
 
+    def test_admissible_large_prime_gcd(self, capsys):
+        # gcd(a, b) = 10^18 + 3, a prime = 3 (mod 4) that covers every residue
+        code, _, err = run_cli(
+            ["admissible", "--forms", "[[1000000000000000003,2000000000000000006]]", "--W", "1"], capsys
+        )
+        assert code == 1
+        assert "not admissible" in err
+
+    def test_admissible_mersenne_p0(self, capsys):
+        code, out, _ = run_cli(["admissible", "--k", "2", "--p0", str(2**61 - 1), "--W", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["p0"] == 2**61 - 1
+        assert doc["forms"] == [[1, 1], [1, 5]]
+
     def test_maier_demo(self, capsys):
         code, out, _ = run_cli(
             ["maier-demo", "--z", "3", "--a", "1", "--x", "10000", "--Q", "100"], capsys
@@ -121,6 +136,17 @@ class TestCliBehavior:
         code, _, err = run_cli(["count", "--x", "-5"], capsys)
         assert code == 1
         assert "error" in err
+
+    def test_window_past_int64_is_domain_error(self, capsys):
+        # x + y > 2^63 - 1: out of domain, not a memory budget problem
+        code, _, err = run_cli(["count", "--x", "9223372036854775800", "--y", "100"], capsys)
+        assert code == 1
+        assert "2^63" in err and "budget" not in err
+
+    def test_form_coefficient_past_int64_rejected(self, capsys):
+        code, _, err = run_cli(["admissible", "--forms", "[[99999999999999999999999,1]]", "--W", "1"], capsys)
+        assert code == 1
+        assert "2^63 - 1" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

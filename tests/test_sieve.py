@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from twosq.errors import DomainError, ResourceError
 from twosq.sieve import (
-    POPCOUNT_BLOCK,
     ProgressionQuery,
     count_interval,
     count_progression,
@@ -21,6 +20,11 @@ class TestIsTwoSquare:
         assert not is_two_square(3)  # 3 mod 4, squarefree
         assert is_two_square(9997)  # 13 * 769
         assert not is_two_square(9991)  # 97 * 103, 103 = 3 (mod 4) once
+
+    def test_large_prime(self):
+        # 2^61 - 1 is a prime = 3 (mod 4); trial division would take ~10^9 steps
+        assert not is_two_square(2**61 - 1)
+        assert is_two_square((2**31 - 1) ** 2)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -110,7 +114,7 @@ class TestSieveSegment:
         assert seg.count_range(qa, qb) == direct
 
     def test_popcount_spans_blocks(self):
-        hi = 3 * POPCOUNT_BLOCK + 17
+        hi = 3 * 4096 + 17
         seg = sieve_segment(1, hi)
         assert seg.count_range(1, hi) == int(np.count_nonzero(seg.bits))
 
@@ -123,6 +127,27 @@ class TestSieveSegment:
         with pytest.raises(DomainError):
             seg.count_range(5, 15)
         assert seg.count_range(15, 12) == 0
+
+
+class TestHighWindows:
+    """sieve_segment against is_two_square, which factorizes each n and
+    shares no code with the sieve."""
+
+    # 3^26 and 11^12 are members only if every power up to the 26th / 12th toggles
+    @pytest.mark.parametrize("lo", [10**9, 10**12 - 1000, 10**13 + 7, 3**26 - 1500, 11**12 - 1500])
+    def test_window_matches_factorization(self, lo):
+        seg = sieve_segment(lo, lo + 2999)
+        expect = [is_two_square(n) for n in range(lo, lo + 3000)]
+        assert seg.bits.tolist() == expect
+
+    @given(
+        lo=st.integers(min_value=1, max_value=10**13),
+        span=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_window(self, lo, span):
+        seg = sieve_segment(lo, lo + span)
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
 
 
 class TestCounts:
