@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .admissible import AdmissibleSystem, LinearForm, build_default_set, size_conditions
 from .arith import landau_constant
 from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceError
-from .reportio import to_csv, to_json
+from .reportio import Records, to_csv, to_json
 from .scans import MaierConfig, maier_demo, scan_intervals, scan_progressions, scan_residues
 from .sieve import ProgressionQuery, count_interval, count_progression, count_upto, sieve_segment
 from .special import (
@@ -90,9 +90,9 @@ def _write(cfg: RunConfig, text: str) -> None:
 
 def _cmd_sieve(args, cfg: RunConfig) -> str:
     seg = sieve_segment(args.lo, args.hi)
-    members = [int(m) for m in seg.members()]
+    members = seg.members().tolist()
     if cfg.fmt == "csv":
-        return to_csv([(m,) for m in members], header=["member"])
+        return to_csv(zip(members), header=["member"])
     return to_json(
         {
             "version": SCHEMA_VERSION,
@@ -120,27 +120,22 @@ def _cmd_count(args, cfg: RunConfig) -> str:
     return to_json(doc)
 
 
-def _scan_report_text(report, cfg: RunConfig, key_name: str) -> str:
+def _scan_report_text(report, cfg: RunConfig) -> str:
     if cfg.fmt == "csv":
-        return to_csv(report.to_csv_rows(), header=[key_name, "count", "predicted", "ratio", "applicable"])
-    doc = {"version": SCHEMA_VERSION}
-    doc.update(report.to_json_dict())
-    return to_json(doc)
+        return to_csv(report.iter_rows(flag=int), header=report.csv_header)
+    return to_json({"version": SCHEMA_VERSION, **report.to_json_dict()})
 
 
 def _cmd_scan_intervals(args, cfg: RunConfig) -> str:
-    report = scan_intervals(args.X, args.y, args.stride, threads=cfg.threads)
-    return _scan_report_text(report, cfg, "x")
+    return _scan_report_text(scan_intervals(args.X, args.y, args.stride, threads=cfg.threads), cfg)
 
 
 def _cmd_scan_progressions(args, cfg: RunConfig) -> str:
-    report = scan_progressions(args.x, args.Q, args.a, threads=cfg.threads)
-    return _scan_report_text(report, cfg, "q")
+    return _scan_report_text(scan_progressions(args.x, args.Q, args.a, threads=cfg.threads), cfg)
 
 
 def _cmd_scan_residues(args, cfg: RunConfig) -> str:
-    report = scan_residues(args.x, args.q, threads=cfg.threads)
-    return _scan_report_text(report, cfg, "a")
+    return _scan_report_text(scan_residues(args.x, args.q, threads=cfg.threads), cfg)
 
 
 def _cmd_constants(args, cfg: RunConfig) -> str:
@@ -174,7 +169,7 @@ def _cmd_special(args, cfg: RunConfig) -> str:
             {
                 "version": SCHEMA_VERSION,
                 "fn": args.fn,
-                "rows": [{"kind": k, "s": s, "value": v} for k, s, v in rows],
+                "rows": Records(("kind", "s", "value"), rows),
             }
         )
     return to_csv(rows, header=["kind", "s", "value"])
@@ -182,10 +177,10 @@ def _cmd_special(args, cfg: RunConfig) -> str:
 
 def _parse_forms(text: str) -> list[LinearForm]:
     try:
-        pairs = json.loads(text)
-        return [LinearForm(int(a), int(b)) for a, b in pairs]
+        pairs = [(int(a), int(b)) for a, b in json.loads(text)]
     except (ValueError, TypeError) as exc:
         raise DomainError(f"--forms must be JSON like [[1,1],[1,5]], got {text!r}: {exc}")
+    return [LinearForm(a, b) for a, b in pairs]
 
 
 def _build_system(args, cfg: RunConfig) -> AdmissibleSystem:
@@ -208,8 +203,7 @@ def _build_system(args, cfg: RunConfig) -> AdmissibleSystem:
 
 def _cmd_admissible(args, cfg: RunConfig) -> str:
     system = _build_system(args, cfg)
-    doc = {"version": SCHEMA_VERSION}
-    doc.update(system.to_json_dict())
+    doc = {"version": SCHEMA_VERSION, **system.to_json_dict()}
     doc["k"] = system.k
     doc["nu_table"] = {str(p): v for p, v in sorted(system.nu_table.items())}
     if cfg.fmt == "csv":
@@ -229,8 +223,7 @@ def _cmd_weights(args, cfg: RunConfig) -> str:
     system = _build_system(args, cfg)
     R = _paper_strict_R(args, cfg)
     ws = build_weights(system, R)
-    doc = {"version": SCHEMA_VERSION, "system": system.to_json_dict()}
-    doc.update(ws.to_json_dict())
+    doc = {"version": SCHEMA_VERSION, "system": system.to_json_dict(), **ws.to_json_dict()}
     if cfg.fmt == "csv":
         return to_csv(
             [(d, str(ws.lam[d]), str(ws.ystar[d])) for d in ws.support],
@@ -245,8 +238,7 @@ def _cmd_gpy_demo(args, cfg: RunConfig) -> str:
     ws = build_weights(system, R)
     x_lo = args.X if args.X is not None else 10**6
     report = weighted_experiment(ws, x_lo, 2 * x_lo, threads=cfg.threads)
-    doc = {"version": SCHEMA_VERSION}
-    doc.update(report.to_json_dict())
+    doc = {"version": SCHEMA_VERSION, **report.to_json_dict()}
     if report.weighted_avg is not None and report.class_unweighted_avg:
         doc["margin"] = float(report.weighted_avg / report.class_unweighted_avg)
     else:
@@ -277,9 +269,7 @@ def _cmd_maier_demo(args, cfg: RunConfig) -> str:
     report = maier_demo(config)
     if cfg.fmt == "csv":
         return to_csv(report.d_terms, header=["d", "count"])
-    doc = {"version": SCHEMA_VERSION}
-    doc.update(report.to_json_dict())
-    return to_json(doc)
+    return to_json({"version": SCHEMA_VERSION, **report.to_json_dict()})
 
 
 def _verify_cell(k: int, R: int, W: int) -> dict:

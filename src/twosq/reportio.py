@@ -9,6 +9,7 @@ regardless of how they were computed.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -25,27 +26,41 @@ def format_fraction(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
-def _emit(obj: Any, out: list[str]) -> None:
+@dataclass(frozen=True)
+class Records:
+    """A JSON list of objects that share the keys `fields`; `rows` yields their values once."""
+
+    fields: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def _quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _scalar(obj: Any) -> str:
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, Fraction):
-        out.append('"' + format_fraction(obj) + '"')
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, Fraction):  # after the built-in types: an ABC check is slow
+        return _quote(format_fraction(obj))
+    if hasattr(obj, "item"):  # numpy scalars and other number-likes
+        return _scalar(obj.item())
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit(obj: Any, out: list[str]) -> None:
+    if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append('"' + str(k).replace("\\", "\\\\").replace('"', '\\"') + '": ')
+            out.append((", " if i else "") + _quote(str(k)) + ": ")
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -55,12 +70,15 @@ def _emit(obj: Any, out: list[str]) -> None:
                 out.append(", ")
             _emit(v, out)
         out.append("]")
+    elif isinstance(obj, Records):
+        keys = [_quote(f) + ": " for f in obj.fields]
+        out.append("[")
+        # One string per row: a separate piece per value would take several times the text's memory.
+        for i, row in enumerate(obj.rows):
+            out.append((", {" if i else "{") + ", ".join(k + _scalar(v) for k, v in zip(keys, row)) + "}")
+        out.append("]")
     else:
-        # numpy scalars and other number-likes
-        if hasattr(obj, "item"):
-            _emit(obj.item(), out)
-        else:
-            raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append(_scalar(obj))
 
 
 def to_json(obj: Any) -> str:

@@ -3,28 +3,33 @@ grids, and the Maier-matrix double-sum comparison.
 
 Counts are exact integers throughout; only final ratios and predictions are
 floats.  The interval convention everywhere is (x, x+y], i.e. the window
-count is count_upto(x+y) - count_upto(x).
+count is count_upto(x+y) - count_upto(x).  A scan's rows are numpy columns
+from the sieve to the report writer, and every scan checks its row count
+against one budget, MAX_SCAN_ROWS, before it allocates them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
 from .arith import landau_constant, phi_S
 from .errors import DomainError, ResourceError
 from .primes import sieve_primes
+from .reportio import Records
 from .sieve import is_two_square, iter_segments
 from .special import halfdim_F
 
 DEFAULT_LANDAU_TRUNCATION = 10**6
-MAX_WINDOWS = 1 << 26
+# Rows any one scan may report.  A row's peak cost, measured on JSON reports
+# of 10^5 to 10^6 rows, is about 310 B for intervals, 280 B for residues and
+# 460 B for progressions; 512 B per row in a 2 GiB budget gives 2^22 rows.
+MAX_SCAN_ROWS = (1 << 31) // 512
 MAX_MAIER_ENUM = 10**8
 
 
@@ -52,40 +57,36 @@ def predicted_average(kind: str, **params) -> PredictedAverage:
     kind="progression" (params x, q, a): S * x / (phi_S(q) sqrt(ln x)),
     flagged inapplicable unless gcd(a, q) = 1 and a = 1 (mod gcd(4, q)).
     """
-    truncation = params.get("landau_truncation", DEFAULT_LANDAU_TRUNCATION)
-    S = _landau(truncation)
+    if kind not in ("interval", "progression"):
+        raise DomainError(f"predicted_average: unknown kind {kind!r}")
+    S = _landau(params.get("landau_truncation", DEFAULT_LANDAU_TRUNCATION))
+    x = params["x"]
+    if math.log(x) <= 1.0:
+        raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
     if kind == "interval":
-        x, y = params["x"], params["y"]
-        if math.log(x) <= 1.0:
-            raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
-        return PredictedAverage(value=S * y / math.sqrt(math.log(x)), applicable=True)
-    if kind == "progression":
-        x, q, a = params["x"], params["q"], params["a"]
-        if math.log(x) <= 1.0:
-            raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
-        value = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
-        ok = _progression_applicable(a, q)
-        note = "" if ok else "prediction requires gcd(a,q)=1 and a=1 (mod gcd(4,q))"
-        return PredictedAverage(value=value, applicable=ok, note=note)
-    raise DomainError(f"predicted_average: unknown kind {kind!r}")
+        return PredictedAverage(value=S * params["y"] / math.sqrt(math.log(x)), applicable=True)
+    q, a = params["q"], params["a"]
+    value = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
+    ok = _progression_applicable(a, q)
+    note = "" if ok else "prediction requires gcd(a,q)=1 and a=1 (mod gcd(4,q))"
+    return PredictedAverage(value=value, applicable=ok, note=note)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    key: int  # window start x, modulus q, or residue a
-    count: int
-    predicted: float
-    ratio: float
-    applicable: bool = True
+ROW_FIELDS = ("key", "count", "predicted", "ratio", "applicable")
+_KEY_NAMES = {"intervals": "x", "progressions": "q", "residues": "a"}
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Per-window counts with their predictions and summary statistics."""
+    """Summary statistics over rows held as columns; a row's key is the window
+    start x, the modulus q or the residue a."""
 
     kind: str
     params: dict
-    rows: tuple[ScanRow, ...] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    predicted: np.ndarray = field(repr=False)
+    applicable: np.ndarray = field(repr=False)
     total_count: int
     mean: float
     variance: float
@@ -97,9 +98,27 @@ class ScanReport:
 
     @property
     def n_windows(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """count / predicted, inf where the prediction is not positive."""
+        out = np.full(self.counts.shape, math.inf)
+        return np.divide(self.counts, self.predicted, out=out, where=self.predicted > 0)
+
+    @property
+    def csv_header(self) -> tuple[str, ...]:
+        return (_KEY_NAMES[self.kind],) + ROW_FIELDS[1:]
+
+    def iter_rows(self, flag: type = bool) -> Iterator[tuple]:
+        """Row tuples in ROW_FIELDS order; `flag` converts applicable (CSV writes 0/1)."""
+        columns = (self.keys, self.counts, self.predicted, self.ratio, self.applicable.astype(flag))
+        # 2^16 rows at a time: whole columns as Python objects add ~85 B per row at peak.
+        for i in range(0, self.n_windows, 1 << 16):
+            yield from zip(*(c[i : i + (1 << 16)].tolist() for c in columns))
 
     def to_json_dict(self) -> dict:
+        """The report as a document; its rows are read once, when it is written."""
         return {
             "kind": self.kind,
             "params": self.params,
@@ -109,66 +128,54 @@ class ScanReport:
             "variance": self.variance,
             "max_count": self.max_count,
             "argmax_key": self.argmax_key,
-            "records": list(self.records),
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
+            "records": self.records,
+            "histogram": self.histogram,
             "mean_ratio_valid": self.mean_ratio_valid,
-            "rows": [
-                {
-                    "key": r.key,
-                    "count": r.count,
-                    "predicted": r.predicted,
-                    "ratio": r.ratio,
-                    "applicable": r.applicable,
-                }
-                for r in self.rows
-            ],
+            "rows": Records(ROW_FIELDS, self.iter_rows()),
         }
-
-    def to_csv_rows(self) -> list[tuple]:
-        return [(r.key, r.count, r.predicted, r.ratio, int(r.applicable)) for r in self.rows]
 
 
 def _summarize(
     kind: str,
     params: dict,
-    keys: Iterable[int],
+    keys: np.ndarray,
     counts: np.ndarray,
-    predicted: list[float],
-    applicable: list[bool],
+    predicted: np.ndarray,
+    applicable: np.ndarray,
     record_threshold: float = 2.0,
 ) -> ScanReport:
-    keys = list(keys)
-    counts_l = [int(c) for c in counts]
-    rows = tuple(
-        ScanRow(
-            key=k,
-            count=c,
-            predicted=p,
-            ratio=(c / p if p > 0 else math.inf),
-            applicable=ok,
-        )
-        for k, c, p, ok in zip(keys, counts_l, predicted, applicable)
-    )
-    n = len(rows)
-    total = sum(counts_l)
-    sum_sq = sum(c * c for c in counts_l)
+    values, mult = np.unique(counts, return_counts=True)
+    histogram = dict(zip(values.tolist(), mult.tolist()))
+    # Exact Python ints: squares of counts past 3.04e9 overflow int64.
+    total = sum(c * m for c, m in histogram.items())
+    sum_sq = sum(c * c * m for c, m in histogram.items())
+    n = len(keys)
     mean = total / n
-    variance = max(0.0, sum_sq / n - mean * mean)
-    imax = int(np.argmax(counts)) if n else 0
-    valid_ratios = [r.ratio for r in rows if r.applicable and r.predicted > 0]
+    imax = int(np.argmax(counts))
+    valid = applicable & (predicted > 0)
+    ratios = counts[valid] / predicted[valid]
     return ScanReport(
         kind=kind,
         params=params,
-        rows=rows,
+        keys=keys,
+        counts=counts,
+        predicted=predicted,
+        applicable=applicable,
         total_count=total,
         mean=mean,
-        variance=variance,
-        max_count=counts_l[imax] if n else 0,
-        argmax_key=keys[imax] if n else 0,
-        records=tuple(r.key for r in rows if r.applicable and r.count >= record_threshold * r.predicted),
-        histogram=dict(Counter(counts_l)),
-        mean_ratio_valid=(sum(valid_ratios) / len(valid_ratios)) if valid_ratios else None,
+        variance=max(0.0, sum_sq / n - mean * mean),
+        max_count=int(counts[imax]),
+        argmax_key=int(keys[imax]),
+        records=tuple(keys[applicable & (counts >= record_threshold * predicted)].tolist()),
+        histogram=histogram,
+        # cumsum adds left to right in row order; np.sum's pairwise sum changes last digits.
+        mean_ratio_valid=float(np.cumsum(ratios)[-1]) / ratios.size if ratios.size else None,
     )
+
+
+def _check_rows(who: str, n_rows: int) -> None:
+    if n_rows > MAX_SCAN_ROWS:
+        raise ResourceError(f"{who}: {n_rows} rows exceed budget {MAX_SCAN_ROWS}")
 
 
 def scan_intervals(
@@ -190,9 +197,8 @@ def scan_intervals(
         raise DomainError(f"scan_intervals: need 1 <= y <= X, got y={y}")
     if stride < 1:
         raise DomainError(f"scan_intervals: stride must be >= 1, got {stride}")
+    _check_rows("scan_intervals", X // stride + 1)
     xs = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
-    if xs.size > MAX_WINDOWS:
-        raise ResourceError(f"scan_intervals: {xs.size} windows exceed budget {MAX_WINDOWS}")
 
     # Members in (X, t], sampled at t = x and t = x + y for every window x.
     at_start = np.zeros(xs.size, dtype=np.int64)
@@ -204,17 +210,15 @@ def scan_intervals(
             inseg = (pts >= seg.lo) & (pts <= seg.hi)
             at[inseg] = cum[pts[inseg] - seg.lo]
         base = int(cum[-1])
-    counts = at_end - at_start
 
     S = _landau(landau_truncation)
-    predicted = (S * y / np.sqrt(np.log(xs.astype(np.float64)))).tolist()
     return _summarize(
         kind="intervals",
         params={"X": X, "y": y, "stride": stride},
-        keys=[int(x) for x in xs],
-        counts=counts,
-        predicted=predicted,
-        applicable=[True] * xs.size,
+        keys=xs,
+        counts=at_end - at_start,
+        predicted=S * y / np.sqrt(np.log(xs.astype(np.float64))),
+        applicable=np.ones(xs.size, dtype=bool),
     )
 
 
@@ -230,21 +234,21 @@ def scan_progressions(
         raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
     if Q < 1 or a < 0:
         raise DomainError(f"scan_progressions: need Q >= 1 and a >= 0, got Q={Q}, a={a}")
-    qs = list(range(Q, 2 * Q + 1))
+    _check_rows("scan_progressions", Q + 1)
+    qs = range(Q, 2 * Q + 1)
     counts = np.zeros(len(qs), dtype=np.int64)
     for seg in iter_segments(1, x, threads=threads):
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
     S = _landau(landau_truncation)
-    sqrt_log = math.sqrt(math.log(x))
-    predicted = [S * x / (float(phi_S(q)) * sqrt_log) for q in qs]
+    phis = np.array([float(phi_S(q)) for q in qs])
     return _summarize(
         kind="progressions",
         params={"x": x, "Q": Q, "a": a},
-        keys=qs,
+        keys=np.arange(Q, 2 * Q + 1, dtype=np.int64),
         counts=counts,
-        predicted=predicted,
-        applicable=[_progression_applicable(a, q) for q in qs],
+        predicted=S * x / (phis * math.sqrt(math.log(x))),
+        applicable=np.array([_progression_applicable(a, q) for q in qs], dtype=bool),
     )
 
 
@@ -259,21 +263,21 @@ def scan_residues(
         raise DomainError(f"scan_residues: x must be >= 3, got {x}")
     if q < 1:
         raise DomainError(f"scan_residues: q must be >= 1, got {q}")
+    _check_rows("scan_residues", q)
     counts = np.zeros(q, dtype=np.int64)
     for seg in iter_segments(1, x, threads=threads):
         members = seg.members()
         if members.size:
             counts += np.bincount(members % q, minlength=q)
     S = _landau(landau_truncation)
-    sqrt_log = math.sqrt(math.log(x))
-    pred_q = S * x / (float(phi_S(q)) * sqrt_log)
+    pred_q = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
     return _summarize(
         kind="residues",
         params={"x": x, "q": q},
-        keys=list(range(q)),
+        keys=np.arange(q, dtype=np.int64),
         counts=counts,
-        predicted=[pred_q] * q,
-        applicable=[_progression_applicable(a, q) for a in range(q)],
+        predicted=np.full(q, pred_q),
+        applicable=np.array([_progression_applicable(a, q) for a in range(q)], dtype=bool),
     )
 
 
@@ -369,12 +373,7 @@ class MaierReport:
 
 def _count_sieved(u_bound: Fraction, rad_P: int) -> int:
     """#{u < u_bound : u = 1 (mod 4), gcd(u, rad_P) = 1} by direct enumeration."""
-    top = math.ceil(u_bound) - 1  # largest admissible integer strictly below
-    count = 0
-    for u in range(1, top + 1, 4):
-        if math.gcd(u, rad_P) == 1:
-            count += 1
-    return count
+    return sum(1 for u in range(1, math.ceil(u_bound), 4) if math.gcd(u, rad_P) == 1)
 
 
 def maier_demo(config: MaierConfig) -> MaierReport:
@@ -386,12 +385,8 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     because every exponent in P is odd.
     """
     exps = config.P_exponents()
-    P = 1
-    for p, e in exps.items():
-        P *= p**e
-    rad_P = 1
-    for p in exps:
-        rad_P *= p
+    P = math.prod(p**e for p, e in exps.items())
+    rad_P = math.prod(exps)
 
     # All d with d^2 | P: exponent of p in d at most (alpha_p - 1)/2.
     ds = [1]
@@ -404,14 +399,10 @@ def maier_demo(config: MaierConfig) -> MaierReport:
         raise ResourceError(
             f"maier_demo: enumeration of ~{float(u_limit) * len(ds):.2e} candidates exceeds budget"
         )
-    d_terms = []
-    for d in ds:
-        d_terms.append((d, _count_sieved(u_limit / (d * d), rad_P)))
+    d_terms = tuple((d, _count_sieved(u_limit / (d * d), rad_P)) for d in ds)
     lhs = sum(c for _, c in d_terms)
 
-    density = 1.0
-    for p in exps:
-        density *= p / (p + 1.0)
+    density = math.prod((p / (p + 1.0) for p in exps), start=1.0)
     ratio_xq = config.x / config.Q
     s_arg = math.log(ratio_xq) / math.log(config.z)
     rhs = ratio_xq * density * halfdim_F(s_arg)
@@ -419,7 +410,7 @@ def maier_demo(config: MaierConfig) -> MaierReport:
         config=config,
         P_exponents=exps,
         P=P,
-        d_terms=tuple(d_terms),
+        d_terms=d_terms,
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs if rhs else math.inf,

@@ -147,6 +147,48 @@ class TestCliBehavior:
         code, _, err = run_cli(["admissible", "--forms", "[[99999999999999999999999,1]]", "--W", "1"], capsys)
         assert code == 1
         assert "2^63 - 1" in err
+        assert "must be JSON" not in err
+
+    def test_form_coefficient_not_positive_rejected(self, capsys):
+        code, _, err = run_cli(["admissible", "--forms", "[[-1,1]]", "--W", "1"], capsys)
+        assert code == 1
+        assert "positive" in err
+        assert "must be JSON" not in err
+
+    def test_forms_wrong_shape_rejected(self, capsys):
+        code, _, err = run_cli(["admissible", "--forms", "[[1,2,3]]", "--W", "1"], capsys)
+        assert code == 1
+        assert "--forms must be JSON like" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-intervals", "--X", "2500000", "--y", "20", "--stride", "997"],
+            ["scan-progressions", "--x", "5000000", "--Q", "20", "--a", "1"],
+        ],
+    )
+    def test_scan_thread_determinism(self, argv, capsys):
+        # both ranges span more than one sieve segment
+        code1, out1, _ = run_cli(argv + ["--threads", "1"], capsys)
+        code2, out2, _ = run_cli(argv + ["--threads", "2"], capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-intervals", "--X", "1000000000000000", "--y", "10"],
+            ["scan-progressions", "--x", "100", "--Q", "1000000000000"],
+            ["scan-residues", "--x", "10", "--q", "1000000000000"],
+        ],
+    )
+    def test_scan_row_budget(self, argv, capsys):
+        # refused from the row count alone, before any column is allocated
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "rows exceed budget" in err
+        assert "Traceback" not in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """Byte-for-byte report regression: small CLI runs against recorded sha256s.
 
 Each digest was recorded from the toolkit before its root-set, trial-division
-and squarefree-product helpers were merged into one copy each.  Any change to
+and squarefree-product helpers were merged into one copy each; the
+scan-intervals and scan-progressions digests were recorded before scan rows
+became numpy columns.  Any change to
 a report's bytes fails here; re-record a digest only for a deliberate,
 documented format change.
 """
@@ -48,6 +50,26 @@ CASES = {
     "count_progression": (
         ["count", "--x", "100000", "--q", "12", "--a", "5", "--threads", "1"],
         "d62143b2227a0e40a8e9d540d7faaab465ed82aaa3004a58f0ffcc9467af07e3",
+    ),
+    "scan_intervals_json": (
+        ["scan-intervals", "--X", "2000", "--y", "30", "--threads", "1"],
+        "435d87de5a97e928ca51780b69c81582b5d07e8bdeff1d83ec4586670971bc93",
+    ),
+    "scan_intervals_csv": (
+        ["scan-intervals", "--X", "2000", "--y", "30", "--format", "csv", "--threads", "1"],
+        "ef102d0d8e4f9158b6467432fbd930edc97c16506ade1524d48e3ad00850837f",
+    ),
+    "scan_intervals_stride": (
+        ["scan-intervals", "--X", "5000", "--y", "40", "--stride", "13", "--threads", "1"],
+        "e1bf6c26aad92d194be52a07bc0fc7f230f37e29f87bca50378dd8ea5c54ba6f",
+    ),
+    "scan_progressions_inapplicable": (
+        ["scan-progressions", "--x", "100000", "--Q", "50", "--a", "2", "--threads", "1"],
+        "d86a3e68456a65d5b38a0c5ed4c98b948a141777f8670595a0d9d4d71844ac96",
+    ),
+    "scan_progressions_csv": (
+        ["scan-progressions", "--x", "100000", "--Q", "50", "--a", "1", "--format", "csv", "--threads", "1"],
+        "d2a5cba850e6bb7065cbe87cdcbcb4ef06ea72f3fc5842f9957cd8b1439e0869",
     ),
     "scan_residues": (
         ["scan-residues", "--x", "10000", "--q", "12", "--threads", "1"],

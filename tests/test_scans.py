@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twosq.errors import DomainError
 from twosq.scans import (
     MaierConfig,
+    _summarize,
     maier_demo,
     predicted_average,
     scan_intervals,
@@ -18,15 +20,15 @@ from twosq.sieve import count_interval, count_upto, is_two_square
 class TestScanIntervals:
     def test_two_window_example(self):
         rep = scan_intervals(100, 20, stride=100)
-        assert [(r.key, r.count) for r in rep.rows] == [(100, 7), (200, 5)]
+        assert list(zip(rep.keys.tolist(), rep.counts.tolist())) == [(100, 7), (200, 5)]
         # second window pinned by brute force: members of (200, 220]
         assert count_interval(200, 20) == 5
 
     def test_unit_windows(self):
         X, y = 400, 1
         rep = scan_intervals(X, y, stride=1)
-        assert all(r.count in (0, 1) for r in rep.rows)
-        dens = sum(r.count for r in rep.rows) / len(rep.rows)
+        assert set(rep.counts.tolist()) <= {0, 1}
+        dens = sum(rep.counts.tolist()) / len(rep.counts)
         # mean equals the density of members in (X, 2X+1]
         assert abs(rep.mean - dens) < 1e-15
         assert rep.total_count == count_interval(X, X + 1)
@@ -34,7 +36,7 @@ class TestScanIntervals:
     def test_sliding_consistency(self):
         X, y = 250, 12
         rep = scan_intervals(X, y, stride=1)
-        counts = {r.key: r.count for r in rep.rows}
+        counts = dict(zip(rep.keys.tolist(), rep.counts.tolist()))
         for x in range(X, 2 * X):
             delta = int(is_two_square(x + y + 1)) - int(is_two_square(x + 1))
             assert counts[x + 1] == counts[x] + delta, x
@@ -42,7 +44,7 @@ class TestScanIntervals:
     def test_mean_times_windows_is_total(self):
         rep = scan_intervals(64, 10, stride=7)
         assert Fraction(rep.total_count, rep.n_windows) == Fraction(rep.mean).limit_denominator(10**9)
-        assert rep.total_count == sum(r.count for r in rep.rows)
+        assert rep.total_count == sum(rep.counts.tolist())
 
     def test_max_and_argmax(self):
         rep = scan_intervals(100, 20, stride=100)
@@ -51,13 +53,13 @@ class TestScanIntervals:
 
     def test_ratio_fields_recomputable(self):
         rep = scan_intervals(128, 16, stride=32)
-        for r in rep.rows:
-            assert abs(r.ratio - r.count / r.predicted) < 1e-12
+        for ratio, count, predicted in zip(rep.ratio, rep.counts, rep.predicted):
+            assert abs(ratio - count / predicted) < 1e-12
 
     def test_threads_agree(self):
         a = scan_intervals(5000, 40, stride=13, threads=1)
         b = scan_intervals(5000, 40, stride=13, threads=4)
-        assert [r.count for r in a.rows] == [r.count for r in b.rows]
+        assert a.counts.tolist() == b.counts.tolist()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -71,20 +73,20 @@ class TestScanIntervals:
         # count variance guarantees record windows at this size
         rep = scan_intervals(10**6, 30, stride=1)
         assert rep.max_count >= 2 * rep.mean
-        assert rep.argmax_key in [r.key for r in rep.rows if r.count == rep.max_count]
+        assert rep.argmax_key in rep.keys[rep.counts == rep.max_count].tolist()
 
 
 class TestScanProgressions:
     def test_q1_row(self):
         rep = scan_progressions(1000, 1, 0)
-        assert rep.rows[0].count == count_upto(1000)
+        assert rep.counts[0] == count_upto(1000)
 
     def test_counts_match_direct(self):
         rep = scan_progressions(2000, 7, 1)
         from twosq.sieve import ProgressionQuery, count_progression
 
-        for row in rep.rows:
-            assert row.count == count_progression(ProgressionQuery(2000, row.key, 1 % row.key))
+        for q, count in zip(rep.keys.tolist(), rep.counts.tolist()):
+            assert count == count_progression(ProgressionQuery(2000, q, 1 % q))
 
     def test_ratio_mean_at_scale(self):
         rep = scan_progressions(10**6, 10**3, 1)
@@ -94,11 +96,10 @@ class TestScanProgressions:
     def test_applicability_flags(self):
         a = 2
         rep = scan_progressions(1000, 4, a)
-        for r in rep.rows:
-            q = r.key
+        for q, applicable in zip(rep.keys.tolist(), rep.applicable.tolist()):
             expect = math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q)
-            assert r.applicable == expect
-        flags = {r.key: r.applicable for r in rep.rows}
+            assert applicable == expect
+        flags = dict(zip(rep.keys.tolist(), rep.applicable.tolist()))
         assert flags[4] is False  # a = 2 shares a factor with q = 4
         assert flags[5] is True  # gcd(2,5) = 1 and gcd(4,5) = 1 makes the congruence vacuous
         assert flags[6] is False  # 2 is even, so 2 != 1 (mod gcd(4,6) = 2)
@@ -107,7 +108,7 @@ class TestScanProgressions:
 class TestScanResidues:
     def test_mod_4_counts(self):
         rep = scan_residues(40, 4)
-        assert [(r.key, r.count) for r in rep.rows] == [(0, 7), (1, 8), (2, 5), (3, 0)]
+        assert list(zip(rep.keys.tolist(), rep.counts.tolist())) == [(0, 7), (1, 8), (2, 5), (3, 0)]
         assert rep.total_count == count_upto(40)
 
     def test_partition_property(self):
@@ -117,8 +118,87 @@ class TestScanResidues:
 
     def test_residue_3_never_applicable(self):
         rep = scan_residues(100, 4)
-        assert rep.rows[3].applicable is False
-        assert rep.rows[3].count == 0
+        assert rep.applicable.tolist()[3] is False
+        assert rep.counts[3] == 0
+
+
+def summary_oracle(rep, record_threshold=2.0):
+    """The summary fields recomputed in plain Python from the report's rows."""
+    rows = list(rep.iter_rows())
+    keys = [r[0] for r in rows]
+    counts = [r[1] for r in rows]
+    n = len(rows)
+    total = sum_sq = 0
+    histogram = {}
+    for c in counts:
+        total += c
+        sum_sq += c * c
+        histogram[c] = histogram.get(c, 0) + 1
+    mean = total / n
+    imax = 0
+    for i, c in enumerate(counts):
+        if c > counts[imax]:
+            imax = i
+    ratios = []
+    for _, c, p, ratio, ok in rows:
+        assert ratio == (c / p if p > 0 else math.inf)
+        if ok and p > 0:
+            ratios.append(c / p)
+    acc = 0.0
+    for r in ratios:  # left to right, in row order
+        acc += r
+    return {
+        "total_count": total,
+        "mean": mean,
+        "variance": max(0.0, sum_sq / n - mean * mean),
+        "max_count": counts[imax],
+        "argmax_key": keys[imax],
+        "records": tuple(k for k, c, p, _, ok in rows if ok and c >= record_threshold * p),
+        "histogram": dict(sorted(histogram.items())),
+        "mean_ratio_valid": acc / len(ratios) if ratios else None,
+    }
+
+
+class TestSummaryOracle:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: scan_intervals(3000, 12, stride=1),
+            lambda: scan_intervals(5000, 40, stride=7),
+            lambda: scan_progressions(20000, 30, 2),
+            lambda: scan_residues(10000, 12),
+        ],
+        ids=["intervals-stride1", "intervals-stride7", "progressions-a2", "residues"],
+    )
+    def test_fields_match_plain_python(self, make):
+        rep = make()
+        expect = summary_oracle(rep)
+        got = {name: getattr(rep, name) for name in expect}
+        assert got == expect
+        assert list(got["histogram"]) == list(expect["histogram"])  # ascending keys
+        assert rep.n_windows == len(rep.keys) == len(rep.counts) == len(rep.predicted) == len(rep.applicable)
+
+    def test_cases_are_not_degenerate(self):
+        assert scan_intervals(3000, 12, stride=1).records
+        assert not scan_progressions(20000, 30, 2).applicable.all()
+        assert not scan_residues(10000, 12).applicable.all()
+
+    def test_variance_exact_past_int64_squares(self):
+        counts = np.array([3_037_000_500, 3_100_000_000, 2_999_999_999, 3_100_000_000], dtype=np.int64)
+        assert int((counts * counts).sum()) != sum(c * c for c in counts.tolist())  # int64 wraps
+        rep = _summarize(
+            "intervals",
+            {},
+            keys=np.arange(4, dtype=np.int64),
+            counts=counts,
+            predicted=np.full(4, 3.0e9),
+            applicable=np.ones(4, dtype=bool),
+        )
+        cs = counts.tolist()
+        mean = sum(cs) / len(cs)
+        assert rep.total_count == sum(cs)
+        assert rep.variance == max(0.0, sum(c * c for c in cs) / len(cs) - mean * mean)
+        assert (rep.max_count, rep.argmax_key) == (3_100_000_000, 1)  # first of the tied maxima
 
 
 def maier_lhs_oracle(cfg: MaierConfig) -> int:
