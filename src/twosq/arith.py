@@ -13,11 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, squarefree_products
 
 __all__ = [
     "phi_S",
+    "phi_S_floats",
     "landau_constant",
     "nu",
     "p1_numbers",
@@ -45,6 +46,36 @@ def phi_S(q: int) -> Fraction:
         else:
             value *= Fraction(p ** (e + 1), p + 1)
     return value
+
+
+def phi_S_floats(lo: int, hi: int) -> np.ndarray:
+    """float(phi_S(q)) for every q in [lo, hi], bit for bit, as float64.
+
+    phi_S(q) = q * prod_{p = 3 (mod 4), p | q} p / (p + 1), halved when 4 | q.
+    The primes up to sqrt(hi) are divided out of a copy of [lo, hi] in one
+    pass; what is left is 1 or one prime.  Numerator and denominator are
+    exact integers below hi^2 < 2^53, so one float64 division rounds them as
+    Fraction.__float__ does.
+    """
+    if not 1 <= lo <= hi:
+        raise DomainError(f"phi_S_floats: need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi >= 1 << 26:
+        raise ResourceError(f"phi_S_floats: hi = {hi} must be below 2^26 for exact float64 ratios")
+    q = np.arange(lo, hi + 1, dtype=np.int64)
+    rest, num, den = q.copy(), q.copy(), np.ones_like(q)
+    for p in sieve_primes(math.isqrt(hi)).tolist():
+        power = p
+        while power <= hi:
+            rest[-lo % power :: power] //= p
+            power *= p
+        if p % 4 == 3:
+            num[-lo % p :: p] *= p
+            den[-lo % p :: p] *= p + 1
+    big = rest % 4 == 3
+    num[big] *= rest[big]
+    den[big] *= rest[big] + 1
+    num[q % 4 == 0] //= 2
+    return num / den
 
 
 def landau_constant(truncation_limit: int) -> tuple[float, float]:

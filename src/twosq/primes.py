@@ -36,7 +36,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.ndarray]:

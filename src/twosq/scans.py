@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import landau_constant, phi_S
+from .arith import landau_constant, phi_S, phi_S_floats
 from .errors import DomainError, ResourceError
 from .primes import sieve_primes
 from .reportio import Records
@@ -241,7 +241,7 @@ def scan_progressions(
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
     S = _landau(landau_truncation)
-    phis = np.array([float(phi_S(q)) for q in qs])
+    phis = phi_S_floats(Q, 2 * Q)
     return _summarize(
         kind="progressions",
         params={"x": x, "Q": Q, "a": a},

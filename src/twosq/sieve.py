@@ -4,7 +4,15 @@ An integer n >= 1 is a sum of two squares (a^2 + b^2 with a, b >= 0) exactly
 when every prime p = 3 (mod 4) divides n to an even power.  The parity sieve
 tracks only those parities, for p <= sqrt(hi).  Where all are even, n has at
 most one other prime factor = 3 (mod 4), to the first power, so n is a
-member exactly when its odd part is 1 (mod 4).  Nothing is divided.
+member exactly when its odd part is 1 (mod 4).
+
+A segment of n integers splits its base primes in two regimes.  Primes up
+to n / 64 have many multiples each and toggle a parity array along p, p^2,
+... with strided slices, one Python iteration per prime; nothing is divided.
+Primes above n / 64 hit at most 65 positions each (only one or none when
+p > n, the common case in short windows far out); their multiples are
+listed in one numpy pass, in chunks, and the parity of v_p at each is found
+by exact int64 division.
 
 Integers are restricted to the signed-64-bit range; work beyond 2^63 - 1 is
 rejected rather than silently overflowing.
@@ -28,6 +36,13 @@ DEFAULT_SEGMENT = 1 << 21
 
 # Hard cap on a single allocation inside sieve_segment.
 MAX_SEGMENT = 1 << 26
+
+# Base primes above n // LARGE_PRIME_DIVISOR (n the segment length) hit at
+# most LARGE_PRIME_DIVISOR + 1 positions each and skip the per-prime loop.
+LARGE_PRIME_DIVISOR = 64
+
+# Multiples of large base primes expanded at once (bounds that pass's memory).
+LARGE_PRIME_CHUNK = 1 << 14
 
 
 def is_two_square(n: int) -> bool:
@@ -104,11 +119,17 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
         bad[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = True
         k += 1
 
+    # Base primes above n // LARGE_PRIME_DIVISOR hit few positions each and go
+    # through one vectorized pass, which reads nothing of the loop below.
+    split = int(np.searchsorted(base_primes, n // LARGE_PRIME_DIVISOR, side="right"))
+    end = int(np.searchsorted(base_primes, isqrt(hi), side="right"))
+    _mark_odd_valuations(bad, lo, base_primes[split:end])
+
     # Valuation parity: a position divisible by p^j gets j toggles.  toggle is
     # never cleared, so it holds the parity sum over all primes so far; that
     # differs from the parity of v_p only where an earlier prime already set bad.
     toggle = np.zeros(n, dtype=bool)
-    for p in base_primes:
+    for p in base_primes[:split]:
         p = int(p)
         if p * p > hi:
             break
@@ -122,6 +143,40 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
         bad[start::p] |= toggle[start::p]
 
     return SegmentTable(lo=lo, hi=hi, bits=~bad)
+
+
+def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Set bad[i] where v_p(lo + i) is odd for some p in primes.
+
+    The multiples of the primes in the segment are listed with np.repeat, at
+    most LARGE_PRIME_CHUNK at a time (or one prime's), and the parity of v_p
+    at each is found by dividing out p; lo + i <= hi < 2^63, so int64 is exact.
+    """
+    n = bad.size
+    first = -lo % primes
+    keep = first < n
+    primes, first = primes[keep], first[keep]
+    hits = (n - 1 - first) // primes + 1
+    ends = np.cumsum(hits)
+    starts = ends - hits
+    a = 0
+    while a < primes.size:
+        b = max(int(np.searchsorted(ends, starts[a] + LARGE_PRIME_CHUNK, side="right")), a + 1)
+        # the j-th multiple of a prime p in the segment sits at first + j * p
+        p = np.repeat(primes[a:b], hits[a:b])
+        pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], hits[a:b])
+        pos *= p
+        pos += np.repeat(first[a:b], hits[a:b])
+        # at: entries still divisible by p, q: their value with p divided out so far
+        odd = np.ones(pos.size, dtype=bool)
+        at, q, pa = np.arange(pos.size), (lo + pos) // p, p
+        while at.size:
+            more = q % pa == 0
+            at, pa = at[more], pa[more]
+            q = q[more] // pa
+            odd[at] ^= True
+        bad[pos[odd]] = True
+        a = b
 
 
 def iter_segments(

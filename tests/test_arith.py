@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosq.admissible import LinearForm
-from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S
-from twosq.errors import DomainError
+from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S, phi_S_floats
+from twosq.errors import DomainError, ResourceError
 from twosq.primes import factorize, sieve_primes
 
 
@@ -36,6 +36,21 @@ class TestPhiS:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_S(0)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(1, 5000), (3**14 - 50, 3**14 + 50), (7**9 - 20, 7**9 + 20), ((1 << 26) - 300, (1 << 26) - 1)]
+    )
+    def test_floats_match_single_q(self, lo, hi):
+        # == on floats: every value must equal float(phi_S(q)) bit for bit
+        assert phi_S_floats(lo, hi).tolist() == [float(phi_S(q)) for q in range(lo, hi + 1)]
+
+    def test_floats_domain(self):
+        with pytest.raises(DomainError):
+            phi_S_floats(0, 5)
+        with pytest.raises(DomainError):
+            phi_S_floats(6, 5)
+        with pytest.raises(ResourceError):
+            phi_S_floats(1, 1 << 26)
 
 
 class TestLandauConstant:

@@ -88,6 +88,12 @@ class TestScanProgressions:
         for q, count in zip(rep.keys.tolist(), rep.counts.tolist()):
             assert count == count_progression(ProgressionQuery(2000, q, 1 % q))
 
+    def test_predictions_use_exact_phi(self):
+        # the phi_S column covers q in [2500, 5000]; each prediction matches the single-q route bit for bit
+        rep = scan_progressions(100, 2500, 1)
+        expect = [predicted_average("progression", x=100, q=q, a=1).value for q in range(2500, 5001)]
+        assert rep.predicted.tolist() == expect
+
     def test_ratio_mean_at_scale(self):
         rep = scan_progressions(10**6, 10**3, 1)
         assert rep.mean_ratio_valid is not None

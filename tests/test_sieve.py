@@ -1,10 +1,14 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosq.errors import DomainError, ResourceError
+from twosq.primes import iter_prime_blocks, sieve_primes
 from twosq.sieve import (
+    LARGE_PRIME_DIVISOR,
     ProgressionQuery,
     count_interval,
     count_progression,
@@ -148,6 +152,74 @@ class TestHighWindows:
     def test_random_window(self, lo, span):
         seg = sieve_segment(lo, lo + span)
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
+
+
+def base_primes_upto(limit: int) -> np.ndarray:
+    """Primes = 3 (mod 4) up to limit, streamed in blocks to keep memory small."""
+    return np.concatenate([b[b % 4 == 3] for b in iter_prime_blocks(limit)])
+
+
+class TestLargePrimePass:
+    """Base primes above n // LARGE_PRIME_DIVISOR skip the toggle loop; these
+    windows put p, p^2, p^3 and products of two such primes in that pass and
+    check every bit against is_two_square."""
+
+    @pytest.mark.parametrize("p", [103, 10007])
+    @pytest.mark.parametrize("e", [2, 3])
+    @pytest.mark.parametrize("m", [5, 7, 13])
+    def test_prime_powers(self, p, e, m):
+        x = p**e * m
+        lo, hi = x - 1500, x + 1499
+        assert p > (hi - lo + 1) // LARGE_PRIME_DIVISOR and p <= isqrt(hi)
+        seg = sieve_segment(lo, hi)
+        assert seg.bit(x) == (e % 2 == 0 and m % 4 == 1)
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("k", [5, 13, 3 * 10039])
+    def test_two_primes_above_segment(self, k):
+        # 10007 * 10039 = 1 (mod 4): only the odd valuations rule these out
+        p1, p2 = 10007, 10039
+        x = p1 * p2 * k
+        lo, hi = x - 50, x + 49
+        assert p2 <= isqrt(hi) and p1 > hi - lo + 1
+        seg = sieve_segment(lo, hi)
+        assert not seg.bit(x)
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("start", [3**26 - 40, 11**12 - 40, 7**14 - 40, 10**12 + 1])
+    def test_short_segments(self, start):
+        # n <= 64 puts every base prime in the vectorized pass, 3 and 11 included
+        end = start + 2 * 64
+        base = base_primes_upto(isqrt(end))
+        expect = [is_two_square(n) for n in range(start, end + 1)]
+        for n in range(1, 65):
+            for lo in (start, start + 40 - n // 2, start + 64):
+                seg = sieve_segment(lo, lo + n - 1, base)
+                assert seg.bits.tolist() == expect[lo - start : lo - start + n], (lo, n)
+
+    def test_window_at_1e17(self):
+        lo, hi = 10**17, 10**17 + 199
+        seg = sieve_segment(lo, hi, base_primes_upto(isqrt(hi)))
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
+
+    @given(
+        lo=st.integers(min_value=1, max_value=10**14),
+        span=st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_far_window(self, lo, span):
+        seg = sieve_segment(lo, lo + span)
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
+
+    def test_every_prime_vectorized(self, monkeypatch, oracle_marks_100k):
+        # divisor 2^30 sends every base prime through the vectorized pass; 3 then
+        # has more multiples than one chunk holds
+        lo, hi = 10**12 - (1 << 15), 10**12 + (1 << 15)
+        base = base_primes_upto(isqrt(hi))
+        split = sieve_segment(lo, hi, base).bits
+        monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", 1 << 30)
+        assert np.array_equal(sieve_segment(lo, hi, base).bits, split)
+        assert np.array_equal(sieve_segment(1, 100_000).bits, oracle_marks_100k[1:])
 
 
 class TestCounts:
