@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .admissible import AdmissibleSystem, LinearForm, build_default_set, size_conditions
@@ -64,15 +63,18 @@ class RunConfig:
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("TWOSQ_THREADS")
-    if env:
+    # Capped at the CPU count: only the sieve runs threads, each with up to two
+    # segment tables in flight, so more threads cost memory and gain nothing.
+    cpus = max(1, os.cpu_count() or 1)
+    if value is None:
+        env = os.environ.get("TWOSQ_THREADS")
+        if not env:
+            return cpus
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
             raise DomainError(f"TWOSQ_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
+    return min(cpus, max(1, value))
 
 
 def _write(cfg: RunConfig, text: str) -> None:
@@ -237,7 +239,7 @@ def _cmd_gpy_demo(args, cfg: RunConfig) -> str:
     R = _paper_strict_R(args, cfg)
     ws = build_weights(system, R)
     x_lo = args.X if args.X is not None else 10**6
-    report = weighted_experiment(ws, x_lo, 2 * x_lo, threads=cfg.threads)
+    report = weighted_experiment(ws, x_lo, 2 * x_lo)
     doc = {"version": SCHEMA_VERSION, **report.to_json_dict()}
     if report.weighted_avg is not None and report.class_unweighted_avg:
         doc["margin"] = float(report.weighted_avg / report.class_unweighted_avg)
@@ -272,9 +274,7 @@ def _cmd_maier_demo(args, cfg: RunConfig) -> str:
     return to_json({"version": SCHEMA_VERSION, **report.to_json_dict()})
 
 
-def _verify_cell(k: int, R: int, W: int) -> dict:
-    system = AdmissibleSystem.build(build_default_set(k), W=W)
-    ws = build_weights(system, R)
+def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
     rep = quadratic_forms(ws)
     roundtrip = True
     for r in ws.support:
@@ -302,20 +302,18 @@ def _verify_cell(k: int, R: int, W: int) -> dict:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> str:
-    grid = [(k, R, W) for k in VERIFY_GRID_K for R in VERIFY_GRID_R for W in VERIFY_GRID_W]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            checks = list(pool.map(lambda cell: _verify_cell(*cell), grid))
-    else:
-        checks = [_verify_cell(*cell) for cell in grid]
+    systems = {(k, W): AdmissibleSystem.build(build_default_set(k), W=W) for k in VERIFY_GRID_K for W in VERIFY_GRID_W}
+    weights = {
+        (k, R, W): build_weights(systems[k, W], R) for k in VERIFY_GRID_K for R in VERIFY_GRID_R for W in VERIFY_GRID_W
+    }
+    checks = [_verify_cell(*cell, ws) for cell, ws in weights.items()]
     # lambda_1 never shrinks when R grows (every added term is nonnegative)
-    lam1_monotone = True
-    for k in VERIFY_GRID_K:
-        for W in VERIFY_GRID_W:
-            sys_ = AdmissibleSystem.build(build_default_set(k), W=W)
-            lam1s = [build_weights(sys_, R).lam[1] for R in VERIFY_GRID_R]
-            if any(b < a for a, b in zip(lam1s, lam1s[1:])):
-                lam1_monotone = False
+    lam1_monotone = all(
+        weights[k, R1, W].lam[1] <= weights[k, R2, W].lam[1]
+        for k in VERIFY_GRID_K
+        for W in VERIFY_GRID_W
+        for R1, R2 in zip(VERIFY_GRID_R, VERIFY_GRID_R[1:])
+    )
     doc = {
         "version": SCHEMA_VERSION,
         "checks": checks,
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--format", choices=["json", "csv"], default=None, help="output format")
         sp.add_argument("--out", default=None, help="write report to this path instead of stdout")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads (env TWOSQ_THREADS)")
+        sp.add_argument("--threads", type=int, default=None, help="parallelizes the sieve; capped at the CPU count (env TWOSQ_THREADS)")
         sp.add_argument("--paper-strict", action="store_true", help="couple R to X^(1/10), size conditions become errors")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)

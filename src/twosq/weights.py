@@ -25,7 +25,6 @@ rational arithmetic; the identities are verified by computing both routes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -43,6 +42,10 @@ MAX_SUPPORT_PAIRS = 4_000_000
 
 # Largest single membership table a weighted experiment may allocate.
 MAX_VALUE_SPAN = 1 << 26
+
+# Class members per chunk of a weighted experiment's divisor-sum pass; bounds
+# the per-n prime lists held at once.
+CLASS_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,37 @@ class QuadFormReport:
         return self.Q_nu == self.diag_nu and self.Q_nu_minus1 == self.diag_nu_minus1
 
 
+def _scaled_lambdas(ws: WeightSystem) -> tuple[dict[int, int], int]:
+    """lambda_d * D as integers, D = lcm of the lambda denominators."""
+    denom = 1
+    for v in ws.lam.values():
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    return {d: int(v * denom) for d, v in ws.lam.items()}, denom
+
+
+def _pair_sum(ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fraction | int]) -> Fraction | int:
+    """sum over support d, e with coeff_d coeff_e != 0 of coeff_d coeff_e F([d, e]),
+    for the multiplicative F with F(p) = f[p].
+
+    The support is squarefree, so [d, e] = d * (e / gcd(d, e)) with coprime
+    factors and F([d, e]) = F(d) F(e / gcd(d, e)); e / gcd(d, e) divides e,
+    so it is a support element too, and F is tabulated once per element.
+    Each unordered pair is visited once: the diagonal plus twice the sum over
+    d < e, with the inner sum kept per d.  This is still the direct double
+    sum over pairs; it uses none of the diagonalizing identities, so it stays
+    an independent check of the diagonal route.
+    """
+    F = {d: math.prod(f[p] for p in ws.support_factors[d]) for d in ws.support}
+    items = [(d, coeff[d]) for d in ws.support if coeff[d]]
+    total: Fraction | int = 0
+    for i, (d, c_d) in enumerate(items):
+        inner: Fraction | int = 0
+        for e, c_e in items[i + 1 :]:
+            inner += c_e * F[e // math.gcd(d, e)]
+        total += c_d * F[d] * (c_d + 2 * inner)
+    return total
+
+
 def quadratic_forms(ws: WeightSystem) -> QuadFormReport:
     """Both quadratic forms by the direct O(|support|^2) double sum."""
     support = ws.support
@@ -203,26 +237,11 @@ def quadratic_forms(ws: WeightSystem) -> QuadFormReport:
         raise ResourceError(
             f"quadratic_forms: |support|^2 = {len(support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R"
         )
-    factors = ws.support_factors
     nu_t = ws.nu_table
-    lam = ws.lam
-    q_nu = Fraction(0)
-    q_nu1 = Fraction(0)
-    items = [(d, set(factors[d]), lam[d]) for d in support]
-    for d, dfacs, lam_d in items:
-        if not lam_d:
-            continue
-        for e, efacs, lam_e in items:
-            if not lam_e:
-                continue
-            le = lam_d * lam_e
-            t_nu = le
-            t_nu1 = le
-            for p in dfacs | efacs:
-                t_nu *= Fraction(nu_t[p], p)
-                t_nu1 *= Fraction(nu_t[p] - 1, p - 1)
-            q_nu += t_nu
-            q_nu1 += t_nu1
+    lam_scaled, denom = _scaled_lambdas(ws)
+    d2 = denom * denom
+    q_nu = Fraction(_pair_sum(ws, lam_scaled, {p: Fraction(v, p) for p, v in nu_t.items()}), d2)
+    q_nu1 = Fraction(_pair_sum(ws, lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2)
     return QuadFormReport(
         Q_nu=q_nu,
         Q_nu_minus1=q_nu1,
@@ -309,14 +328,6 @@ class WeightedScanReport:
         }
 
 
-def _scaled_lambdas(ws: WeightSystem) -> tuple[dict[int, int], int]:
-    """lambda_d * D as integers, D = lcm of the lambda denominators."""
-    denom = 1
-    for v in ws.lam.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return {d: int(v * denom) for d, v in ws.lam.items()}, denom
-
-
 def _membership_tables(system: AdmissibleSystem, X_lo: int, X_hi: int) -> list[SegmentTable]:
     """One membership table per form covering its value range on (X_lo, X_hi]."""
     tables = []
@@ -354,15 +365,15 @@ def weighted_experiment(
     ws: WeightSystem,
     X_lo: int,
     X_hi: int,
-    threads: int = 1,
 ) -> WeightedScanReport:
     """Weighted and unweighted membership-hit averages over (X_lo, X_hi].
 
     Computes sum w_n, sum hits(n) w_n over the class n = v0 (mod W), the
     weighted average of hits, the unweighted average over the same class,
     and the unweighted average over all n in range.  All sums are exact
-    (scaled-integer lambda arithmetic), so results do not depend on the
-    number of worker threads.
+    (scaled-integer lambda arithmetic).  The class is processed serially in
+    chunks of CLASS_CHUNK members, which bounds the memory of the per-n
+    divisor sums.
     """
     if X_hi <= X_lo:
         raise DomainError(f"weighted_experiment: need X_hi > X_lo, got ({X_lo}, {X_hi}]")
@@ -398,24 +409,14 @@ def weighted_experiment(
     primes = sorted({p for facs in ws.support_factors.values() for p in facs})
     roots = {p: roots_mod(p, sysm.forms) for p in primes}
 
-    def chunk_sums(lo_i: int, hi_i: int) -> tuple[int, int]:
-        totals = _divisor_sum_totals(ns[lo_i:hi_i], roots, lam_scaled, ws.R)
-        s_w = 0
-        s_hw = 0
-        for t, hcount in zip(totals, hits[lo_i:hi_i].tolist()):
+    sum_w_scaled = 0
+    sum_hw_scaled = 0
+    for lo_i in range(0, ns.size, CLASS_CHUNK):
+        totals = _divisor_sum_totals(ns[lo_i : lo_i + CLASS_CHUNK], roots, lam_scaled, ws.R)
+        for t, hcount in zip(totals, hits[lo_i : lo_i + CLASS_CHUNK].tolist()):
             w = t * t
-            s_w += w
-            s_hw += hcount * w
-        return s_w, s_hw
-
-    if threads <= 1 or ns.size < 4096:
-        parts = [chunk_sums(0, ns.size)]
-    else:
-        bounds = np.linspace(0, ns.size, threads * 2 + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ab: chunk_sums(*ab), zip(bounds[:-1], bounds[1:])))
-    sum_w_scaled = sum(p[0] for p in parts)
-    sum_hw_scaled = sum(p[1] for p in parts)
+            sum_w_scaled += w
+            sum_hw_scaled += hcount * w
 
     d2 = denom * denom
     sum_w = Fraction(sum_w_scaled, d2)
@@ -462,18 +463,9 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
             f"check_weight_mass: need a report over (X, 2X] at R={ws.R}, got ({X}, {report.X_hi}] at R={report.R}"
         )
     main = Fraction(X, ws.system.W) * ws.Q_nu
-    items = [(set(ws.support_factors[d]), abs(ws.lam[d])) for d in ws.support]
-    bound = Fraction(0)
-    for dfacs, ad in items:
-        if not ad:
-            continue
-        for efacs, ae in items:
-            if not ae:
-                continue
-            term = ad * ae
-            for p in dfacs | efacs:
-                term *= ws.nu_table[p]
-            bound += term
+    lam_scaled, denom = _scaled_lambdas(ws)
+    abs_scaled = {d: abs(v) for d, v in lam_scaled.items()}
+    bound = Fraction(_pair_sum(ws, abs_scaled, ws.nu_table), denom * denom)
     return WeightMassReport(X=X, measured=report.sum_w, main_term=main, bound=bound)
 
 

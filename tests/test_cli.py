@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twosq.cli import build_parser, dispatch
+from twosq.cli import _resolve_threads, build_parser, dispatch
 
 
 def run_cli(args, capsys):
@@ -229,6 +229,18 @@ class TestCliBehavior:
         monkeypatch.setenv("TWOSQ_THREADS", "zebra")
         code, _, err = run_cli(["count", "--x", "1000"], capsys)
         assert code == 1
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # resolved only; no thread is started
+        monkeypatch.setattr("twosq.cli.os.cpu_count", lambda: 2)
+        monkeypatch.delenv("TWOSQ_THREADS", raising=False)
+        assert _resolve_threads(64) == 2
+        assert _resolve_threads(1) == 1
+        assert _resolve_threads(0) == 1
+        assert _resolve_threads(None) == 2
+        monkeypatch.setenv("TWOSQ_THREADS", "64")
+        assert _resolve_threads(None) == 2
+        assert _resolve_threads(1) == 1
 
     def test_float_formatting_ten_digits(self, capsys):
         code, out, _ = run_cli(["special", "--fn", "buchstab", "--at", "2.5", "--format", "json"], capsys)

@@ -5,7 +5,9 @@ import pytest
 
 from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set
 from twosq.errors import DomainError
+from twosq.sieve import is_two_square
 from twosq.weights import (
+    CLASS_CHUNK,
     build_weights,
     gamma_p3_indicator,
     check_weight_mass,
@@ -15,6 +17,36 @@ from twosq.weights import (
     weighted_experiment,
     ystar_from_lambda,
 )
+
+
+def direct_pair_sums(ws):
+    """Reference: Q_nu, Q_nu-1 and the weight-mass bound by the plain Fraction
+    double loop over every ordered pair (d, e), with the factors of [d, e]
+    taken from the union of prime sets."""
+    nu_t = ws.nu_table
+    items = [(set(ws.support_factors[d]), ws.lam[d]) for d in ws.support if ws.lam[d]]
+    q_nu = q_nu1 = bound = Fraction(0)
+    for dfacs, lam_d in items:
+        for efacs, lam_e in items:
+            t_nu = t_nu1 = lam_d * lam_e
+            t_bound = abs(t_nu)
+            for p in dfacs | efacs:
+                t_nu *= Fraction(nu_t[p], p)
+                t_nu1 *= Fraction(nu_t[p] - 1, p - 1)
+                t_bound *= nu_t[p]
+            q_nu += t_nu
+            q_nu1 += t_nu1
+            bound += t_bound
+    return q_nu, q_nu1, bound
+
+
+def assert_matches_reference(ws):
+    q_nu, q_nu1, bound = direct_pair_sums(ws)
+    rep = quadratic_forms(ws)
+    assert rep.Q_nu == q_nu
+    assert rep.Q_nu_minus1 == q_nu1
+    # the bound depends on ws alone; any report over (X, 2X] will do
+    assert check_weight_mass(ws, weighted_experiment(ws, 50, 100)).bound == bound
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +127,26 @@ class TestQuadraticForms:
         rep = quadratic_forms(ws)
         assert rep.Q_nu == rep.diag_nu
         assert rep.Q_nu_minus1 == rep.diag_nu_minus1
+        assert_matches_reference(ws)
 
     def test_identities_with_general_slopes(self):
         system = AdmissibleSystem.build([LinearForm(3, 2), LinearForm(1, 5)], W=1)
         ws = build_weights(system, 120)
         rep = quadratic_forms(ws)
         assert rep.identities_hold
+        assert_matches_reference(ws)
+
+    def test_bench_system(self):
+        forms = [LinearForm(1, h) for h in (37, 89, 137, 197)]
+        system = AdmissibleSystem.build(forms, W=3, warn_side_conditions=False)
+        ws = build_weights(system, 1000)
+        assert quadratic_forms(ws).identities_hold
+        assert_matches_reference(ws)
+
+    def test_identities_large_support(self):
+        ws = build_weights(AdmissibleSystem.build(build_default_set(3), W=21), 3000)
+        assert len(ws.support) == 282
+        assert quadratic_forms(ws).identities_hold
 
     def test_pair_budget(self, k1_weights, monkeypatch):
         import twosq.weights as wmod
@@ -121,6 +167,7 @@ class TestQuadraticForms:
         rep = quadratic_forms(ws)
         assert rep.identities_hold
         assert ystar_from_lambda(ws, 1) == ws.ystar[1]
+        assert_matches_reference(ws)
 
 
 class TestYstarRoundTrip:
@@ -163,16 +210,22 @@ class TestWeightW:
 
     def test_matches_fast_path(self):
         # the scaled-integer route used in bulk scans must agree with the
-        # pointwise gcd-chain definition
-        system = AdmissibleSystem.build(build_default_set(3), W=3)
-        ws = build_weights(system, 60)
-        report = weighted_experiment(ws, 1000, 1400)
-        total = sum(
-            weight_w(ws, n)
-            for n in range(1001, 1401)
-            if n % system.W == system.v0 % system.W
-        )
-        assert report.sum_w == total
+        # pointwise gcd-chain definition; the second class spans more than
+        # one chunk of the serial pass
+        cases = [(3, 3, 60, 1000, 1400), (2, 1, 30, 10**5, 10**5 + 20_000)]
+        for k, W, R, X_lo, X_hi in cases:
+            system = AdmissibleSystem.build(build_default_set(k), W=W)
+            ws = build_weights(system, R)
+            report = weighted_experiment(ws, X_lo, X_hi)
+            sum_w = sum_hits_w = Fraction(0)
+            for n in range(X_lo + 1, X_hi + 1):
+                if n % W == system.v0 % W:
+                    w = weight_w(ws, n)
+                    sum_w += w
+                    sum_hits_w += w * sum(is_two_square(form(n)) for form in system.forms)
+            assert report.sum_w == sum_w
+            assert report.sum_hits_w == sum_hits_w
+        assert report.class_size > CLASS_CHUNK
 
 
 class TestWeightedExperiment:
@@ -198,11 +251,17 @@ class TestWeightedExperiment:
         assert 0 <= report.weighted_avg <= 1
         assert 0 <= report.class_unweighted_avg <= 1
 
-    def test_threads_deterministic(self):
+    def test_threads_deterministic(self, monkeypatch):
+        # the exact sums do not depend on how the class is split into work
+        # units: one whole-class chunk and many small chunks agree
+        import twosq.weights as wmod
+
         system = AdmissibleSystem.build(build_default_set(2), W=3)
         ws = build_weights(system, 100)
-        r1 = weighted_experiment(ws, 10**4, 3 * 10**4, threads=1)
-        r2 = weighted_experiment(ws, 10**4, 3 * 10**4, threads=4)
+        r1 = weighted_experiment(ws, 10**4, 3 * 10**4)
+        assert r1.class_size <= CLASS_CHUNK
+        monkeypatch.setattr(wmod, "CLASS_CHUNK", 1000)
+        r2 = weighted_experiment(ws, 10**4, 3 * 10**4)
         assert r1.sum_w == r2.sum_w
         assert r1.sum_hits_w == r2.sum_hits_w
 
