@@ -77,20 +77,20 @@ def _resolve_threads(value: int | None) -> int:
     return min(cpus, max(1, value))
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(cfg: RunConfig, chunks: list[str]) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns the text to write.
+# Subcommand handlers.  Each returns the report as strings to write in order.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sieve(args, cfg: RunConfig) -> str:
+def _cmd_sieve(args, cfg: RunConfig) -> list[str]:
     seg = sieve_segment(args.lo, args.hi)
     members = seg.members().tolist()
     if cfg.fmt == "csv":
@@ -106,7 +106,7 @@ def _cmd_sieve(args, cfg: RunConfig) -> str:
     )
 
 
-def _cmd_count(args, cfg: RunConfig) -> str:
+def _cmd_count(args, cfg: RunConfig) -> list[str]:
     if args.q is not None:
         a = args.a if args.a is not None else 0
         value = count_progression(ProgressionQuery(args.x, args.q, a), threads=cfg.threads)
@@ -122,25 +122,25 @@ def _cmd_count(args, cfg: RunConfig) -> str:
     return to_json(doc)
 
 
-def _scan_report_text(report, cfg: RunConfig) -> str:
+def _scan_report(report, cfg: RunConfig) -> list[str]:
     if cfg.fmt == "csv":
-        return to_csv(report.iter_rows(flag=int), header=report.csv_header)
+        return to_csv(Records(report.csv_header, report.columns))
     return to_json({"version": SCHEMA_VERSION, **report.to_json_dict()})
 
 
-def _cmd_scan_intervals(args, cfg: RunConfig) -> str:
-    return _scan_report_text(scan_intervals(args.X, args.y, args.stride, threads=cfg.threads), cfg)
+def _cmd_scan_intervals(args, cfg: RunConfig) -> list[str]:
+    return _scan_report(scan_intervals(args.X, args.y, args.stride, threads=cfg.threads), cfg)
 
 
-def _cmd_scan_progressions(args, cfg: RunConfig) -> str:
-    return _scan_report_text(scan_progressions(args.x, args.Q, args.a, threads=cfg.threads), cfg)
+def _cmd_scan_progressions(args, cfg: RunConfig) -> list[str]:
+    return _scan_report(scan_progressions(args.x, args.Q, args.a, threads=cfg.threads), cfg)
 
 
-def _cmd_scan_residues(args, cfg: RunConfig) -> str:
-    return _scan_report_text(scan_residues(args.x, args.q, threads=cfg.threads), cfg)
+def _cmd_scan_residues(args, cfg: RunConfig) -> list[str]:
+    return _scan_report(scan_residues(args.x, args.q, threads=cfg.threads), cfg)
 
 
-def _cmd_constants(args, cfg: RunConfig) -> str:
+def _cmd_constants(args, cfg: RunConfig) -> list[str]:
     value, tail = landau_constant(args.truncation)
     doc = {
         "version": SCHEMA_VERSION,
@@ -156,25 +156,20 @@ def _cmd_constants(args, cfg: RunConfig) -> str:
     return to_json(doc)
 
 
-def _cmd_special(args, cfg: RunConfig) -> str:
+def _cmd_special(args, cfg: RunConfig) -> list[str]:
     if args.at is not None:
         fn = {"buchstab": buchstab_omega, "halfdim_F": halfdim_F, "halfdim_f": halfdim_f, "g": g}[args.fn]
         value = fn(args.at)
         if cfg.fmt == "json":
             return to_json({"version": SCHEMA_VERSION, "fn": args.fn, "s": args.at, "value": value})
-        return f"{value:.10g}\n"
+        return [f"{value:.10g}\n"]
     if args.lo is None or args.hi is None:
         raise DomainError("special: provide --at, or --from/--to for tabulation")
     rows = tabulation_rows(args.fn, args.lo, args.hi, args.step)
+    table = Records(("kind", "s", "value"), tuple(zip(*rows)))
     if cfg.fmt == "json":
-        return to_json(
-            {
-                "version": SCHEMA_VERSION,
-                "fn": args.fn,
-                "rows": Records(("kind", "s", "value"), rows),
-            }
-        )
-    return to_csv(rows, header=["kind", "s", "value"])
+        return to_json({"version": SCHEMA_VERSION, "fn": args.fn, "rows": table})
+    return to_csv(table)
 
 
 def _parse_forms(text: str) -> list[LinearForm]:
@@ -203,7 +198,7 @@ def _build_system(args, cfg: RunConfig) -> AdmissibleSystem:
         return AdmissibleSystem.build(forms, p0=args.p0, W=W, X=X)
 
 
-def _cmd_admissible(args, cfg: RunConfig) -> str:
+def _cmd_admissible(args, cfg: RunConfig) -> list[str]:
     system = _build_system(args, cfg)
     doc = {"version": SCHEMA_VERSION, **system.to_json_dict()}
     doc["k"] = system.k
@@ -221,7 +216,7 @@ def _paper_strict_R(args, cfg: RunConfig) -> int:
     return args.R
 
 
-def _cmd_weights(args, cfg: RunConfig) -> str:
+def _cmd_weights(args, cfg: RunConfig) -> list[str]:
     system = _build_system(args, cfg)
     R = _paper_strict_R(args, cfg)
     ws = build_weights(system, R)
@@ -234,7 +229,7 @@ def _cmd_weights(args, cfg: RunConfig) -> str:
     return to_json(doc)
 
 
-def _cmd_gpy_demo(args, cfg: RunConfig) -> str:
+def _cmd_gpy_demo(args, cfg: RunConfig) -> list[str]:
     system = _build_system(args, cfg)
     R = _paper_strict_R(args, cfg)
     ws = build_weights(system, R)
@@ -266,7 +261,7 @@ def _cmd_gpy_demo(args, cfg: RunConfig) -> str:
     return to_json(doc)
 
 
-def _cmd_maier_demo(args, cfg: RunConfig) -> str:
+def _cmd_maier_demo(args, cfg: RunConfig) -> list[str]:
     config = MaierConfig(z=args.z, a=args.a, x=args.x, Q=args.Q, delta=args.delta)
     report = maier_demo(config)
     if cfg.fmt == "csv":
@@ -301,7 +296,7 @@ def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
     }
 
 
-def _cmd_verify(args, cfg: RunConfig) -> str:
+def _cmd_verify(args, cfg: RunConfig) -> list[str]:
     systems = {(k, W): AdmissibleSystem.build(build_default_set(k), W=W) for k in VERIFY_GRID_K for W in VERIFY_GRID_W}
     weights = {
         (k, R, W): build_weights(systems[k, W], R) for k in VERIFY_GRID_K for R in VERIFY_GRID_R for W in VERIFY_GRID_W
@@ -463,8 +458,7 @@ def dispatch(argv: list[str] | None = None) -> int:
             threads=_resolve_threads(args.threads),
             paper_strict=args.paper_strict,
         )
-        text = _HANDLERS[args.subcommand](args, cfg)
-        _write(cfg, text)
+        _write(cfg, _HANDLERS[args.subcommand](args, cfg))
         return 0
     except (DomainError, AdmissibilityError, ResourceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,20 @@ JSON is emitted by a small recursive writer rather than json.dumps so that
 float formatting is fixed at 10 significant digits and rationals print as
 "num/den"; identical report objects therefore serialize to identical bytes
 regardless of how they were computed.
+
+Row tables (`Records`: scan rows, special-function tabulations) are written
+from columns, 2^16 rows at a time: each chunk of columns becomes Python
+lists with `.tolist()`, and every row is formatted by one `%`-template, e.g.
+'{"key": %d, "count": %d, "predicted": %.10g, "ratio": %.10g, "applicable": %s}'
+in JSON or '%d,%d,%.10g,%.10g,%s' in CSV.  Integer columns take %d, float
+columns %.10g, flags the pre-mapped words true/false (JSON) or 1/0 (CSV), and
+string columns %s (quoted in JSON).  %.10g spells finite floats exactly as
+`format_float` does, but not NaN and ±inf: a chunk whose float column holds
+one writes that column through `format_float` (NaN, Infinity, -Infinity).
+
+`to_json` and `to_csv` return the text as a list of strings, to be written
+in order; a row table adds one string per chunk, so no single string holds
+a whole report.
 """
 
 from __future__ import annotations
@@ -11,7 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
+
+# Rows per chunk of a row table: whole columns as Python objects would add
+# ~85 B per row at peak.
+CHUNK_ROWS = 1 << 16
 
 
 def format_float(v: float) -> str:
@@ -28,10 +48,12 @@ def format_fraction(v: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Records:
-    """A JSON list of objects that share the keys `fields`; `rows` yields their values once."""
+    """A table of rows held as equal-length columns (numpy arrays or sequences
+    of ints, floats, bools or strings) named by `fields`.  JSON writes a list
+    of objects keyed by `fields`; CSV writes `fields` as its header line."""
 
     fields: tuple[str, ...]
-    rows: Iterable[tuple]
+    columns: tuple[Sequence, ...]
 
 
 def _quote(s: str) -> str:
@@ -56,6 +78,38 @@ def _scalar(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
+    """The template field and the Python values for one chunk of one column."""
+    kind = col.dtype.kind
+    if kind in "iu":
+        return "%d", col.tolist()
+    if kind == "f":
+        if np.isfinite(col).all():
+            return "%.10g", col.tolist()
+        return "%s", [format_float(v) for v in col.tolist()]
+    if kind == "b":
+        no, yes = ("false", "true") if as_json else ("0", "1")
+        return "%s", [yes if v else no for v in col.tolist()]
+    if kind == "U":
+        return "%s", [_quote(v) for v in col.tolist()] if as_json else col.tolist()
+    raise TypeError(f"cannot serialize a column of dtype {col.dtype}")
+
+
+def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
+    """The rows of `rec`, CHUNK_ROWS to a string; JSON rows are separated by
+    ", " (also between chunks), CSV rows end in a newline."""
+    columns = [np.asarray(c) for c in rec.columns]
+    keys = [_quote(f).replace("%", "%%") + ": " for f in rec.fields]
+    for i in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+        specs, values = zip(*(_cells(c[i : i + CHUNK_ROWS], as_json) for c in columns))
+        if as_json:
+            template = "{" + ", ".join(k + s for k, s in zip(keys, specs)) + "}"
+            yield (", " if i else "") + ", ".join([template % row for row in zip(*values)])
+        else:
+            template = ",".join(specs) + "\n"
+            yield "".join([template % row for row in zip(*values)])
+
+
 def _emit(obj: Any, out: list[str]) -> None:
     if isinstance(obj, dict):
         out.append("{")
@@ -71,24 +125,27 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(v, out)
         out.append("]")
     elif isinstance(obj, Records):
-        keys = [_quote(f) + ": " for f in obj.fields]
         out.append("[")
-        # One string per row: a separate piece per value would take several times the text's memory.
-        for i, row in enumerate(obj.rows):
-            out.append((", {" if i else "{") + ", ".join(k + _scalar(v) for k, v in zip(keys, row)) + "}")
+        out.extend(_record_chunks(obj, as_json=True))
         out.append("]")
     else:
         out.append(_scalar(obj))
 
 
-def to_json(obj: Any) -> str:
+def to_json(obj: Any) -> list[str]:
+    """`obj` as JSON text, in pieces to be written in order."""
     out: list[str] = []
     _emit(obj, out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
-def to_csv(rows: Iterable[Iterable[Any]], header: Iterable[str] | None = None) -> str:
+def to_csv(rows: Records | Iterable[Iterable[Any]], header: Iterable[str] | None = None) -> list[str]:
+    """CSV text, in pieces to be written in order.  A `Records` table brings its
+    own header (its fields); other rows are written value by value."""
+    if isinstance(rows, Records):
+        return [",".join(rows.fields) + "\n", *_record_chunks(rows, as_json=False)]
+
     def cell(v: Any) -> str:
         if isinstance(v, float):
             return format_float(v)
@@ -101,4 +158,4 @@ def to_csv(rows: Iterable[Iterable[Any]], header: Iterable[str] | None = None) -
         lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]

@@ -14,21 +14,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from .arith import landau_constant, phi_S, phi_S_floats
 from .errors import DomainError, ResourceError
-from .primes import sieve_primes
+from .primes import INT64_MAX, sieve_primes
 from .reportio import Records
 from .sieve import is_two_square, iter_segments
 from .special import halfdim_F
 
 DEFAULT_LANDAU_TRUNCATION = 10**6
-# Rows any one scan may report.  A row's peak cost, measured on JSON reports
-# of 10^5 to 10^6 rows, is about 310 B for intervals, 280 B for residues and
-# 460 B for progressions; 512 B per row in a 2 GiB budget gives 2^22 rows.
+# Rows any one scan may report.  A row's peak cost, the slope of CLI peak RSS
+# between JSON reports of 10^5 and 10^6 rows (written in 2^16-row chunks that
+# are held until written), is about 190 B for intervals, 140 B for residues
+# and 280 B for progressions; 512 B per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 MAX_MAIER_ENUM = 10**8
 
@@ -38,9 +38,13 @@ def _landau(truncation: int = DEFAULT_LANDAU_TRUNCATION) -> float:
     return landau_constant(truncation)[0]
 
 
-def _progression_applicable(a: int, q: int) -> bool:
-    """The progression prediction needs gcd(a, q) = 1 and a = 1 (mod gcd(4, q))."""
-    return math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q)
+def _progression_applicable(a, q):
+    """The progression prediction needs gcd(a, q) = 1 and a = 1 (mod gcd(4, q)).
+
+    a and q are ints below 2^63 or int64 arrays (one row per element).
+    """
+    m = np.gcd(4, q)
+    return (np.gcd(a, q) == 1) & (a % m == 1 % m)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def predicted_average(kind: str, **params) -> PredictedAverage:
         return PredictedAverage(value=S * params["y"] / math.sqrt(math.log(x)), applicable=True)
     q, a = params["q"], params["a"]
     value = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
-    ok = _progression_applicable(a, q)
+    ok = bool(_progression_applicable(a, q))
     note = "" if ok else "prediction requires gcd(a,q)=1 and a=1 (mod gcd(4,q))"
     return PredictedAverage(value=value, applicable=ok, note=note)
 
@@ -110,12 +114,10 @@ class ScanReport:
     def csv_header(self) -> tuple[str, ...]:
         return (_KEY_NAMES[self.kind],) + ROW_FIELDS[1:]
 
-    def iter_rows(self, flag: type = bool) -> Iterator[tuple]:
-        """Row tuples in ROW_FIELDS order; `flag` converts applicable (CSV writes 0/1)."""
-        columns = (self.keys, self.counts, self.predicted, self.ratio, self.applicable.astype(flag))
-        # 2^16 rows at a time: whole columns as Python objects add ~85 B per row at peak.
-        for i in range(0, self.n_windows, 1 << 16):
-            yield from zip(*(c[i : i + (1 << 16)].tolist() for c in columns))
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The row columns in ROW_FIELDS order."""
+        return (self.keys, self.counts, self.predicted, self.ratio, self.applicable)
 
     def to_json_dict(self) -> dict:
         """The report as a document; its rows are read once, when it is written."""
@@ -131,7 +133,7 @@ class ScanReport:
             "records": self.records,
             "histogram": self.histogram,
             "mean_ratio_valid": self.mean_ratio_valid,
-            "rows": Records(ROW_FIELDS, self.iter_rows()),
+            "rows": Records(ROW_FIELDS, self.columns),
         }
 
 
@@ -232,8 +234,8 @@ def scan_progressions(
     """Counts of members n <= x, n = a (mod q), for every q in [Q, 2Q]."""
     if x < 3:
         raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
-    if Q < 1 or a < 0:
-        raise DomainError(f"scan_progressions: need Q >= 1 and a >= 0, got Q={Q}, a={a}")
+    if Q < 1 or not 0 <= a <= INT64_MAX:
+        raise DomainError(f"scan_progressions: need Q >= 1 and 0 <= a <= 2^63 - 1, got Q={Q}, a={a}")
     _check_rows("scan_progressions", Q + 1)
     qs = range(Q, 2 * Q + 1)
     counts = np.zeros(len(qs), dtype=np.int64)
@@ -242,13 +244,14 @@ def scan_progressions(
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
     S = _landau(landau_truncation)
     phis = phi_S_floats(Q, 2 * Q)
+    keys = np.arange(Q, 2 * Q + 1, dtype=np.int64)
     return _summarize(
         kind="progressions",
         params={"x": x, "Q": Q, "a": a},
-        keys=np.arange(Q, 2 * Q + 1, dtype=np.int64),
+        keys=keys,
         counts=counts,
         predicted=S * x / (phis * math.sqrt(math.log(x))),
-        applicable=np.array([_progression_applicable(a, q) for q in qs], dtype=bool),
+        applicable=_progression_applicable(a, keys),
     )
 
 
@@ -271,13 +274,14 @@ def scan_residues(
             counts += np.bincount(members % q, minlength=q)
     S = _landau(landau_truncation)
     pred_q = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
+    keys = np.arange(q, dtype=np.int64)
     return _summarize(
         kind="residues",
         params={"x": x, "q": q},
-        keys=np.arange(q, dtype=np.int64),
+        keys=keys,
         counts=counts,
         predicted=np.full(q, pred_q),
-        applicable=np.array([_progression_applicable(a, q) for a in range(q)], dtype=bool),
+        applicable=_progression_applicable(keys, q),
     )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,6 +133,26 @@ class DelayTable:
         ]
         v = self.values
         return w[0] * v[s0] + w[1] * v[s0 + 1] + w[2] * v[s0 + 2] + w[3] * v[s0 + 3]
+
+    @cached_property
+    def envelope_argmax(self) -> np.ndarray:
+        """The sup search index of `g`, computed on first use.
+
+        The search for sup e^gamma * values stops at hi, two points past the
+        last index where |e^gamma * value - 1| >= G_ENVELOPE_EPS, and at
+        u = G_SEARCH_CAP; entry i (0 <= i <= hi) is the first index of the
+        largest value in values[i : hi + 1], so the array has hi + 1 entries.
+        """
+        vals = self.values
+        n = len(vals)
+        env = np.abs(E_GAMMA * vals - 1.0) >= G_ENVELOPE_EPS
+        last = int(np.max(np.flatnonzero(env))) if np.any(env) else 0
+        cap_idx = int(min((G_SEARCH_CAP - self.grid0) / self.h, n - 1))
+        w = vals[: min(last + 2, n - 1, cap_idx) + 1]
+        # The first argmax of w[i:] is the first j >= i with w[j] >= every later value.
+        suffix_max = np.maximum.accumulate(w[::-1])[::-1]
+        marks = np.where(w == suffix_max, np.arange(len(w)), len(w))
+        return np.minimum.accumulate(marks[::-1])[::-1]
 
 
 def _window_mids(src: np.ndarray, bases: np.ndarray, kink_start: int, kink_stride: int) -> np.ndarray:
@@ -399,19 +419,14 @@ def g(t: float, table: DelayTable | None = None) -> float:
     if t < 2.0:
         best = max(best, E_GAMMA / t)
     vals = table.values
-    n = len(vals)
-    env = np.abs(E_GAMMA * vals - 1.0) >= G_ENVELOPE_EPS
-    last = int(np.max(np.flatnonzero(env))) if np.any(env) else 0
-    hi_idx = min(max(last + 2, 0), n - 1)
-    cap_idx = int(min((G_SEARCH_CAP - table.grid0) / table.h, n - 1))
-    hi_idx = min(hi_idx, cap_idx)
+    first_argmax = table.envelope_argmax
+    hi_idx = len(first_argmax) - 1
     lo_u = max(t, 2.0)
     if lo_u <= table.u_max:
         best = max(best, E_GAMMA * table.interp(lo_u))
         lo_idx = int(math.ceil((lo_u - table.grid0) / table.h))
         if lo_idx <= hi_idx:
-            window = vals[lo_idx : hi_idx + 1]
-            k = int(np.argmax(window)) + lo_idx
+            k = int(first_argmax[lo_idx])
             best = max(best, E_GAMMA * vals[k])
             if lo_idx < k < hi_idx:
                 y0, y1, y2 = vals[k - 1], vals[k], vals[k + 1]

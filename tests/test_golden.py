@@ -3,7 +3,9 @@
 Each digest was recorded from the toolkit before its root-set, trial-division
 and squarefree-product helpers were merged into one copy each; the
 scan-intervals and scan-progressions digests were recorded before scan rows
-became numpy columns.  Any change to
+became numpy columns; the `g` tabulations and the 70,000-row scan (wider than
+one 2^16-row writer chunk) were recorded before rows were written from
+templates and `g` read a per-table search index.  Any change to
 a report's bytes fails here; re-record a digest only for a deliberate,
 documented format change.
 """
@@ -82,6 +84,22 @@ CASES = {
     "special_table_json": (
         ["special", "--fn", "buchstab", "--from", "1", "--to", "4", "--step", "0.5", "--format", "json"],
         "43f744c6626e63dca4b9781080c092a054878fd2684babebacf6bda0fa2a8558",
+    ),
+    "special_g_table": (
+        ["special", "--fn", "g", "--from", "1.95", "--to", "20.95", "--step", "0.01"],
+        "d99dd8abbbdcd0c246441c0f754564b7815f5ac3a18063bad85c893f26f76d4a",
+    ),
+    "special_g_table_json": (
+        ["special", "--fn", "g", "--from", "1.95", "--to", "20.95", "--step", "0.01", "--format", "json"],
+        "d822412302c99732195f8f6295f5d50fc145633e004aa7aa8fb38026687cd571",
+    ),
+    "scan_intervals_multichunk_json": (
+        ["scan-intervals", "--X", "70000", "--y", "25", "--threads", "1"],
+        "bb2b8d33a0bdcbef606295c24c84cca48b49d452a16384641f24d24301e1d363",
+    ),
+    "scan_intervals_multichunk_csv": (
+        ["scan-intervals", "--X", "70000", "--y", "25", "--threads", "1", "--format", "csv"],
+        "1d810c298cafa23419b88f77d5ba5824d87390ee4ea07e5de3f5a53e4d3c34f1",
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from twosq.errors import DomainError
 from twosq.scans import (
     MaierConfig,
+    _progression_applicable,
     _summarize,
     maier_demo,
     predicted_average,
@@ -110,6 +111,23 @@ class TestScanProgressions:
         assert flags[5] is True  # gcd(2,5) = 1 and gcd(4,5) = 1 makes the congruence vacuous
         assert flags[6] is False  # 2 is even, so 2 != 1 (mod gcd(4,6) = 2)
 
+    def test_applicable_column_matches_scalar_rule(self):
+        # one helper serves whole key columns and single (a, q) pairs
+        qs = np.arange(1, 301, dtype=np.int64)
+        for a in range(0, 40):
+            expect = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for q in range(1, 301)]
+            assert _progression_applicable(a, qs).tolist() == expect
+            assert [bool(_progression_applicable(a, q)) for q in range(1, 301)] == expect
+            assert scan_progressions(100, 150, a).applicable.tolist() == expect[149:]
+        for q in (1, 2, 4, 12, 35, 100):
+            expect = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for a in range(q)]
+            assert scan_residues(100, q).applicable.tolist() == expect
+
+    def test_residue_past_int64_is_domain_error(self):
+        assert scan_progressions(100, 3, 2**63 - 1).n_windows == 4
+        with pytest.raises(DomainError):
+            scan_progressions(100, 3, 2**63)
+
 
 class TestScanResidues:
     def test_mod_4_counts(self):
@@ -130,7 +148,7 @@ class TestScanResidues:
 
 def summary_oracle(rep, record_threshold=2.0):
     """The summary fields recomputed in plain Python from the report's rows."""
-    rows = list(rep.iter_rows())
+    rows = list(zip(*(c.tolist() for c in rep.columns)))
     keys = [r[0] for r in rows]
     counts = [r[1] for r in rows]
     n = len(rows)

@@ -8,6 +8,9 @@ from scipy.optimize import minimize_scalar
 from twosq.errors import DomainError
 from twosq.special import (
     E_GAMMA,
+    G_ENVELOPE_EPS,
+    G_RESOLUTION_FLOOR,
+    G_SEARCH_CAP,
     E_NEG_GAMMA,
     EULER_GAMMA,
     buchstab_omega,
@@ -131,6 +134,67 @@ class TestEnvelopeSup:
     def test_domain(self):
         with pytest.raises(DomainError):
             g(0.0)
+
+
+def g_rescan(t, table=None):
+    """The envelope sup as `g` computed it with a full table rescan per call."""
+    if table is None:
+        table = buchstab_table()
+    best = 1.0 + G_RESOLUTION_FLOOR
+    if t < 2.0:
+        best = max(best, E_GAMMA / t)
+    vals = table.values
+    n = len(vals)
+    env = np.abs(E_GAMMA * vals - 1.0) >= G_ENVELOPE_EPS
+    last = int(np.max(np.flatnonzero(env))) if np.any(env) else 0
+    hi_idx = min(max(last + 2, 0), n - 1)
+    cap_idx = int(min((G_SEARCH_CAP - table.grid0) / table.h, n - 1))
+    hi_idx = min(hi_idx, cap_idx)
+    lo_u = max(t, 2.0)
+    if lo_u <= table.u_max:
+        best = max(best, E_GAMMA * table.interp(lo_u))
+        lo_idx = int(math.ceil((lo_u - table.grid0) / table.h))
+        if lo_idx <= hi_idx:
+            window = vals[lo_idx : hi_idx + 1]
+            k = int(np.argmax(window)) + lo_idx
+            best = max(best, E_GAMMA * vals[k])
+            if lo_idx < k < hi_idx:
+                y0, y1, y2 = vals[k - 1], vals[k], vals[k + 1]
+                denom = y0 - 2.0 * y1 + y2
+                if denom < 0:
+                    vertex = y1 - (y2 - y0) ** 2 / (8.0 * denom)
+                    best = max(best, E_GAMMA * vertex)
+    return best
+
+
+class TestEnvelopeSearchIndex:
+    """`g` reads a per-table search index; it must equal the full rescan exactly."""
+
+    def test_bench_grid(self):
+        ts = [row[1] for row in tabulation_rows("g", 1.95, 20.95, 0.01)]
+        assert len(ts) == 1901
+        assert [g(t) for t in ts] == [g_rescan(t) for t in ts]
+
+    def test_edges(self):
+        table = buchstab_table()
+        hi_u = table.grid0 + (len(table.envelope_argmax) - 1) * table.h
+        assert 7.5 < hi_u < 7.7
+        edges = [2.0, 50.0, 50.1, 60.0, hi_u, hi_u - table.h, hi_u + table.h, np.nextafter(hi_u, 0.0)]
+        for t in edges + [hi_u - table.h / 2, hi_u + table.h / 2]:
+            assert g(t) == g_rescan(t), t
+
+    def test_random_points(self):
+        rng = np.random.default_rng(7)
+        ts = 60.0 - 60.0 * rng.random(500)  # in (0, 60]
+        assert [g(t) for t in ts] == [g_rescan(t) for t in ts]
+
+    def test_index_is_per_table(self):
+        fine = buchstab_table(h=1 / 2048)
+        assert len(fine.envelope_argmax) != len(buchstab_table().envelope_argmax)
+        ts = [0.7, 1.95, 2.0, 2.5, 3.3, 5.0, 7.6, 9.0, 20.0, 49.0]
+        for t in ts:  # interleaved, so a shared index would be read with the wrong table
+            assert g(t, fine) == g_rescan(t, fine), t
+            assert g(t) == g_rescan(t), t
 
 
 class TestHalfDim:
