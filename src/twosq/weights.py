@@ -43,8 +43,9 @@ MAX_SUPPORT_PAIRS = 4_000_000
 # Largest single membership table a weighted experiment may allocate.
 MAX_VALUE_SPAN = 1 << 26
 
-# Class members per chunk of a weighted experiment's divisor-sum pass; bounds
-# the per-n prime lists held at once.
+# Class members per chunk of a weighted experiment.  Only one chunk's n, hit
+# counts, form values, member index lists and divisor sums are held at once,
+# so the experiment's memory does not grow with the class.
 CLASS_CHUNK = 1 << 14
 
 
@@ -341,24 +342,41 @@ def _membership_tables(system: AdmissibleSystem, X_lo: int, X_hi: int) -> list[S
     return tables
 
 
-def _divisor_sum_totals(
-    ns: np.ndarray,
+def _chunk_divisor_sums(
+    n0: int,
+    size: int,
+    W: int,
+    by_top: dict[int, list[int]],
     roots: dict[int, Sequence[int]],
     lam_scaled: dict[int, int],
-    R: int,
-) -> list[int]:
-    """sum of scaled lambda_d over support d dividing the form product, per n.
+) -> np.ndarray:
+    """Exact sum of scaled lambda_d over support d dividing the form product,
+    per n = n0 + W*i for 0 <= i < size, as an object array of Python ints.
 
-    roots maps each support prime, ascending, to its root residues; the
-    primes hitting n are collected in that order, and the support d dividing
-    the product are exactly their squarefree products below R."""
-    hit_primes: list[list[int]] = [[] for _ in range(len(ns))]
-    for p, rs in roots.items():
-        rem = ns % p
-        for r in rs:
-            for i in np.flatnonzero(rem == r).tolist():
-                hit_primes[i].append(p)
-    return [sum(lam_scaled[d] for d, _ in squarefree_products(ps, R)) for ps in hit_primes]
+    The support is walked instead of the n.  d = 1 divides the product at
+    every n; a squarefree d > 1 divides it exactly at the n where d / p
+    does and p hits (n is a root of the product mod p), p the largest prime
+    of d.  by_top groups the support elements above 1 by that prime, primes
+    ascending, so the members of d / p, whose primes are all below p, are
+    known before d is visited.  Each d adds lambda_d at its members, which
+    are distinct positions, so the fancy-index add is exact and no Python
+    code runs per n.
+    """
+    totals = np.full(size, lam_scaled[1], dtype=object)
+    members = {1: np.arange(size)}
+    for p, ds in by_top.items():
+        # support primes are coprime to W, so the n = r (mod p) are every
+        # p-th member from i = (r - n0) / W (mod p)
+        w_inv = pow(W, -1, p)
+        hit = np.zeros(size, dtype=bool)
+        for r in roots[p]:
+            hit[(r - n0) * w_inv % p :: p] = True
+        for d in ds:
+            parent = members[d // p]
+            ix = parent[hit[parent]]
+            members[d] = ix
+            totals[ix] += lam_scaled[d]
+    return totals
 
 
 def weighted_experiment(
@@ -370,10 +388,12 @@ def weighted_experiment(
 
     Computes sum w_n, sum hits(n) w_n over the class n = v0 (mod W), the
     weighted average of hits, the unweighted average over the same class,
-    and the unweighted average over all n in range.  All sums are exact
-    (scaled-integer lambda arithmetic).  The class is processed serially in
-    chunks of CLASS_CHUNK members, which bounds the memory of the per-n
-    divisor sums.
+    and the unweighted average over all n in range.  The class is processed
+    serially in chunks of CLASS_CHUNK members.  In each chunk one pass over
+    the support, in order of largest prime, finds the members each d divides
+    and adds the integer lambda_d * D (D the common lambda denominator) to
+    their totals t_n; then sum w_n = sum t_n^2 / D^2.  Every sum is in Python
+    integers, so the results are exact and do not depend on the chunking.
     """
     if X_hi <= X_lo:
         raise DomainError(f"weighted_experiment: need X_hi > X_lo, got ({X_lo}, {X_hi}]")
@@ -390,8 +410,8 @@ def weighted_experiment(
     overall_avg = Fraction(total_hits_all, X_hi - X_lo)
 
     first_n = X_lo + 1 + ((v0 - (X_lo + 1)) % W)
-    ns = np.arange(first_n, X_hi + 1, W, dtype=np.int64)
-    if ns.size == 0:
+    class_size = len(range(first_n, X_hi + 1, W))
+    if class_size == 0:
         return WeightedScanReport(
             X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
             class_size=0,
@@ -400,23 +420,28 @@ def weighted_experiment(
             overall_unweighted_avg=overall_avg, empty_class=True,
         )
 
-    hits = np.zeros(ns.size, dtype=np.int64)
-    for form, table in zip(sysm.forms, tables):
-        vals = form.a * ns + form.b
-        hits += table.bits[vals - table.lo]
-
     lam_scaled, denom = _scaled_lambdas(ws)
-    primes = sorted({p for facs in ws.support_factors.values() for p in facs})
-    roots = {p: roots_mod(p, sysm.forms) for p in primes}
+    by_top: dict[int, list[int]] = {}
+    for d in ws.support[1:]:
+        by_top.setdefault(ws.support_factors[d][-1], []).append(d)
+    roots = {p: roots_mod(p, sysm.forms) for p in by_top}
 
+    hit_total = 0
     sum_w_scaled = 0
     sum_hw_scaled = 0
-    for lo_i in range(0, ns.size, CLASS_CHUNK):
-        totals = _divisor_sum_totals(ns[lo_i : lo_i + CLASS_CHUNK], roots, lam_scaled, ws.R)
-        for t, hcount in zip(totals, hits[lo_i : lo_i + CLASS_CHUNK].tolist()):
-            w = t * t
-            sum_w_scaled += w
-            sum_hw_scaled += hcount * w
+    step = CLASS_CHUNK * W
+    for chunk_lo in range(first_n, X_hi + 1, step):
+        ns = np.arange(chunk_lo, min(chunk_lo + step, X_hi + 1), W, dtype=np.int64)
+        hits = np.zeros(ns.size, dtype=np.int64)
+        for form, table in zip(sysm.forms, tables):
+            hits += table.bits[form.a * ns + form.b - table.lo]
+        hit_total += int(hits.sum())
+        t = _chunk_divisor_sums(chunk_lo, ns.size, W, by_top, roots, lam_scaled)
+        w = t * t
+        # builtin sum, not ndarray.sum: it adds totals that fit a C long
+        # without allocating, and costs about the same on big ones
+        sum_w_scaled += sum(w.tolist())
+        sum_hw_scaled += sum((w * hits).tolist())
 
     d2 = denom * denom
     sum_w = Fraction(sum_w_scaled, d2)
@@ -424,11 +449,11 @@ def weighted_experiment(
     empty = sum_w_scaled == 0
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
-        class_size=int(ns.size),
+        class_size=class_size,
         sum_w=sum_w,
         sum_hits_w=sum_hits_w,
         weighted_avg=None if empty else Fraction(sum_hw_scaled, sum_w_scaled),
-        class_unweighted_avg=Fraction(int(hits.sum()), int(ns.size)),
+        class_unweighted_avg=Fraction(hit_total, class_size),
         overall_unweighted_avg=overall_avg,
         empty_class=empty,
     )

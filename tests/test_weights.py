@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set
+from twosq.arith import roots_mod
 from twosq.errors import DomainError
-from twosq.sieve import is_two_square
+from twosq.primes import squarefree_products
+from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
     CLASS_CHUNK,
+    _scaled_lambdas,
     build_weights,
     gamma_p3_indicator,
     check_weight_mass,
@@ -47,6 +52,50 @@ def assert_matches_reference(ws):
     assert rep.Q_nu_minus1 == q_nu1
     # the bound depends on ws alone; any report over (X, 2X] will do
     assert check_weight_mass(ws, weighted_experiment(ws, 50, 100)).bound == bound
+
+
+def divisor_sum_totals(ns, roots, lam_scaled, R):
+    """Reference: sum of scaled lambda_d over support d dividing the form
+    product, per n.  The primes hitting each n are collected in ascending
+    order and the support d dividing the product are enumerated as their
+    squarefree products below R, one n at a time."""
+    hit_primes = [[] for _ in range(len(ns))]
+    for p, rs in roots.items():
+        rem = ns % p
+        for r in rs:
+            for i in np.flatnonzero(rem == r).tolist():
+                hit_primes[i].append(p)
+    return [sum(lam_scaled[d] for d, _ in squarefree_products(ps, R)) for ps in hit_primes]
+
+
+def reference_experiment(ws, X_lo, X_hi):
+    """Reference: (class_size, sum_w, sum_hits_w, class_unweighted_avg) of a
+    weighted experiment by the per-n route over the whole class at once."""
+    sysm = ws.system
+    first_n = X_lo + 1 + ((sysm.v0 - (X_lo + 1)) % sysm.W)
+    ns = np.arange(first_n, X_hi + 1, sysm.W, dtype=np.int64)
+    hits = np.zeros(ns.size, dtype=np.int64)
+    for form in sysm.forms:
+        table = sieve_segment(form(X_lo + 1), form(X_hi))
+        hits += table.bits[form.a * ns + form.b - table.lo]
+    lam_scaled, denom = _scaled_lambdas(ws)
+    primes = sorted({p for facs in ws.support_factors.values() for p in facs})
+    roots = {p: roots_mod(p, sysm.forms) for p in primes}
+    totals = divisor_sum_totals(ns, roots, lam_scaled, ws.R)
+    sum_w = sum(t * t for t in totals)
+    sum_hw = sum(h * t * t for t, h in zip(totals, hits.tolist()))
+    d2 = denom * denom
+    return ns.size, Fraction(sum_w, d2), Fraction(sum_hw, d2), Fraction(int(hits.sum()), ns.size)
+
+
+def assert_matches_reference_route(ws, X_lo, X_hi):
+    report = weighted_experiment(ws, X_lo, X_hi)
+    class_size, sum_w, sum_hits_w, class_avg = reference_experiment(ws, X_lo, X_hi)
+    assert report.class_size == class_size
+    assert report.sum_w == sum_w
+    assert report.sum_hits_w == sum_hits_w
+    assert report.class_unweighted_avg == class_avg
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -265,12 +314,74 @@ class TestWeightedExperiment:
         assert r1.sum_w == r2.sum_w
         assert r1.sum_hits_w == r2.sum_hits_w
 
+    def test_class_streamed_in_chunks(self):
+        # 10^6 members: held whole, the class cost about 32 B per member in
+        # int64 arrays (a 32 MB traced peak); streamed, the peak is set by the
+        # 1 MB membership table and one chunk
+        ws = build_weights(AdmissibleSystem.build([LinearForm(1, 1)], W=1), 10)
+        tracemalloc.start()
+        try:
+            report = weighted_experiment(ws, 10**6, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.class_size == 10**6
+        assert peak < 12 * 2**20
+
     def test_hits_bounded_by_k(self):
         system = AdmissibleSystem.build(build_default_set(3), W=3)
         ws = build_weights(system, 50)
         report = weighted_experiment(ws, 5000, 15000)
         assert 0 <= report.weighted_avg <= 3
         assert 0 <= report.overall_unweighted_avg <= 3
+
+
+# (forms, W, p0, R, X_lo, X_hi)
+REFERENCE_CASES = {
+    "slope_3": ([(3, 2), (1, 5)], 1, 1, 120, 20_000, 30_000),
+    "p0_7": ([(1, 1), (1, 5)], 3, 7, 400, 10_000, 20_000),
+    "W_21": ([(1, 1), (1, 5), (1, 13)], 21, 1, 300, 30_000, 60_000),
+    "R_1": ([(1, 1)], 1, 1, 1, 5_000, 10_000),
+    "dead_prime": ([(1, 3)], 1, 1, 100, 10_000, 20_000),
+    "bench": ([(1, 37), (1, 89), (1, 137), (1, 197)], 3, 1, 1000, 100_000, 150_000),
+}
+
+
+def reference_case_weights(name):
+    forms, W, p0, R, X_lo, X_hi = REFERENCE_CASES[name]
+    system = AdmissibleSystem.build(
+        [LinearForm(a, b) for a, b in forms], W=W, p0=p0, warn_side_conditions=False
+    )
+    return build_weights(system, R), X_lo, X_hi
+
+
+class TestReferenceRoute:
+    """The per-support-element pass equals the per-n divisor-sum route."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_per_n_route(self, name):
+        ws, X_lo, X_hi = reference_case_weights(name)
+        report = assert_matches_reference_route(ws, X_lo, X_hi)
+        assert report.sum_w > 0
+        if name == "R_1":
+            assert ws.support == (1,)
+        if name == "dead_prime":
+            assert ws.nu_table[3] == 0
+        if name == "p0_7":
+            assert all(d % 7 for d in ws.support) and 11 * 19 in ws.support
+        if name == "bench":
+            assert report.class_size > CLASS_CHUNK
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("name", ["slope_3", "W_21", "bench"])
+    def test_any_chunk_size(self, name, chunk, monkeypatch):
+        import twosq.weights as wmod
+
+        ws, X_lo, _ = reference_case_weights(name)
+        monkeypatch.setattr(wmod, "CLASS_CHUNK", chunk)
+        # 201 members: many chunks, and at chunk 7 a shorter last chunk
+        report = assert_matches_reference_route(ws, X_lo, X_lo + 201 * ws.system.W)
+        assert report.class_size == 201
 
 
 class TestWeightMass:
