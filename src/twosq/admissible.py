@@ -12,7 +12,6 @@ with gcd(L_j(v0), W) = 1 for all j.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -152,7 +151,6 @@ class AdmissibleSystem:
         p0: int = 1,
         W: int | None = None,
         X: int | None = None,
-        warn_side_conditions: bool = True,
     ) -> "AdmissibleSystem":
         forms = tuple(forms)
         if len(set(forms)) != len(forms):
@@ -177,7 +175,7 @@ class AdmissibleSystem:
                     raise DomainError(f"AdmissibleSystem: W={W} is not a squarefree product of primes = 3 (mod 4)")
                 if p == p0:
                     raise DomainError(f"AdmissibleSystem: p0={p0} divides W={W}")
-        if X is not None and warn_side_conditions:
+        if X is not None:
             for msg in size_conditions(forms, X):
                 warnings.warn(f"size condition violated: {msg}", stacklevel=2)
         v0 = find_v0(forms, W)
@@ -191,15 +189,3 @@ class AdmissibleSystem:
             "W": self.W,
             "v0": self.v0,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AdmissibleSystem":
-        forms = [LinearForm(int(a), int(b)) for a, b in doc["forms"]]
-        return cls.build(forms, p0=int(doc.get("p0", 1)), W=int(doc["W"]), warn_side_conditions=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdmissibleSystem":
-        return cls.from_json_dict(json.loads(text))

@@ -24,16 +24,7 @@ from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceE
 from .reportio import Records, to_csv, to_json
 from .scans import MaierConfig, maier_demo, scan_intervals, scan_progressions, scan_residues
 from .sieve import ProgressionQuery, count_interval, count_progression, count_upto, sieve_segment
-from .special import (
-    E_GAMMA,
-    E_NEG_GAMMA,
-    EULER_GAMMA,
-    buchstab_omega,
-    g,
-    halfdim_F,
-    halfdim_f,
-    tabulation_rows,
-)
+from .special import E_GAMMA, E_NEG_GAMMA, EULER_GAMMA, FUNCTIONS, tabulation_rows
 from .weights import (
     WeightSystem,
     build_weights,
@@ -66,15 +57,7 @@ def _resolve_threads(value: int | None) -> int:
     # Capped at the CPU count: only the sieve runs threads, each with up to two
     # segment tables in flight, so more threads cost memory and gain nothing.
     cpus = max(1, os.cpu_count() or 1)
-    if value is None:
-        env = os.environ.get("TWOSQ_THREADS")
-        if not env:
-            return cpus
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"TWOSQ_THREADS must be an integer, got {env!r}")
-    return min(cpus, max(1, value))
+    return cpus if value is None else min(cpus, max(1, value))
 
 
 def _write(cfg: RunConfig, chunks: list[str]) -> None:
@@ -158,8 +141,7 @@ def _cmd_constants(args, cfg: RunConfig) -> list[str]:
 
 def _cmd_special(args, cfg: RunConfig) -> list[str]:
     if args.at is not None:
-        fn = {"buchstab": buchstab_omega, "halfdim_F": halfdim_F, "halfdim_f": halfdim_f, "g": g}[args.fn]
-        value = fn(args.at)
+        value = FUNCTIONS[args.fn](args.at)
         if cfg.fmt == "json":
             return to_json({"version": SCHEMA_VERSION, "fn": args.fn, "s": args.at, "value": value})
         return [f"{value:.10g}\n"]
@@ -348,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--format", choices=["json", "csv"], default=None, help="output format")
         sp.add_argument("--out", default=None, help="write report to this path instead of stdout")
-        sp.add_argument("--threads", type=int, default=None, help="parallelizes the sieve; capped at the CPU count (env TWOSQ_THREADS)")
+        sp.add_argument("--threads", type=int, default=None, help="parallelizes the sieve; capped at the CPU count")
         sp.add_argument("--paper-strict", action="store_true", help="couple R to X^(1/10), size conditions become errors")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -387,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("special", help="evaluate or tabulate the sieve special functions")
-    p.add_argument("--fn", choices=["buchstab", "halfdim_F", "halfdim_f", "g"], required=True)
+    p.add_argument("--fn", choices=list(FUNCTIONS), required=True)
     p.add_argument("--at", type=float, default=None)
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)

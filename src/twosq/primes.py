@@ -13,9 +13,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 INT64_MAX = 2**63 - 1
+
+# Largest limit sieve_primes accepts: its flag array takes limit + 1 bytes.
+MAX_SIEVE_LIMIT = 1 << 30
 
 # Segment length (in integers) for streaming prime enumeration.
 PRIME_SEGMENT = 1 << 22
@@ -31,6 +34,8 @@ def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceError(f"sieve_primes: sieve to {limit} exceeds memory budget (limit 2^30)")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):

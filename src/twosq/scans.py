@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -24,7 +24,10 @@ from .reportio import Records
 from .sieve import is_two_square, iter_segments
 from .special import halfdim_F
 
-DEFAULT_LANDAU_TRUNCATION = 10**6
+# Euler-product truncation of the Landau-Ramanujan constant in predictions.
+LANDAU_TRUNCATION = 10**6
+# A row whose count reaches this multiple of its prediction is a record.
+RECORD_THRESHOLD = 2.0
 # Rows any one scan may report.  A row's peak cost, the slope of CLI peak RSS
 # between JSON reports of 10^5 and 10^6 rows (written in 2^16-row chunks that
 # are held until written), is about 190 B for intervals, 140 B for residues
@@ -33,9 +36,9 @@ MAX_SCAN_ROWS = (1 << 31) // 512
 MAX_MAIER_ENUM = 10**8
 
 
-@lru_cache(maxsize=4)
-def _landau(truncation: int = DEFAULT_LANDAU_TRUNCATION) -> float:
-    return landau_constant(truncation)[0]
+@cache
+def _landau() -> float:
+    return landau_constant(LANDAU_TRUNCATION)[0]
 
 
 def _progression_applicable(a, q):
@@ -63,7 +66,7 @@ def predicted_average(kind: str, **params) -> PredictedAverage:
     """
     if kind not in ("interval", "progression"):
         raise DomainError(f"predicted_average: unknown kind {kind!r}")
-    S = _landau(params.get("landau_truncation", DEFAULT_LANDAU_TRUNCATION))
+    S = _landau()
     x = params["x"]
     if math.log(x) <= 1.0:
         raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
@@ -144,7 +147,6 @@ def _summarize(
     counts: np.ndarray,
     predicted: np.ndarray,
     applicable: np.ndarray,
-    record_threshold: float = 2.0,
 ) -> ScanReport:
     values, mult = np.unique(counts, return_counts=True)
     histogram = dict(zip(values.tolist(), mult.tolist()))
@@ -168,7 +170,7 @@ def _summarize(
         variance=max(0.0, sum_sq / n - mean * mean),
         max_count=int(counts[imax]),
         argmax_key=int(keys[imax]),
-        records=tuple(keys[applicable & (counts >= record_threshold * predicted)].tolist()),
+        records=tuple(keys[applicable & (counts >= RECORD_THRESHOLD * predicted)].tolist()),
         histogram=histogram,
         # cumsum adds left to right in row order; np.sum's pairwise sum changes last digits.
         mean_ratio_valid=float(np.cumsum(ratios)[-1]) / ratios.size if ratios.size else None,
@@ -180,13 +182,7 @@ def _check_rows(who: str, n_rows: int) -> None:
         raise ResourceError(f"{who}: {n_rows} rows exceed budget {MAX_SCAN_ROWS}")
 
 
-def scan_intervals(
-    X: int,
-    y: int,
-    stride: int = 1,
-    threads: int = 1,
-    landau_truncation: int = DEFAULT_LANDAU_TRUNCATION,
-) -> ScanReport:
+def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanReport:
     """Window counts over (x, x+y] for x = X, X+stride, ..., <= 2X.
 
     One streaming sieve pass over (X, 2X+y] serves every window: cumulative
@@ -213,7 +209,7 @@ def scan_intervals(
             at[inseg] = cum[pts[inseg] - seg.lo]
         base = int(cum[-1])
 
-    S = _landau(landau_truncation)
+    S = _landau()
     return _summarize(
         kind="intervals",
         params={"X": X, "y": y, "stride": stride},
@@ -224,13 +220,7 @@ def scan_intervals(
     )
 
 
-def scan_progressions(
-    x: int,
-    Q: int,
-    a: int,
-    threads: int = 1,
-    landau_truncation: int = DEFAULT_LANDAU_TRUNCATION,
-) -> ScanReport:
+def scan_progressions(x: int, Q: int, a: int, threads: int = 1) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every q in [Q, 2Q]."""
     if x < 3:
         raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
@@ -242,7 +232,7 @@ def scan_progressions(
     for seg in iter_segments(1, x, threads=threads):
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
-    S = _landau(landau_truncation)
+    S = _landau()
     phis = phi_S_floats(Q, 2 * Q)
     keys = np.arange(Q, 2 * Q + 1, dtype=np.int64)
     return _summarize(
@@ -255,12 +245,7 @@ def scan_progressions(
     )
 
 
-def scan_residues(
-    x: int,
-    q: int,
-    threads: int = 1,
-    landau_truncation: int = DEFAULT_LANDAU_TRUNCATION,
-) -> ScanReport:
+def scan_residues(x: int, q: int, threads: int = 1) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every residue a in [0, q)."""
     if x < 3:
         raise DomainError(f"scan_residues: x must be >= 3, got {x}")
@@ -272,7 +257,7 @@ def scan_residues(
         members = seg.members()
         if members.size:
             counts += np.bincount(members % q, minlength=q)
-    S = _landau(landau_truncation)
+    S = _landau()
     pred_q = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
     keys = np.arange(q, dtype=np.int64)
     return _summarize(
@@ -389,20 +374,20 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     because every exponent in P is odd.
     """
     exps = config.P_exponents()
+    u_limit = config.u_limit
+    # The d with d^2 | P have exponent of p at most (alpha_p - 1)/2; the budget
+    # is charged from their number, before any of them is listed.
+    n_d = math.prod(e // 2 + 1 for e in exps.values())
+    if float(u_limit) * n_d > MAX_MAIER_ENUM:
+        raise ResourceError(
+            f"maier_demo: enumeration of ~{float(u_limit) * n_d:.2e} candidates exceeds budget"
+        )
     P = math.prod(p**e for p, e in exps.items())
     rad_P = math.prod(exps)
-
-    # All d with d^2 | P: exponent of p in d at most (alpha_p - 1)/2.
     ds = [1]
     for p, e in exps.items():
         ds = [d * p**c for d in ds for c in range(e // 2 + 1)]
     ds.sort()
-
-    u_limit = config.u_limit
-    if float(u_limit) * len(ds) > MAX_MAIER_ENUM:
-        raise ResourceError(
-            f"maier_demo: enumeration of ~{float(u_limit) * len(ds):.2e} candidates exceeds budget"
-        )
     d_terms = tuple((d, _count_sieved(u_limit / (d * d), rad_P)) for d in ds)
     lhs = sum(c for _, c in d_terms)
 

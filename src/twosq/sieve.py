@@ -67,11 +67,6 @@ class SegmentTable:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def bit(self, n: int) -> bool:
-        if not self.lo <= n <= self.hi:
-            raise DomainError(f"bit: {n} outside [{self.lo}, {self.hi}]")
-        return bool(self.bits[n - self.lo])
-
     def count_range(self, a: int, b: int) -> int:
         """Number of members in [a, b] (must lie inside [lo, hi])."""
         if a > b:
@@ -85,10 +80,8 @@ class SegmentTable:
         return self.lo + np.flatnonzero(self.bits).astype(np.int64)
 
 
-def _base_primes(hi: int, who: str) -> np.ndarray:
+def _base_primes(hi: int) -> np.ndarray:
     """The primes p = 3 (mod 4) with p <= sqrt(hi), ascending."""
-    if isqrt(hi) > 1 << 30:
-        raise ResourceError(f"{who}: base prime sieve to sqrt({hi}) exceeds memory budget")
     primes = sieve_primes(isqrt(hi))
     return primes[primes % 4 == 3]
 
@@ -109,7 +102,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
             "stream smaller segments instead"
         )
     if base_primes is None:
-        base_primes = _base_primes(hi, "sieve_segment")
+        base_primes = _base_primes(hi)
 
     # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
     # are capped at n (which hits the same one position) to stay below 2^63.
@@ -195,7 +188,7 @@ def iter_segments(
         return
     if lo < 1 or hi > INT64_MAX:
         raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
-    base = _base_primes(hi, "iter_segments")
+    base = _base_primes(hi)
     ranges = [(a, min(a + segment - 1, hi)) for a in range(lo, hi + 1, segment)]
     if threads <= 1 or len(ranges) == 1:
         yield from (sieve_segment(a, b, base) for a, b in ranges)

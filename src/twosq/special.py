@@ -15,7 +15,7 @@ One integration of the f-equation from its zero initial data gives the
 closed form sqrt(s) f(s) = (2 e^(gamma/2)/sqrt(pi)) * asinh(sqrt(s-1)) on
 [1, 3]; tables start marching from there.
 
-Tabulation uses a uniform dyadic grid (default step 1/4096) so that the
+Tabulation uses a uniform dyadic grid (step 1/4096) so that the
 unit delay is always grid-aligned.  Each marching step integrates its
 right-hand side by Simpson's rule; the midpoint delay value is obtained by
 half-offset cubic interpolation with stencils that never straddle a window
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,10 +47,12 @@ E_NEG_GAMMA = math.exp(-EULER_GAMMA)
 # F(1) = 2 e^(gamma/2)/sqrt(pi); also the constant in the f closed form.
 _HALFDIM_A = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
 
-DEFAULT_H = 1.0 / 4096.0
-DEFAULT_OMEGA_UMAX = 50.0
-DEFAULT_HALFDIM_SMAX = 40.0
-DEFAULT_S_MIN = 1e-3
+# The one table grid: step, omega table end, F/f table end (even), and the
+# least s at which F is evaluated.
+TABLE_H = 1.0 / 4096.0
+OMEGA_UMAX = 50
+HALFDIM_SMAX = 40
+HALFDIM_SMIN = 1e-3
 
 # Table error budget (Richardson estimate must come in under this).
 TABLE_TOL = 1e-9
@@ -99,10 +101,8 @@ class DelayTable:
     kink_stride, ...; interpolation stencils never straddle them.
     """
 
-    kind: str  # "buchstab" | "halfdim_F" | "halfdim_f"
     grid0: float
     h: float
-    u_min: float
     u_max: float
     values: np.ndarray = field(repr=False)
     kink_start: int
@@ -190,16 +190,16 @@ def _window_mids(src: np.ndarray, bases: np.ndarray, kink_start: int, kink_strid
     return out
 
 
-def _build_buchstab(h: float, u_max: float) -> np.ndarray:
-    """Tabulate omega on [1, u_max]; returns the value array."""
+def _build_buchstab(h: float) -> np.ndarray:
+    """Tabulate omega on [1, OMEGA_UMAX]; returns the value array."""
     n1 = round(1.0 / h)
-    total = n1 * (round(u_max) - 1) + 1
+    total = n1 * (OMEGA_UMAX - 1) + 1
     om = np.empty(total)
     u_head = 1.0 + np.arange(n1 + 1) * h
     om[: n1 + 1] = 1.0 / u_head
 
     w_cur = 1.0  # u*omega(u) = 1 at u = 2
-    for m in range(2, round(u_max)):
+    for m in range(2, OMEGA_UMAX):
         j0 = (m - 1) * n1
         j1 = j0 + n1
         f0 = om[j0 - n1 : j1 - n1]
@@ -273,11 +273,10 @@ def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
     Fv[j0 + 1 : j1 + 1] = prod / np.sqrt(s1)
 
 
-def _build_halfdim(h: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate F and f on [0, s_max]; returns (F values, f values)."""
+def _build_halfdim(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate F and f on [0, HALFDIM_SMAX]; returns (F values, f values)."""
     n1 = round(1.0 / h)
-    smax_i = round(s_max)
-    total = n1 * smax_i + 1
+    total = n1 * HALFDIM_SMAX + 1
     Fv = np.empty(total)
     fv = np.empty(total)
 
@@ -293,11 +292,11 @@ def _build_halfdim(h: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     _march_F_first_window(Fv, n1, h)
     f_prod = math.sqrt(3.0) * fv[3 * n1]  # sqrt(s) f(s) at s = 3
     w = 4
-    while w <= smax_i:
+    while w <= HALFDIM_SMAX:
         j0, j1 = (w - 1) * n1, min((w + 1) * n1, total - 1)
         _march_simpson(fv, Fv, j0, j1, n1, h, f_prod, src_kink_start=2 * n1, src_kink_stride=2 * n1)
         f_prod = math.sqrt(j1 * h) * fv[j1]
-        if w < smax_i:
+        if w < HALFDIM_SMAX:
             k0, k1 = w * n1, min((w + 2) * n1, total - 1)
             F_prod = math.sqrt(w) * Fv[w * n1]
             _march_simpson(Fv, fv, k0, k1, n1, h, F_prod, src_kink_start=n1, src_kink_stride=2 * n1)
@@ -312,24 +311,18 @@ def _richardson(vals_h: np.ndarray, vals_h2: np.ndarray, start_idx: int) -> floa
     return float(np.max(np.abs(coarse - fine))) if coarse.size else 0.0
 
 
-@lru_cache(maxsize=8)
-def buchstab_table(h: float = DEFAULT_H, u_max: float = DEFAULT_OMEGA_UMAX) -> DelayTable:
-    if round(1.0 / h) * h != 1.0:
-        raise DomainError(f"buchstab_table: 1/h must be an exact integer, got h={h}")
-    if u_max < 3 or u_max != round(u_max):
-        raise DomainError(f"buchstab_table: u_max must be an integer >= 3, got {u_max}")
-    om = _build_buchstab(h, u_max)
-    om2 = _build_buchstab(h / 2.0, u_max)
-    n1 = round(1.0 / h)
+@cache
+def buchstab_table() -> DelayTable:
+    om = _build_buchstab(TABLE_H)
+    om2 = _build_buchstab(TABLE_H / 2.0)
+    n1 = round(1.0 / TABLE_H)
     err = _richardson(om, om2, n1)
     if err > TABLE_TOL:
         raise ConvergenceError(f"buchstab table error estimate {err:.3e} exceeds {TABLE_TOL}")
     return DelayTable(
-        kind="buchstab",
         grid0=1.0,
-        h=h,
-        u_min=0.0,
-        u_max=float(u_max),
+        h=TABLE_H,
+        u_max=float(OMEGA_UMAX),
         values=om,
         kink_start=n1,
         kink_stride=n1,
@@ -337,21 +330,11 @@ def buchstab_table(h: float = DEFAULT_H, u_max: float = DEFAULT_OMEGA_UMAX) -> D
     )
 
 
-@lru_cache(maxsize=8)
-def halfdim_tables(
-    h: float = DEFAULT_H,
-    s_max: float = DEFAULT_HALFDIM_SMAX,
-    s_min: float = DEFAULT_S_MIN,
-) -> tuple[DelayTable, DelayTable]:
-    if round(1.0 / h) * h != 1.0:
-        raise DomainError(f"halfdim_tables: 1/h must be an exact integer, got h={h}")
-    if s_max < 6 or s_max != round(s_max) or round(s_max) % 2 != 0:
-        raise DomainError(f"halfdim_tables: s_max must be an even integer >= 6, got {s_max}")
-    if not 0.0 < s_min <= 1.0:
-        raise DomainError(f"halfdim_tables: s_min must be in (0, 1], got {s_min}")
-    Fv, fv = _build_halfdim(h, s_max)
-    Fv2, fv2 = _build_halfdim(h / 2.0, s_max)
-    n1 = round(1.0 / h)
+@cache
+def halfdim_tables() -> tuple[DelayTable, DelayTable]:
+    Fv, fv = _build_halfdim(TABLE_H)
+    Fv2, fv2 = _build_halfdim(TABLE_H / 2.0)
+    n1 = round(1.0 / TABLE_H)
     errF = _richardson(Fv, Fv2, 2 * n1)
     errf = _richardson(fv, fv2, 3 * n1)
     if max(errF, errf) > TABLE_TOL:
@@ -359,22 +342,18 @@ def halfdim_tables(
             f"half-dimensional table error estimates ({errF:.3e}, {errf:.3e}) exceed {TABLE_TOL}"
         )
     Ft = DelayTable(
-        kind="halfdim_F",
         grid0=0.0,
-        h=h,
-        u_min=s_min,
-        u_max=float(s_max),
+        h=TABLE_H,
+        u_max=float(HALFDIM_SMAX),
         values=Fv,
         kink_start=2 * n1,
         kink_stride=2 * n1,
         err_estimate=errF,
     )
     ft = DelayTable(
-        kind="halfdim_f",
         grid0=0.0,
-        h=h,
-        u_min=0.0,
-        u_max=float(s_max),
+        h=TABLE_H,
+        u_max=float(HALFDIM_SMAX),
         values=fv,
         kink_start=n1,
         kink_stride=2 * n1,
@@ -383,25 +362,24 @@ def halfdim_tables(
     return Ft, ft
 
 
-def buchstab_omega(u: float, table: DelayTable | None = None) -> float:
+def buchstab_omega(u: float) -> float:
     """Buchstab omega(u) for u > 0.
 
     Closed form 1/u on (0, 2]; tabulated beyond; for u past the table end
     the limit e^(-gamma) is returned (the oscillation there is far below
     double precision).
     """
-    if u <= 0:
+    if not u > 0:
         raise DomainError(f"buchstab_omega: u must be > 0, got {u}")
     if u <= 2.0:
         return omega_closed(u)
-    if table is None:
-        table = buchstab_table()
+    table = buchstab_table()
     if u > table.u_max:
         return E_NEG_GAMMA
     return table.interp(u)
 
 
-def g(t: float, table: DelayTable | None = None) -> float:
+def g(t: float) -> float:
     """sup over u >= t of e^gamma * omega(u), for t > 0.
 
     The search runs over the closed-form branch (where e^gamma/u is
@@ -411,10 +389,9 @@ def g(t: float, table: DelayTable | None = None) -> float:
     below 1 + 1e-12: the sup provably exceeds 1, and past the search window
     the oscillation is beneath table resolution.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError(f"g: t must be > 0, got {t}")
-    if table is None:
-        table = buchstab_table()
+    table = buchstab_table()
     best = 1.0 + G_RESOLUTION_FLOOR
     if t < 2.0:
         best = max(best, E_GAMMA / t)
@@ -437,19 +414,19 @@ def g(t: float, table: DelayTable | None = None) -> float:
     return best
 
 
-def halfdim_F(s: float, tables: tuple[DelayTable, DelayTable] | None = None) -> float:
-    """Upper half-dimensional sieve function F(s), s in [s_min, s_max]."""
-    Ft, _ = tables if tables is not None else halfdim_tables()
-    if not Ft.u_min <= s <= Ft.u_max:
-        raise DomainError(f"halfdim_F: s must be in [{Ft.u_min}, {Ft.u_max}], got {s}")
+def halfdim_F(s: float) -> float:
+    """Upper half-dimensional sieve function F(s), s in [HALFDIM_SMIN, HALFDIM_SMAX]."""
+    Ft, _ = halfdim_tables()
+    if not HALFDIM_SMIN <= s <= Ft.u_max:
+        raise DomainError(f"halfdim_F: s must be in [{HALFDIM_SMIN}, {Ft.u_max}], got {s}")
     if s <= 2.0:
         return halfdim_F_closed(s)
     return Ft.interp(s)
 
 
-def halfdim_f(s: float, tables: tuple[DelayTable, DelayTable] | None = None) -> float:
-    """Lower half-dimensional sieve function f(s), s in [0, s_max]."""
-    _, ft = tables if tables is not None else halfdim_tables()
+def halfdim_f(s: float) -> float:
+    """Lower half-dimensional sieve function f(s), s in [0, HALFDIM_SMAX]."""
+    _, ft = halfdim_tables()
     if not 0.0 <= s <= ft.u_max:
         raise DomainError(f"halfdim_f: s must be in [0, {ft.u_max}], got {s}")
     if s <= 3.0:
@@ -457,19 +434,22 @@ def halfdim_f(s: float, tables: tuple[DelayTable, DelayTable] | None = None) -> 
     return ft.interp(s)
 
 
+# The special functions by the name reports and the CLI give them.
+FUNCTIONS = {
+    "buchstab": buchstab_omega,
+    "halfdim_F": halfdim_F,
+    "halfdim_f": halfdim_f,
+    "g": g,
+}
+
+
 def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> list[tuple[str, float, float]]:
-    """(kind, s, value) rows for CSV export of any of the three functions."""
-    fns = {
-        "buchstab": buchstab_omega,
-        "halfdim_F": halfdim_F,
-        "halfdim_f": halfdim_f,
-        "g": g,
-    }
-    if kind not in fns:
+    """(kind, s, value) rows for CSV export of any of the FUNCTIONS."""
+    if kind not in FUNCTIONS:
         raise DomainError(f"tabulation_rows: unknown kind {kind!r}")
-    if step <= 0 or hi < lo:
-        raise DomainError("tabulation_rows: need step > 0 and hi >= lo")
-    fn = fns[kind]
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise DomainError("tabulation_rows: need finite lo, hi and step, step > 0 and hi >= lo")
+    fn = FUNCTIONS[kind]
     out = []
     k = 0
     while True:

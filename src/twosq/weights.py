@@ -521,50 +521,38 @@ def gamma_p3_indicator(p: int) -> float:
     return 1.0 if p % 4 == 3 else 0.0
 
 
-def verify_sieve_summation(
-    kappa: float,
-    gamma_spec: Callable[[int], float],
-    R: int,
-    f: Callable[[float], float] | None = None,
-    A: float = 2.0,
-) -> SummationReport:
-    """Compare sum_{r<R} mu^2(r) (prod_{p|r} gamma/(p-gamma)) f(ln r/ln R)
-    against S_gamma (ln R)^kappa / Gamma(kappa) * int_0^1 f(t) t^(kappa-1) dt,
-    where S_gamma = prod_{p<R} (1 - gamma(p)/p)^(-1) (1 - 1/p)^kappa.
+def verify_sieve_summation(kappa: float, gamma_spec: Callable[[int], float], R: int) -> SummationReport:
+    """Compare sum_{r<R} mu^2(r) prod_{p|r} gamma/(p-gamma) against
+    S_gamma (ln R)^kappa / Gamma(kappa) * int_0^1 t^(kappa-1) dt,
+    where S_gamma = prod_{p<R} (1 - gamma(p)/p)^(-1) (1 - 1/p)^kappa and the
+    integral is 1/kappa.
 
     The left side is an exact enumeration over the squarefree support; the
     right side is the asymptotic main term.  gamma must satisfy
-    0 <= gamma(p) <= min(A*kappa, (1 - 1/A) p).
+    0 <= gamma(p) <= min(2 kappa, p/2).
     """
     if R < 2:
         raise DomainError(f"verify_sieve_summation: R must be >= 2, got {R}")
     if kappa <= 0:
         raise DomainError(f"verify_sieve_summation: kappa must be > 0, got {kappa}")
-    if A <= 1:
-        raise DomainError(f"verify_sieve_summation: A must be > 1, got {A}")
-    if f is None:
-        f = lambda t: 1.0
 
     primes = [int(p) for p in sieve_primes(R - 1)]
     gam: dict[int, float] = {}
     for p in primes:
         gp = float(gamma_spec(p))
-        if not 0.0 <= gp <= min(A * kappa, (1.0 - 1.0 / A) * p):
-            raise DomainError(
-                f"verify_sieve_summation: gamma({p}) = {gp} outside [0, min(A*kappa, (1-1/A)p)]"
-            )
+        if not 0.0 <= gp <= min(2.0 * kappa, 0.5 * p):
+            raise DomainError(f"verify_sieve_summation: gamma({p}) = {gp} outside [0, min(2 kappa, p/2)]")
         gam[p] = gp
     active = [p for p in primes if gam[p] > 0.0]
     ratios = {p: gam[p] / (p - gam[p]) for p in active}
 
-    log_R = math.log(R)
     terms: list[float] = []
-    for r, facs in squarefree_products(active, R):
+    for _, facs in squarefree_products(active, R):
         # multiplied in ascending prime order, so each term's rounding is fixed
         wt = 1.0
         for p in facs:
             wt *= ratios[p]
-        terms.append(wt * f(math.log(r) / log_R))
+        terms.append(wt)
     lhs = math.fsum(terms)
 
     log_parts = [
@@ -572,15 +560,9 @@ def verify_sieve_summation(
     ]
     s_gamma = math.exp(math.fsum(log_parts))
 
-    # Imported here: scipy is most of the package's import time, and only this
-    # check needs it.
-    from scipy.integrate import quad
-
-    # int_0^1 f(t) t^(kappa-1) dt with the endpoint singularity removed by
-    # t = v^2  (integrable for kappa > 0; smooth for kappa >= 1/2).
-    integral, _ = quad(lambda v: 2.0 * f(v * v) * v ** (2.0 * kappa - 1.0), 0.0, 1.0, limit=200)
+    integral = 1.0 / kappa
     gamma_factor = math.gamma(kappa)
-    rhs = s_gamma * log_R**kappa / gamma_factor * integral
+    rhs = s_gamma * math.log(R) ** kappa / gamma_factor * integral
     return SummationReport(
         kappa=kappa,
         R=R,

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -222,25 +224,51 @@ class TestCliBehavior:
         assert code == 1
         assert "size condition" in err
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("TWOSQ_THREADS", "2")
-        code, out, _ = run_cli(["count", "--x", "1000"], capsys)
-        assert code == 0
-        monkeypatch.setenv("TWOSQ_THREADS", "zebra")
-        code, _, err = run_cli(["count", "--x", "1000"], capsys)
-        assert code == 1
-
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         # resolved only; no thread is started
         monkeypatch.setattr("twosq.cli.os.cpu_count", lambda: 2)
-        monkeypatch.delenv("TWOSQ_THREADS", raising=False)
         assert _resolve_threads(64) == 2
         assert _resolve_threads(1) == 1
         assert _resolve_threads(0) == 1
         assert _resolve_threads(None) == 2
-        monkeypatch.setenv("TWOSQ_THREADS", "64")
-        assert _resolve_threads(None) == 2
-        assert _resolve_threads(1) == 1
+
+    def test_maier_budget_checked_before_enumeration(self, capsys):
+        # 1,783,627,776 d with d^2 | P: listing them before the budget check
+        # once ran the machine out of memory
+        argv = ["maier-demo", "--z", "200", "--x", "10000000", "--Q", "1000", "--a", "5"]
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code, _, err = run_cli(argv, capsys)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and err.startswith("error:") and "budget" in err
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--R", str(2**40)],
+        ["gpy-demo", "--R", str(2**40)],
+        ["verify", "--summation", "--summation-R", str(2**40)],
+        ["maier-demo", "--z", str(2**40), "--x", "1000", "--Q", "10"],
+    ])
+    def test_prime_sieve_budget(self, argv, capsys):
+        # each path sieves primes up to its argument; unchecked, that is a
+        # 1 TB flag array
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["special", "--fn", "buchstab", "--at", "nan"],
+        ["special", "--fn", "g", "--at", "nan"],
+        ["special", "--fn", "g", "--from", "2", "--to", "3", "--step", "nan"],
+        ["special", "--fn", "g", "--from", "2", "--to", "inf"],
+    ])
+    def test_special_non_finite_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_float_formatting_ten_digits(self, capsys):
         code, out, _ = run_cli(["special", "--fn", "buchstab", "--at", "2.5", "--format", "json"], capsys)

@@ -11,10 +11,15 @@ documented format change.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from twosq.cli import dispatch
+from twosq.cli import _HANDLERS, dispatch
 
 CASES = {
     "admissible": (
@@ -110,3 +115,45 @@ def test_report_bytes_unchanged(name, capsys):
     assert dispatch(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Runs reports in a fresh interpreter in which importing scipy fails, and
+# prints [exit code, sha256 of stdout] per argv read from stdin.
+_SCIPY_FREE_RUN = """
+import contextlib, hashlib, io, json, sys
+sys.modules["scipy"] = None
+from twosq.cli import dispatch
+results = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = dispatch(argv)
+    results.append([code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()])
+print(json.dumps(results))
+"""
+
+
+def test_reports_without_scipy():
+    """numpy is the only runtime dependency: one report per subcommand runs
+    with scipy unimportable, with the recorded bytes where a case has them."""
+    cases = [
+        CASES[name]
+        for name in (
+            "admissible", "count_progression", "gpy_demo_mass_check", "maier_demo",
+            "scan_intervals_json", "scan_progressions_csv", "scan_residues",
+            "special_table_csv", "verify_summation", "weights_json",
+        )
+    ]
+    cases += [(["sieve", "--from", "100", "--to", "120"], None), (["constants", "--truncation", "1000"], None)]
+    assert sorted(argv[0] for argv, _ in cases) == sorted(_HANDLERS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN],
+        input=json.dumps([argv for argv, _ in cases]),
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    for (argv, digest), (code, got) in zip(cases, json.loads(done.stdout), strict=True):
+        assert code == 0, argv
+        if digest is not None:
+            assert got == digest, argv

@@ -3,8 +3,8 @@ from math import prod
 
 import pytest
 
-from twosq.errors import DomainError
-from twosq.primes import factorize, is_prime, sieve_primes
+from twosq.errors import DomainError, ResourceError
+from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, sieve_primes
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -20,6 +20,18 @@ def trial_division(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = 1
     return out
+
+
+class TestSievePrimes:
+    def test_small(self):
+        assert sieve_primes(1).tolist() == []
+        assert sieve_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 2**40])
+    def test_budget(self, limit):
+        # checked before the limit + 1 flag bytes are allocated
+        with pytest.raises(ResourceError):
+            sieve_primes(limit)
 
 
 class TestFactorize:

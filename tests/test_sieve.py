@@ -70,7 +70,7 @@ class TestSieveSegment:
 
     def test_single_point_square(self):
         seg = sieve_segment(49, 49)
-        assert seg.bit(49)  # 7^2: even valuation of 7
+        assert seg.bits.tolist() == [True]  # 7^2: even valuation of 7
 
     def test_matches_oracle(self, oracle_marks_10k):
         seg = sieve_segment(1, 10_000)
@@ -125,9 +125,7 @@ class TestSieveSegment:
     def test_accessor_domains(self):
         seg = sieve_segment(10, 20)
         assert len(seg) == 11
-        assert seg.bit(10) and not seg.bit(11)
-        with pytest.raises(DomainError):
-            seg.bit(9)
+        assert seg.bits[0] and not seg.bits[1]  # 10 = 3^2 + 1^2; 11 = 3 (mod 4)
         with pytest.raises(DomainError):
             seg.count_range(5, 15)
         assert seg.count_range(15, 12) == 0
@@ -172,7 +170,7 @@ class TestLargePrimePass:
         lo, hi = x - 1500, x + 1499
         assert p > (hi - lo + 1) // LARGE_PRIME_DIVISOR and p <= isqrt(hi)
         seg = sieve_segment(lo, hi)
-        assert seg.bit(x) == (e % 2 == 0 and m % 4 == 1)
+        assert seg.bits[x - lo] == (e % 2 == 0 and m % 4 == 1)
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
 
     @pytest.mark.parametrize("k", [5, 13, 3 * 10039])
@@ -183,7 +181,7 @@ class TestLargePrimePass:
         lo, hi = x - 50, x + 49
         assert p2 <= isqrt(hi) and p1 > hi - lo + 1
         seg = sieve_segment(lo, hi)
-        assert not seg.bit(x)
+        assert not seg.bits[x - lo]
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
 
     @pytest.mark.parametrize("start", [3**26 - 40, 11**12 - 40, 7**14 - 40, 10**12 + 1])

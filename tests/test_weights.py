@@ -187,7 +187,7 @@ class TestQuadraticForms:
 
     def test_bench_system(self):
         forms = [LinearForm(1, h) for h in (37, 89, 137, 197)]
-        system = AdmissibleSystem.build(forms, W=3, warn_side_conditions=False)
+        system = AdmissibleSystem.build(forms, W=3)
         ws = build_weights(system, 1000)
         assert quadratic_forms(ws).identities_hold
         assert_matches_reference(ws)
@@ -349,9 +349,7 @@ REFERENCE_CASES = {
 
 def reference_case_weights(name):
     forms, W, p0, R, X_lo, X_hi = REFERENCE_CASES[name]
-    system = AdmissibleSystem.build(
-        [LinearForm(a, b) for a, b in forms], W=W, p0=p0, warn_side_conditions=False
-    )
+    system = AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W, p0=p0)
     return build_weights(system, R), X_lo, X_hi
 
 
@@ -414,13 +412,17 @@ class TestSummation:
         assert abs(rep.lhs - (1 + 0.5 + 1 / 6)) < 1e-12
         assert rep.rhs > 0
 
-    def test_f_linear_integral(self):
-        rep = verify_sieve_summation(0.5, gamma_p3_indicator, 100, f=lambda t: t)
-        assert abs(rep.integral - 2.0 / 3.0) < 1e-9
+    @pytest.mark.parametrize("kappa", [0.5, 0.75, 1.0])
+    def test_integral_closed_form(self, kappa):
+        # int_0^1 t^(kappa-1) dt = 1/kappa; at kappa = 1/2 it is the 2.0 that
+        # an adaptive quadrature of the same integral returns
+        rep = verify_sieve_summation(kappa, gamma_p3_indicator, 100)
+        assert rep.integral == 1 / kappa
+        assert rep.rhs == pytest.approx(rep.singular_series * math.log(100) ** kappa / rep.gamma_factor / kappa, rel=1e-15)
 
     def test_gamma_bound_violation(self):
         with pytest.raises(DomainError):
-            verify_sieve_summation(0.5, lambda p: 3.0, 100, A=2.0)
+            verify_sieve_summation(0.5, lambda p: 3.0, 100)
 
     def test_asymptotic_accuracy_midsize(self):
         rep = verify_sieve_summation(0.5, gamma_p3_indicator, 10**5)
