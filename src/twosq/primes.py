@@ -17,7 +17,8 @@ from .errors import DomainError, ResourceError
 
 INT64_MAX = 2**63 - 1
 
-# Largest limit sieve_primes accepts: its flag array takes limit + 1 bytes.
+# Largest limit sieve_primes accepts (its flag array takes limit + 1 bytes);
+# iter_prime_blocks, whose run time grows with the limit, answers to it too.
 MAX_SIEVE_LIMIT = 1 << 30
 
 # Segment length (in integers) for streaming prime enumeration.
@@ -48,10 +49,13 @@ def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.n
     """Yield primes <= limit in ascending blocks without sieving all at once.
 
     Memory stays O(segment + sqrt(limit)); used for the truncated Euler
-    products where limit can be 10^8.
+    products where limit can be 10^8.  Time grows with limit, so the
+    sieve_primes budget (limit <= 2^30) holds here too.
     """
     if limit < 2:
         return
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceError(f"iter_prime_blocks: sieve to {limit} exceeds the prime-sieve budget (limit 2^30)")
     base_limit = isqrt(limit)
     base = sieve_primes(base_limit)
     yield base

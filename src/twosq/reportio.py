@@ -29,6 +29,15 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ResourceError
+
+# Rows any one table (a scan or a special-function tabulation) may hold.  A
+# row's peak cost, the slope of CLI peak RSS between JSON scan reports of 10^5
+# and 10^6 rows (written in 2^16-row chunks that are held until written), is
+# about 190 B for intervals, 140 B for residues and 280 B for progressions;
+# 512 B per row in a 2 GiB budget gives 2^22 rows.
+MAX_SCAN_ROWS = (1 << 31) // 512
+
 # Rows per chunk of a row table: whole columns as Python objects would add
 # ~85 B per row at peak.
 CHUNK_ROWS = 1 << 16
@@ -54,6 +63,12 @@ class Records:
 
     fields: tuple[str, ...]
     columns: tuple[Sequence, ...]
+
+
+def check_rows(who: str, n_rows: int) -> None:
+    """Refuse a table of more than MAX_SCAN_ROWS rows before it is built."""
+    if n_rows > MAX_SCAN_ROWS:
+        raise ResourceError(f"{who}: {n_rows} rows exceed budget {MAX_SCAN_ROWS}")
 
 
 def _quote(s: str) -> str:

@@ -5,7 +5,7 @@ Counts are exact integers throughout; only final ratios and predictions are
 floats.  The interval convention everywhere is (x, x+y], i.e. the window
 count is count_upto(x+y) - count_upto(x).  A scan's rows are numpy columns
 from the sieve to the report writer, and every scan checks its row count
-against one budget, MAX_SCAN_ROWS, before it allocates them.
+against one budget, `reportio.MAX_SCAN_ROWS`, before it allocates them.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .arith import landau_constant, phi_S, phi_S_floats
 from .errors import DomainError, ResourceError
 from .primes import INT64_MAX, sieve_primes
-from .reportio import Records
+from .reportio import Records, check_rows
 from .sieve import is_two_square, iter_segments
 from .special import halfdim_F
 
@@ -28,11 +28,6 @@ from .special import halfdim_F
 LANDAU_TRUNCATION = 10**6
 # A row whose count reaches this multiple of its prediction is a record.
 RECORD_THRESHOLD = 2.0
-# Rows any one scan may report.  A row's peak cost, the slope of CLI peak RSS
-# between JSON reports of 10^5 and 10^6 rows (written in 2^16-row chunks that
-# are held until written), is about 190 B for intervals, 140 B for residues
-# and 280 B for progressions; 512 B per row in a 2 GiB budget gives 2^22 rows.
-MAX_SCAN_ROWS = (1 << 31) // 512
 MAX_MAIER_ENUM = 10**8
 
 
@@ -107,9 +102,10 @@ class ScanReport:
     def n_windows(self) -> int:
         return len(self.keys)
 
-    @property
+    @cached_property
     def ratio(self) -> np.ndarray:
-        """count / predicted, inf where the prediction is not positive."""
+        """count / predicted, inf where the prediction is not positive; computed
+        once, as the JSON and CSV rows share it."""
         out = np.full(self.counts.shape, math.inf)
         return np.divide(self.counts, self.predicted, out=out, where=self.predicted > 0)
 
@@ -177,11 +173,6 @@ def _summarize(
     )
 
 
-def _check_rows(who: str, n_rows: int) -> None:
-    if n_rows > MAX_SCAN_ROWS:
-        raise ResourceError(f"{who}: {n_rows} rows exceed budget {MAX_SCAN_ROWS}")
-
-
 def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanReport:
     """Window counts over (x, x+y] for x = X, X+stride, ..., <= 2X.
 
@@ -195,7 +186,7 @@ def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanRep
         raise DomainError(f"scan_intervals: need 1 <= y <= X, got y={y}")
     if stride < 1:
         raise DomainError(f"scan_intervals: stride must be >= 1, got {stride}")
-    _check_rows("scan_intervals", X // stride + 1)
+    check_rows("scan_intervals", X // stride + 1)
     xs = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
 
     # Members in (X, t], sampled at t = x and t = x + y for every window x.
@@ -226,7 +217,7 @@ def scan_progressions(x: int, Q: int, a: int, threads: int = 1) -> ScanReport:
         raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
     if Q < 1 or not 0 <= a <= INT64_MAX:
         raise DomainError(f"scan_progressions: need Q >= 1 and 0 <= a <= 2^63 - 1, got Q={Q}, a={a}")
-    _check_rows("scan_progressions", Q + 1)
+    check_rows("scan_progressions", Q + 1)
     qs = range(Q, 2 * Q + 1)
     counts = np.zeros(len(qs), dtype=np.int64)
     for seg in iter_segments(1, x, threads=threads):
@@ -251,7 +242,7 @@ def scan_residues(x: int, q: int, threads: int = 1) -> ScanReport:
         raise DomainError(f"scan_residues: x must be >= 3, got {x}")
     if q < 1:
         raise DomainError(f"scan_residues: q must be >= 1, got {q}")
-    _check_rows("scan_residues", q)
+    check_rows("scan_residues", q)
     counts = np.zeros(q, dtype=np.int64)
     for seg in iter_segments(1, x, threads=threads):
         members = seg.members()

@@ -37,6 +37,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .reportio import check_rows
 
 # Euler's constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -449,6 +450,8 @@ def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> list[tuple[
         raise DomainError(f"tabulation_rows: unknown kind {kind!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DomainError("tabulation_rows: need finite lo, hi and step, step > 0 and hi >= lo")
+    # rows s = lo + k*step for k = 0, 1, ..., about (hi - lo) / step
+    check_rows("tabulation_rows", math.floor(min((hi - lo) / step, 2.0**63)) + 1)
     fn = FUNCTIONS[kind]
     out = []
     k = 0

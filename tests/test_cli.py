@@ -198,6 +198,37 @@ class TestCliBehavior:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--x", "40", "--y", "20", "--q", "4"], "--y (an interval) and --q"),
+        (["count", "--x", "40", "--a", "3"], "--a needs --q"),
+        (["special", "--fn", "g", "--at", "2", "--from", "1", "--to", "3"], "--at (one value) excludes"),
+        (["special", "--fn", "g", "--at", "2", "--to", "3"], "--at (one value) excludes"),
+        (["sieve", "--from", "1", "--to", "9", "--paper-strict"], "unrecognized arguments"),
+    ])
+    def test_ignored_flags_are_usage_errors(self, argv, message, capsys):
+        # each once exited 0 with a report that dropped a flag
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_special_row_budget(self, capsys):
+        # unchecked, this tabulation grows past 1 GB and runs for days
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["special", "--fn", "buchstab", "--from", "1", "--to", "1e12", "--step", "1"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "rows exceed budget" in err
+
+    def test_constants_truncation_budget(self, capsys):
+        # unchecked, 2.4e5 segments of 2^22 integers: hours
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["constants", "--truncation", str(10**12)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+
     def test_help_exits_zero(self, capsys):
         parser = build_parser()
         for action in parser._subparsers._group_actions:

@@ -5,7 +5,9 @@ and squarefree-product helpers were merged into one copy each; the
 scan-intervals and scan-progressions digests were recorded before scan rows
 became numpy columns; the `g` tabulations and the 70,000-row scan (wider than
 one 2^16-row writer chunk) were recorded before rows were written from
-templates and `g` read a per-table search index.  Any change to
+templates and `g` read a per-table search index; the sieve, count,
+constants, `special --at` and remaining CSV digests were recorded before
+every report came to be written by `dispatch` alone.  Any change to
 a report's bytes fails here; re-record a digest only for a deliberate,
 documented format change.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from twosq.cli import _HANDLERS, dispatch
+from twosq.cli import build_parser, dispatch
 
 CASES = {
     "admissible": (
@@ -106,6 +108,95 @@ CASES = {
         ["scan-intervals", "--X", "70000", "--y", "25", "--threads", "1", "--format", "csv"],
         "1d810c298cafa23419b88f77d5ba5824d87390ee4ea07e5de3f5a53e4d3c34f1",
     ),
+    "sieve_json": (
+        ["sieve", "--from", "100", "--to", "200"],
+        "2cf8328a7a76889ec01500d91b770fe83861a4fedffa6f9fd6a3dd018831dfc2",
+    ),
+    "sieve_csv": (
+        ["sieve", "--from", "100", "--to", "200", "--format", "csv"],
+        "723ab45b3b305a5fcbce0cd17b5918e2e99a835eef7a13c7a0dded28c8d7156a",
+    ),
+    "sieve_empty": (
+        ["sieve", "--from", "21", "--to", "24"],
+        "5d6a6235c48dd516b9a509cc26e4a55aced6686751216fe78871f8bdbf893510",
+    ),
+    "sieve_empty_csv": (
+        ["sieve", "--from", "21", "--to", "24", "--format", "csv"],
+        "9a630df58958568e214bea0bee4c5cf47a6a0d1a509980956bdd214c0b7ccdb2",
+    ),
+    "count_upto_json": (
+        ["count", "--x", "100000", "--threads", "1"],
+        "3e61decd0558f34537123d1eef957623b9aa15d31b6dd09e9b872e4df1ea786b",
+    ),
+    "count_upto_csv": (
+        ["count", "--x", "100000", "--format", "csv", "--threads", "1"],
+        "4887f431b8b254bc1ae24ea679529d5885bc7cce751df2ca7b4908180ea0a4df",
+    ),
+    "count_interval_json": (
+        ["count", "--x", "100000", "--y", "1000", "--threads", "1"],
+        "e2c81c71e1f46d6c86f0cfa02690a37382a30e4ff13a63aaaed767c8bc8020a0",
+    ),
+    "count_interval_csv": (
+        ["count", "--x", "100000", "--y", "1000", "--format", "csv", "--threads", "1"],
+        "48527e54953f0b042d11052a351e9de766f697e0570bba8d1ac5770569bcdab0",
+    ),
+    "count_progression_csv": (
+        ["count", "--x", "100000", "--q", "12", "--a", "5", "--format", "csv", "--threads", "1"],
+        "4c8aa1194e44324f3375e9cf88b1080a685c7d7f50cd1a1c4f4aa28ee29153f0",
+    ),
+    "count_progression_default_a": (
+        ["count", "--x", "100000", "--q", "12", "--threads", "1"],
+        "66dd7478d31eac7d9916fb085036b51232c11eac0231c0488030fe731cdc589f",
+    ),
+    "constants_json": (
+        ["constants", "--truncation", "1000"],
+        "e3cace5a4220ebd45e00c056f39ee3040ebcf3d730c615b8caf9bc9e1ca1f237",
+    ),
+    "constants_csv": (
+        ["constants", "--truncation", "1000", "--format", "csv"],
+        "00c6913bc24ad9c90fdf4fc029199bbd24806dc4cc1a0c2844d4e41f17108ee7",
+    ),
+    "special_at_text": (
+        ["special", "--fn", "halfdim_f", "--at", "3.5"],
+        "a69adb405f5a451d4d5c8b31337691b6efc85cef61c1d02038df90a4f5f8e5c8",
+    ),
+    "special_at_csv": (
+        ["special", "--fn", "halfdim_f", "--at", "3.5", "--format", "csv"],
+        "a69adb405f5a451d4d5c8b31337691b6efc85cef61c1d02038df90a4f5f8e5c8",
+    ),
+    "special_at_json": (
+        ["special", "--fn", "halfdim_f", "--at", "3.5", "--format", "json"],
+        "275ff621bc9cf2b6886147fd64c681fc2ab42be7f1d5e21c0bf2c33caa508d8f",
+    ),
+    "admissible_csv": (
+        ["admissible", "--k", "3", "--W", "21", "--format", "csv"],
+        "602e93a9dfe854a061268cc5a5b39e0b81c099375fafe87f386eff40ec5c0b35",
+    ),
+    "weights_paper_strict": (
+        ["weights", "--k", "2", "--X", "10000000000000000", "--W", "1", "--paper-strict"],
+        "c37edca8127730b35afd7cae51a22e9c6ccaa6d8cb46c147769696c1767c0510",
+    ),
+    "gpy_demo_csv": (
+        ["gpy-demo", "--k", "3", "--X", "20000", "--R", "1000", "--W", "21", "--mass-check", "--format", "csv",
+         "--threads", "1"],
+        "e0e89644b757d38dd73d25aa25933731d1ce173f6ba9064318cb3ef4a5377bd7",
+    ),
+    "gpy_demo": (
+        ["gpy-demo", "--k", "3", "--X", "20000", "--R", "1000", "--W", "21", "--threads", "1"],
+        "7cd8590fb310e4af11e8f84a2600b32cd1ba9378d6a6799f71b73516630f4dfd",
+    ),
+    "maier_demo_csv": (
+        ["maier-demo", "--z", "7", "--a", "1", "--x", "10000", "--Q", "100", "--format", "csv"],
+        "5dd0235acbdcd6d0efcc55c40ff0f17e85b4ece785ca7d4ff1a001528f6f1d33",
+    ),
+    "verify_csv": (
+        ["verify", "--format", "csv", "--threads", "1"],
+        "3ec9408a3b89c211b387132ce8dde837a3b72b953b74f99cf7b4798c430cf19b",
+    ),
+    "scan_residues_csv": (
+        ["scan-residues", "--x", "10000", "--q", "12", "--format", "csv", "--threads", "1"],
+        "ad99076ddffff85b1fae1a0d100550a128e0b408c722f26a6a17c1b9543e2d39",
+    ),
 }
 
 
@@ -145,7 +236,8 @@ def test_reports_without_scipy():
         )
     ]
     cases += [(["sieve", "--from", "100", "--to", "120"], None), (["constants", "--truncation", "1000"], None)]
-    assert sorted(argv[0] for argv, _ in cases) == sorted(_HANDLERS)
+    (subcommands,) = [action.choices for action in build_parser()._subparsers._group_actions]
+    assert sorted(argv[0] for argv, _ in cases) == sorted(subcommands)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, sieve_primes
+from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, iter_prime_blocks, sieve_primes
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -32,6 +32,12 @@ class TestSievePrimes:
         # checked before the limit + 1 flag bytes are allocated
         with pytest.raises(ResourceError):
             sieve_primes(limit)
+
+    @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 10**12])
+    def test_streamed_budget(self, limit):
+        # refused at the first block, before any segment is sieved
+        with pytest.raises(ResourceError, match="budget"):
+            next(iter_prime_blocks(limit))
 
 
 class TestFactorize:

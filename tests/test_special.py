@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from twosq.errors import DomainError
+from twosq.errors import DomainError, ResourceError
+from twosq.reportio import MAX_SCAN_ROWS
 from twosq.special import (
     E_GAMMA,
     G_ENVELOPE_EPS,
@@ -334,3 +335,17 @@ class TestTabulation:
         # a NaN step once looped without end: lo + k * nan > hi is never true
         with pytest.raises(DomainError):
             tabulation_rows("g", lo, hi, step)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, MAX_SCAN_ROWS * 0.5, 0.5), (-1e308, 1e308, 1.0), (1.0, 2.0, 5e-324),
+    ])
+    def test_row_budget(self, lo, hi, step):
+        # refused from the row count alone, before the first row is computed
+        with pytest.raises(ResourceError, match="rows exceed budget"):
+            tabulation_rows("buchstab", lo, hi, step)
+
+    def test_row_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr("twosq.reportio.MAX_SCAN_ROWS", 5)
+        assert len(tabulation_rows("buchstab", 1.0, 3.0, 0.5)) == 5
+        with pytest.raises(ResourceError):
+            tabulation_rows("buchstab", 1.0, 3.5, 0.5)
