@@ -10,6 +10,13 @@ writes the report.  Identical configurations produce byte-identical output
 regardless of --threads; floats are fixed at 10 significant digits and
 rationals print as "num/den".
 
+Only the error types and the report writer are imported with this module.
+Every other library name the handlers use is loaded from its home module
+on first use, so a run loads only the modules its subcommand needs (the
+parser itself imports nothing).  Handlers read those names as attributes
+of this module, which keeps each of them reachable as `twosq.cli.<name>`;
+a name rebound there (by a tracer, say) is the one that runs.
+
 Exit codes: 0 success, 1 domain/resource error, 2 usage error (including
 flags that conflict or that the chosen mode would ignore).
 """
@@ -21,26 +28,44 @@ import json
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from .admissible import AdmissibleSystem, LinearForm, build_default_set, size_conditions
-from .arith import landau_constant
+from . import _lazy_getattr
 from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceError
 from .reportio import Records, to_csv, to_json
-from .scans import MaierConfig, maier_demo, scan_intervals, scan_progressions, scan_residues
-from .sieve import ProgressionQuery, count_interval, count_progression, count_upto, sieve_segment
-from .special import E_GAMMA, E_NEG_GAMMA, EULER_GAMMA, FUNCTIONS, tabulation_rows
-from .weights import (
-    WeightSystem,
-    build_weights,
-    gamma_p3_indicator,
-    check_weight_mass,
-    quadratic_forms,
-    verify_sieve_summation,
-    weighted_experiment,
-    ystar_from_lambda,
-)
+
+if TYPE_CHECKING:
+    from .admissible import AdmissibleSystem, LinearForm
+    from .weights import WeightSystem
+
+# The library names the handlers call, by home module; see the module
+# docstring.  Handlers reach them through _cli, this module.
+_LIBRARY = {
+    "admissible": ("AdmissibleSystem", "LinearForm", "build_default_set", "size_conditions"),
+    "arith": ("landau_constant",),
+    "scans": ("MaierConfig", "maier_demo", "scan_intervals", "scan_progressions", "scan_residues"),
+    "sieve": ("ProgressionQuery", "count_interval", "count_progression", "count_upto", "sieve_segment"),
+    "special": ("E_GAMMA", "E_NEG_GAMMA", "EULER_GAMMA", "FUNCTIONS", "tabulation_rows"),
+    "weights": (
+        "WeightSystem",
+        "build_weights",
+        "check_weight_mass",
+        "gamma_p3_indicator",
+        "quadratic_forms",
+        "verify_sieve_summation",
+        "weighted_experiment",
+        "ystar_from_lambda",
+    ),
+}
+__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+_cli = sys.modules[__name__]
 
 SCHEMA_VERSION = "v1"
+
+# special --fn choices, the keys of special.FUNCTIONS, spelled out so that
+# building the parser imports nothing.
+SPECIAL_FUNCTIONS = ("buchstab", "halfdim_F", "halfdim_f", "g")
+SPECIAL_STEP = 0.25
 
 VERIFY_GRID_K = (1, 2, 3)
 VERIFY_GRID_R = (10, 100, 500)
@@ -65,7 +90,7 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _cmd_sieve(args):
-    members = sieve_segment(args.lo, args.hi).members().tolist()
+    members = _cli.sieve_segment(args.lo, args.hi).members().tolist()
     doc = {"lo": args.lo, "hi": args.hi, "count": len(members), "members": members}
     return doc, (["member"], zip(members))
 
@@ -77,13 +102,13 @@ def _cmd_count(args):
         raise UsageError("count: --a needs --q")
     if args.q is not None:
         a = args.a if args.a is not None else 0
-        value = count_progression(ProgressionQuery(args.x, args.q, a), threads=args.threads)
+        value = _cli.count_progression(_cli.ProgressionQuery(args.x, args.q, a), threads=args.threads)
         doc = {"kind": "progression", "x": args.x, "q": args.q, "a": a, "count": value}
     elif args.y is not None:
-        value = count_interval(args.x, args.y, threads=args.threads)
+        value = _cli.count_interval(args.x, args.y, threads=args.threads)
         doc = {"kind": "interval", "x": args.x, "y": args.y, "count": value}
     else:
-        value = count_upto(args.x, threads=args.threads)
+        value = _cli.count_upto(args.x, threads=args.threads)
         doc = {"kind": "upto", "x": args.x, "count": value}
     return doc, (["kind", "x", "count"], [(doc["kind"], args.x, value)])
 
@@ -93,39 +118,40 @@ def _scan_report(report):
 
 
 def _cmd_scan_intervals(args):
-    return _scan_report(scan_intervals(args.X, args.y, args.stride, threads=args.threads))
+    return _scan_report(_cli.scan_intervals(args.X, args.y, args.stride, threads=args.threads))
 
 
 def _cmd_scan_progressions(args):
-    return _scan_report(scan_progressions(args.x, args.Q, args.a, threads=args.threads))
+    return _scan_report(_cli.scan_progressions(args.x, args.Q, args.a, threads=args.threads))
 
 
 def _cmd_scan_residues(args):
-    return _scan_report(scan_residues(args.x, args.q, threads=args.threads))
+    return _scan_report(_cli.scan_residues(args.x, args.q, threads=args.threads))
 
 
 def _cmd_constants(args):
-    value, tail = landau_constant(args.truncation)
+    value, tail = _cli.landau_constant(args.truncation)
     doc = {
         "landau": value,
         "tail_bound": tail,
         "truncation": args.truncation,
-        "euler_gamma": EULER_GAMMA,
-        "e_gamma": E_GAMMA,
-        "e_neg_gamma": E_NEG_GAMMA,
+        "euler_gamma": _cli.EULER_GAMMA,
+        "e_gamma": _cli.E_GAMMA,
+        "e_neg_gamma": _cli.E_NEG_GAMMA,
     }
     return doc, (["constant", "value"], sorted([*doc.items(), ("version", SCHEMA_VERSION)]))
 
 
 def _cmd_special(args):
     if args.at is not None:
-        if args.lo is not None or args.hi is not None:
-            raise UsageError("special: --at (one value) excludes --from/--to (a table)")
-        value = FUNCTIONS[args.fn](args.at)
+        if (args.lo, args.hi, args.step) != (None, None, None):
+            raise UsageError("special: --at (one value) excludes --from/--to/--step (a table)")
+        value = _cli.FUNCTIONS[args.fn](args.at)
         return {"fn": args.fn, "s": args.at, "value": value}, f"{value:.10g}\n"
     if args.lo is None or args.hi is None:
-        raise DomainError("special: provide --at, or --from/--to for tabulation")
-    rows = tabulation_rows(args.fn, args.lo, args.hi, args.step)
+        raise UsageError("special: provide --at, or --from/--to for tabulation")
+    step = SPECIAL_STEP if args.step is None else args.step
+    rows = _cli.tabulation_rows(args.fn, args.lo, args.hi, step)
     table = Records(("kind", "s", "value"), tuple(zip(*rows)))
     return {"fn": args.fn, "rows": table}, table
 
@@ -135,19 +161,19 @@ def _parse_forms(text: str) -> list[LinearForm]:
         pairs = [(int(a), int(b)) for a, b in json.loads(text)]
     except (ValueError, TypeError) as exc:
         raise DomainError(f"--forms must be JSON like [[1,1],[1,5]], got {text!r}: {exc}")
-    return [LinearForm(a, b) for a, b in pairs]
+    return [_cli.LinearForm(a, b) for a, b in pairs]
 
 
 def _build_system(args) -> AdmissibleSystem:
-    forms = _parse_forms(args.forms) if args.forms else build_default_set(args.k, args.p0)
+    forms = _parse_forms(args.forms) if args.forms else _cli.build_default_set(args.k, args.p0)
     W = 1 if args.W is None and args.X is None else args.W
     if args.paper_strict and args.X is not None:
-        violations = size_conditions(forms, args.X)
+        violations = _cli.size_conditions(forms, args.X)
         if violations:
             raise DomainError("paper-strict size conditions violated: " + "; ".join(violations))
     with warnings.catch_warnings():
         warnings.simplefilter("error" if args.paper_strict else "ignore")
-        return AdmissibleSystem.build(forms, p0=args.p0, W=W, X=args.X)
+        return _cli.AdmissibleSystem.build(forms, p0=args.p0, W=W, X=args.X)
 
 
 def _cmd_admissible(args):
@@ -170,23 +196,23 @@ def _paper_strict_R(args) -> int:
 
 def _cmd_weights(args):
     system = _build_system(args)
-    ws = build_weights(system, _paper_strict_R(args))
+    ws = _cli.build_weights(system, _paper_strict_R(args))
     doc = {"system": system.to_json_dict(), **ws.to_json_dict()}
     return doc, (["d", "lambda", "ystar"], [(d, str(ws.lam[d]), str(ws.ystar[d])) for d in ws.support])
 
 
 def _cmd_gpy_demo(args):
     system = _build_system(args)
-    ws = build_weights(system, _paper_strict_R(args))
+    ws = _cli.build_weights(system, _paper_strict_R(args))
     x_lo = args.X if args.X is not None else 10**6
-    report = weighted_experiment(ws, x_lo, 2 * x_lo)
+    report = _cli.weighted_experiment(ws, x_lo, 2 * x_lo)
     doc = report.to_json_dict()
     if report.weighted_avg is not None and report.class_unweighted_avg:
         doc["margin"] = float(report.weighted_avg / report.class_unweighted_avg)
     else:
         doc["margin"] = None
     if args.mass_check:
-        lc = check_weight_mass(ws, report)
+        lc = _cli.check_weight_mass(ws, report)
         doc["mass_check"] = {
             "measured": lc.measured,
             "main_term": lc.main_term,
@@ -203,14 +229,14 @@ def _cmd_gpy_demo(args):
 
 
 def _cmd_maier_demo(args):
-    report = maier_demo(MaierConfig(z=args.z, a=args.a, x=args.x, Q=args.Q, delta=args.delta))
+    report = _cli.maier_demo(_cli.MaierConfig(z=args.z, a=args.a, x=args.x, Q=args.Q, delta=args.delta))
     return report.to_json_dict(), (["d", "count"], report.d_terms)
 
 
 def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
-    rep = quadratic_forms(ws)
+    rep = _cli.quadratic_forms(ws)
     roundtrip = all(
-        ystar_from_lambda(ws, r) == ws.ystar[r]
+        _cli.ystar_from_lambda(ws, r) == ws.ystar[r]
         for r in ws.support
         if r > 1 and all(ws.nu_table[p] > 1 for p in ws.support_factors[r])
     )
@@ -231,9 +257,11 @@ def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
 
 
 def _cmd_verify(args):
-    systems = {(k, W): AdmissibleSystem.build(build_default_set(k), W=W) for k in VERIFY_GRID_K for W in VERIFY_GRID_W}
+    systems = {
+        (k, W): _cli.AdmissibleSystem.build(_cli.build_default_set(k), W=W) for k in VERIFY_GRID_K for W in VERIFY_GRID_W
+    }
     weights = {
-        (k, R, W): build_weights(systems[k, W], R) for k in VERIFY_GRID_K for R in VERIFY_GRID_R for W in VERIFY_GRID_W
+        (k, R, W): _cli.build_weights(systems[k, W], R) for k in VERIFY_GRID_K for R in VERIFY_GRID_R for W in VERIFY_GRID_W
     }
     checks = [_verify_cell(*cell, ws) for cell, ws in weights.items()]
     # lambda_1 never shrinks when R grows (every added term is nonnegative)
@@ -250,7 +278,7 @@ def _cmd_verify(args):
         and lam1_monotone,
     }
     if args.summation:
-        rep = verify_sieve_summation(0.5, gamma_p3_indicator, args.summation_R)
+        rep = _cli.verify_sieve_summation(0.5, _cli.gamma_p3_indicator, args.summation_R)
         doc["summation"] = {
             "kappa": 0.5,
             "R": rep.R,
@@ -318,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = add("special", _cmd_special, "evaluate or tabulate the sieve special functions")
-    p.add_argument("--fn", choices=list(FUNCTIONS), required=True)
+    p.add_argument("--fn", choices=SPECIAL_FUNCTIONS, required=True)
     p.add_argument("--at", type=float, default=None)
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--step", type=float, default=None, help=f"table spacing (default {SPECIAL_STEP})")
     add_common(p, fmt="csv")  # text: the bare --at value, or the table as CSV
 
     def add_system_args(sp):

@@ -1,6 +1,7 @@
 """Prime generation and factorization helpers used throughout the toolkit.
 
-Simple and segmented sieves of Eratosthenes (numpy bit arrays), the one
+Simple and segmented sieves of Eratosthenes that keep one flag per odd
+number (numpy bool arrays; 2 is added by hand), the one
 factorization routine (trial division by small factors, then Pollard rho
 with deterministic Miller-Rabin, exact on [1, 2^63 - 1]) and the one
 enumeration of squarefree products over a prime list.
@@ -17,7 +18,7 @@ from .errors import DomainError, ResourceError
 
 INT64_MAX = 2**63 - 1
 
-# Largest limit sieve_primes accepts (its flag array takes limit + 1 bytes);
+# Largest limit sieve_primes accepts (its flag array takes (limit + 1) / 2 bytes);
 # iter_prime_blocks, whose run time grows with the limit, answers to it too.
 MAX_SIEVE_LIMIT = 1 << 30
 
@@ -37,17 +38,23 @@ def sieve_primes(limit: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError(f"sieve_primes: sieve to {limit} exceeds memory budget (limit 2^30)")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    # flags[i] stands for 2i + 1, except flags[0], which stands for 2
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.ndarray]:
     """Yield primes <= limit in ascending blocks without sieving all at once.
 
+    The first block is the primes up to sqrt(limit); each later block holds
+    the primes of one range of segment integers, the last range cut at limit.
     Memory stays O(segment + sqrt(limit)); used for the truncated Euler
     products where limit can be 10^8.  Time grows with limit, so the
     sieve_primes budget (limit <= 2^30) holds here too.
@@ -62,13 +69,17 @@ def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.n
     lo = base_limit + 1
     while lo <= limit:
         hi = min(lo + segment - 1, limit)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            if start <= hi:
-                flags[start - lo :: p] = False
-        yield (lo + np.flatnonzero(flags)).astype(np.int64)
+        # flags[i] stands for the odd number first + 2i in [lo, hi]
+        first = lo | 1
+        flags = np.ones((hi - first) // 2 + 1, dtype=bool)
+        for p in base[1:].tolist():  # base[0] is 2, which has no flags here
+            start = (-(-lo // p) | 1) * p  # the first odd multiple >= lo
+            flags[(start - first) // 2 :: p] = False
+        block = np.flatnonzero(flags).astype(np.int64, copy=False)
+        block *= 2
+        block += first
+        # 2 is streamed (rather than in base) only when limit < 4
+        yield np.concatenate(([2], block)) if lo == 2 else block
         lo = hi + 1
 
 

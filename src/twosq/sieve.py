@@ -7,8 +7,10 @@ most one other prime factor = 3 (mod 4), to the first power, so n is a
 member exactly when its odd part is 1 (mod 4).
 
 A segment of n integers splits its base primes in two regimes.  Primes up
-to n / 64 have many multiples each and toggle a parity array along p, p^2,
-... with strided slices, one Python iteration per prime; nothing is divided.
+to n / 64 have many multiples each and take one Python iteration each: a
+small array over the multiples of p holds the parity of v_p, toggled along
+the multiples of p^2, p^3, ... with strided slices, and is ORed into the
+segment with one strided store; nothing is divided.
 Primes above n / 64 hit at most 65 positions each (only one or none when
 p > n, the common case in short windows far out); their multiples are
 listed in one numpy pass, in chunks, and the parity of v_p at each is found
@@ -118,22 +120,21 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
     end = int(np.searchsorted(base_primes, isqrt(hi), side="right"))
     _mark_odd_valuations(bad, lo, base_primes[split:end])
 
-    # Valuation parity: a position divisible by p^j gets j toggles.  toggle is
-    # never cleared, so it holds the parity sum over all primes so far; that
-    # differs from the parity of v_p only where an earlier prime already set bad.
-    toggle = np.zeros(n, dtype=bool)
-    for p in base_primes[:split]:
-        p = int(p)
+    # Valuation parity on the multiples of p alone: odd[j] is v_p of the j-th
+    # multiple mod 2, the multiples of p^2, p^3, ... lying every p, p^2, ...
+    # entries apart; one strided OR then carries it into bad.
+    for p in base_primes[:split].tolist():
         if p * p > hi:
             break
         start = -lo % p
         if start >= n:
             continue
-        q = p
+        odd = np.ones((n - 1 - start) // p + 1, dtype=bool)
+        q = p * p
         while q <= hi:
-            toggle[-lo % q :: q] ^= True
+            odd[(-lo % q - start) // p :: q // p] ^= True
             q *= p
-        bad[start::p] |= toggle[start::p]
+        bad[start::p] |= odd
 
     return SegmentTable(lo=lo, hi=hi, bits=~bad)
 

@@ -29,3 +29,9 @@ def oracle_marks_10k() -> np.ndarray:
 @pytest.fixture(scope="session")
 def oracle_marks_100k() -> np.ndarray:
     return two_square_marks(100_000)
+
+
+@pytest.fixture(scope="session")
+def oracle_marks_6m() -> np.ndarray:
+    # covers windows around 7^8 = 5,764,801
+    return two_square_marks(6_000_000)

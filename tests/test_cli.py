@@ -1,10 +1,18 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
-from twosq.cli import _resolve_threads, build_parser, dispatch
+import twosq
+from twosq.cli import SPECIAL_FUNCTIONS, _resolve_threads, build_parser, dispatch
+from twosq.special import FUNCTIONS
 
 
 def run_cli(args, capsys):
@@ -203,6 +211,9 @@ class TestCliBehavior:
         (["count", "--x", "40", "--a", "3"], "--a needs --q"),
         (["special", "--fn", "g", "--at", "2", "--from", "1", "--to", "3"], "--at (one value) excludes"),
         (["special", "--fn", "g", "--at", "2", "--to", "3"], "--at (one value) excludes"),
+        (["special", "--fn", "g", "--at", "2", "--step", "5"], "--at (one value) excludes"),
+        (["special", "--fn", "g"], "provide --at, or --from/--to"),
+        (["special", "--fn", "g", "--from", "2"], "provide --at, or --from/--to"),
         (["sieve", "--from", "1", "--to", "9", "--paper-strict"], "unrecognized arguments"),
     ])
     def test_ignored_flags_are_usage_errors(self, argv, message, capsys):
@@ -306,3 +317,42 @@ class TestCliBehavior:
         doc = json.loads(out)
         assert abs(doc["value"] - (1 + __import__("math").log(1.5)) / 2.5) < 1e-9
         assert "0.5621860432" in out
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("argv, stdout, absent", [
+        (["count", "--x", "100"], '"count": 43', ("twosq.weights", "twosq.scans", "twosq.admissible")),
+        (["constants", "--truncation", "100"], '"landau": 0.76', ("twosq.weights", "twosq.scans", "twosq.admissible")),
+        (["special", "--fn", "buchstab", "--at", "1.5"], "0.6666666667",
+         ("twosq.weights", "twosq.scans", "twosq.admissible", "twosq.sieve")),
+    ], ids=["count", "constants", "special"])
+    def test_subcommand_loads_only_its_modules(self, argv, stdout, absent):
+        # python -v logs every module as it is loaded, by import statement or importlib
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-v", "-m", "twosq.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert stdout in done.stdout
+        loaded = set(re.findall(r"^import '(twosq[\w.]*)'", done.stderr, re.MULTILINE))
+        assert {"twosq.errors", "twosq.reportio"} <= loaded
+        assert loaded.isdisjoint(absent), loaded & set(absent)
+
+    def test_special_choices_are_the_functions(self):
+        assert SPECIAL_FUNCTIONS == tuple(FUNCTIONS)
+        (special,) = [a.choices["special"] for a in build_parser()._subparsers._group_actions]
+        (fn,) = [a for a in special._actions if a.dest == "fn"]
+        assert tuple(fn.choices) == SPECIAL_FUNCTIONS
+
+    def test_star_import_resolves_every_export(self):
+        namespace = {}
+        exec("from twosq import *", namespace)
+        assert len(set(twosq.__all__)) == len(twosq.__all__) == 45
+        for module, names in twosq._EXPORTS.items():
+            home = import_module(f"twosq.{module}")
+            for name in names:
+                assert namespace[name] is vars(home)[name], name
+                assert getattr(namespace[name], "__module__", home.__name__) == home.__name__, name
+        with pytest.raises(AttributeError):
+            twosq.no_such_name

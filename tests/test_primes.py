@@ -1,6 +1,9 @@
 import random
-from math import prod
+from bisect import bisect_left, bisect_right
+from functools import cache
+from math import isqrt, prod
 
+import numpy as np
 import pytest
 
 from twosq.errors import DomainError, ResourceError
@@ -22,7 +25,46 @@ def trial_division(n: int) -> dict[int, int]:
     return out
 
 
+REFERENCE_LIMIT = 1_020_100  # above 1009^2 + 1 and 10^6 + 1
+
+
+@cache
+def reference_primes() -> list[int]:
+    """The primes up to REFERENCE_LIMIT by the plain sieve of Eratosthenes
+    over every integer."""
+    flags = [False, False] + [True] * (REFERENCE_LIMIT - 1)
+    for p in range(2, isqrt(REFERENCE_LIMIT) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, REFERENCE_LIMIT + 1, p))
+    return [n for n, is_p in enumerate(flags) if is_p]
+
+
+def primes_between(a: int, b: int) -> list[int]:
+    primes = reference_primes()
+    return primes[bisect_left(primes, a) : bisect_right(primes, b)]
+
+
+def primes_upto(limit: int) -> list[int]:
+    return primes_between(0, limit)
+
+
+# p^2 +- 1 for a few p, 10^6 +- 1 (all below the reference limit)
+EDGE_LIMITS = [q for p in (2, 3, 5, 7, 31, 97, 1009) for q in (p * p - 1, p * p, p * p + 1)] + [
+    10**6 - 1, 10**6, 10**6 + 1
+]
+
+
 class TestSievePrimes:
+    def test_matches_reference(self):
+        for limit in range(0, 2001):
+            assert sieve_primes(limit).tolist() == primes_upto(limit), limit
+
+    @pytest.mark.parametrize("limit", EDGE_LIMITS)
+    def test_matches_reference_at_edges(self, limit):
+        got = sieve_primes(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == primes_upto(limit)
+
     def test_small(self):
         assert sieve_primes(1).tolist() == []
         assert sieve_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -32,6 +74,28 @@ class TestSievePrimes:
         # checked before the limit + 1 flag bytes are allocated
         with pytest.raises(ResourceError):
             sieve_primes(limit)
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64])
+    def test_block_layout(self, segment):
+        # the base primes up to sqrt(limit), then one block per range of
+        # segment integers from sqrt(limit) + 1, the last range cut at limit
+        for limit in [*range(0, 300), 1000, 4099]:
+            root = isqrt(limit)
+            ranges = [(0, root)] + [(a, min(a + segment - 1, limit)) for a in range(root + 1, limit + 1, segment)]
+            blocks = list(iter_prime_blocks(limit, segment))
+            assert len(blocks) == (len(ranges) if limit >= 2 else 0), (limit, segment)
+            for block, (a, b) in zip(blocks, ranges):
+                assert block.dtype == np.int64
+                assert block.tolist() == primes_between(a, b), (limit, segment, a, b)
+            if blocks:
+                assert np.concatenate(blocks).tolist() == sieve_primes(limit).tolist()
+
+    def test_block_edges(self):
+        # limit 3: sqrt is 1, so 2 comes in a streamed block of its own
+        assert [b.tolist() for b in iter_prime_blocks(3, 1)] == [[], [2], [3]]
+        assert [b.tolist() for b in iter_prime_blocks(2, 7)] == [[], [2]]
+        # limit 14, segment 1: each even number from 4 on is a block of its own, empty
+        assert [b.tolist() for b in iter_prime_blocks(14, 1)] == [[2, 3], [], [5], [], [7], [], [], [], [11], [], [13], []]
 
     @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 10**12])
     def test_streamed_budget(self, limit):

@@ -219,6 +219,18 @@ class TestLargePrimePass:
         assert np.array_equal(sieve_segment(lo, hi, base).bits, split)
         assert np.array_equal(sieve_segment(1, 100_000).bits, oracle_marks_100k[1:])
 
+    @pytest.mark.parametrize("divisor", [1, 1 << 30])
+    @pytest.mark.parametrize("power", [3**13, 7**8, 11**6])
+    def test_prime_powers_in_each_pass(self, monkeypatch, oracle_marks_6m, power, divisor):
+        # a window longer than sqrt(hi) under divisor 1 sends every base prime
+        # through the per-prime parity loop, under divisor 2^30 through the
+        # vectorized pass; 3^13, 7^8 and 11^6 test the toggles along p^2, p^3, ...
+        lo, hi = power - 3000, power + 3000
+        assert isqrt(hi) <= hi - lo + 1 and hi < oracle_marks_6m.size
+        monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", divisor)
+        for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi)):
+            assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (a, b)
+
 
 class TestCounts:
     def test_count_upto_examples(self):
