@@ -211,10 +211,10 @@ class TestCliBehavior:
         (["count", "--x", "40", "--a", "3"], "--a needs --q"),
         (["special", "--fn", "g", "--at", "2", "--from", "1", "--to", "3"], "--at (one value) excludes"),
         (["special", "--fn", "g", "--at", "2", "--to", "3"], "--at (one value) excludes"),
+        (["sieve", "--from", "1", "--to", "9", "--paper-strict"], "unrecognized arguments"),
         (["special", "--fn", "g", "--at", "2", "--step", "5"], "--at (one value) excludes"),
         (["special", "--fn", "g"], "provide --at, or --from/--to"),
         (["special", "--fn", "g", "--from", "2"], "provide --at, or --from/--to"),
-        (["sieve", "--from", "1", "--to", "9", "--paper-strict"], "unrecognized arguments"),
     ])
     def test_ignored_flags_are_usage_errors(self, argv, message, capsys):
         # each once exited 0 with a report that dropped a flag
