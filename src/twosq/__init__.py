@@ -35,7 +35,6 @@ _EXPORTS = {
         "scan_residues",
     ),
     "sieve": (
-        "ProgressionQuery",
         "SegmentTable",
         "count_interval",
         "count_progression",

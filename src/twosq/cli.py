@@ -3,19 +3,19 @@
 One subcommand per toolkit object.  Each handler takes the parsed arguments
 and returns its report twice over: the JSON document (without its version)
 and its CSV rows, a `Records` table or a (header, rows) pair; `special --at`
-gives the bare value as text instead of rows.  `dispatch` alone resolves
---threads, stamps "version": "v1" on the document, picks the format (JSON by
-default; `special` writes text, that is its CSV table or bare value) and
-writes the report.  Identical configurations produce byte-identical output
-regardless of --threads; floats are fixed at 10 significant digits and
-rationals print as "num/den".
+gives the bare value as text instead of rows.  `dispatch` alone stamps
+"version": "v1" on the document, picks the format (JSON by default;
+`special` writes text, that is its CSV table or bare value) and writes the
+report.  Identical configurations produce byte-identical output; floats are
+fixed at 10 significant digits and rationals print as "num/den".  Every run
+uses one thread; --threads is accepted and ignored.
 
 Only the error types and the report writer are imported with this module.
 Every other library name the handlers use is loaded from its home module
 on first use, so a run loads only the modules its subcommand needs (the
-parser itself imports nothing).  Handlers read those names as attributes
-of this module, which keeps each of them reachable as `twosq.cli.<name>`;
-a name rebound there (by a tracer, say) is the one that runs.
+parser itself imports nothing).  Handlers read those names through `_cli`,
+a view of this module's globals, which keeps each of them reachable as
+`twosq.cli.<name>`; a name rebound there (by a tracer, say) is the one that runs.
 
 Exit codes: 0 success, 1 domain/resource error, 2 usage error (including
 flags that conflict or that the chosen mode would ignore).
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from typing import TYPE_CHECKING
@@ -39,12 +38,12 @@ if TYPE_CHECKING:
     from .weights import WeightSystem
 
 # The library names the handlers call, by home module; see the module
-# docstring.  Handlers reach them through _cli, this module.
+# docstring.
 _LIBRARY = {
     "admissible": ("AdmissibleSystem", "LinearForm", "build_default_set", "size_conditions"),
     "arith": ("landau_constant",),
     "scans": ("MaierConfig", "maier_demo", "scan_intervals", "scan_progressions", "scan_residues"),
-    "sieve": ("ProgressionQuery", "count_interval", "count_progression", "count_upto", "sieve_segment"),
+    "sieve": ("count_interval", "count_progression", "count_upto", "sieve_segment"),
     "special": ("E_GAMMA", "E_NEG_GAMMA", "EULER_GAMMA", "FUNCTIONS", "tabulation_rows"),
     "weights": (
         "WeightSystem",
@@ -58,7 +57,19 @@ _LIBRARY = {
     ),
 }
 __getattr__ = _lazy_getattr(globals(), _LIBRARY)
-_cli = sys.modules[__name__]
+
+
+class _Globals:
+    """This module's globals as attributes, loading library names on first use.
+    Unlike sys.modules[__name__], the globals are the running namespace under
+    runpy.run_module too."""
+
+    def __getattr__(self, name):
+        namespace = globals()
+        return namespace[name] if name in namespace else namespace["__getattr__"](name)
+
+
+_cli = _Globals()
 
 SCHEMA_VERSION = "v1"
 
@@ -74,13 +85,6 @@ VERIFY_GRID_W = (1, 21)
 
 class UsageError(Exception):
     """Flags that conflict, or that the chosen mode would silently ignore."""
-
-
-def _resolve_threads(value: int | None) -> int:
-    # Capped at the CPU count: only the sieve runs threads, each with up to two
-    # segment tables in flight, so more threads cost memory and gain nothing.
-    cpus = max(1, os.cpu_count() or 1)
-    return cpus if value is None else min(cpus, max(1, value))
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +106,13 @@ def _cmd_count(args):
         raise UsageError("count: --a needs --q")
     if args.q is not None:
         a = args.a if args.a is not None else 0
-        value = _cli.count_progression(_cli.ProgressionQuery(args.x, args.q, a), threads=args.threads)
+        value = _cli.count_progression(args.x, args.q, a)
         doc = {"kind": "progression", "x": args.x, "q": args.q, "a": a, "count": value}
     elif args.y is not None:
-        value = _cli.count_interval(args.x, args.y, threads=args.threads)
+        value = _cli.count_interval(args.x, args.y)
         doc = {"kind": "interval", "x": args.x, "y": args.y, "count": value}
     else:
-        value = _cli.count_upto(args.x, threads=args.threads)
+        value = _cli.count_upto(args.x)
         doc = {"kind": "upto", "x": args.x, "count": value}
     return doc, (["kind", "x", "count"], [(doc["kind"], args.x, value)])
 
@@ -118,15 +122,15 @@ def _scan_report(report):
 
 
 def _cmd_scan_intervals(args):
-    return _scan_report(_cli.scan_intervals(args.X, args.y, args.stride, threads=args.threads))
+    return _scan_report(_cli.scan_intervals(args.X, args.y, args.stride))
 
 
 def _cmd_scan_progressions(args):
-    return _scan_report(_cli.scan_progressions(args.x, args.Q, args.a, threads=args.threads))
+    return _scan_report(_cli.scan_progressions(args.x, args.Q, args.a))
 
 
 def _cmd_scan_residues(args):
-    return _scan_report(_cli.scan_residues(args.x, args.q, threads=args.threads))
+    return _scan_report(_cli.scan_residues(args.x, args.q))
 
 
 def _cmd_constants(args):
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, fmt="json"):
         sp.add_argument("--format", choices=["json", "csv"], default=fmt, help="output format")
         sp.add_argument("--out", default=None, help="write report to this path instead of stdout")
-        sp.add_argument("--threads", type=int, default=None, help="parallelizes the sieve; capped at the CPU count")
+        sp.add_argument("--threads", type=int, default=None, help="ignored: every run uses one thread")
 
     p = add("sieve", _cmd_sieve, "list members of a range")
     p.add_argument("--from", dest="lo", type=int, required=True)
@@ -395,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.threads = _resolve_threads(args.threads)
     try:
         doc, table = args.handler(args)
         if args.format == "json":

@@ -173,7 +173,7 @@ def _summarize(
     )
 
 
-def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanReport:
+def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
     """Window counts over (x, x+y] for x = X, X+stride, ..., <= 2X.
 
     One streaming sieve pass over (X, 2X+y] serves every window: cumulative
@@ -193,7 +193,7 @@ def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanRep
     at_start = np.zeros(xs.size, dtype=np.int64)
     at_end = np.zeros(xs.size, dtype=np.int64)
     base = 0
-    for seg in iter_segments(X + 1, 2 * X + y, threads=threads):
+    for seg in iter_segments(X + 1, 2 * X + y):
         cum = base + np.cumsum(seg.bits, dtype=np.int64)
         for at, pts in ((at_start, xs), (at_end, xs + y)):
             inseg = (pts >= seg.lo) & (pts <= seg.hi)
@@ -211,7 +211,7 @@ def scan_intervals(X: int, y: int, stride: int = 1, threads: int = 1) -> ScanRep
     )
 
 
-def scan_progressions(x: int, Q: int, a: int, threads: int = 1) -> ScanReport:
+def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every q in [Q, 2Q]."""
     if x < 3:
         raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
@@ -220,7 +220,7 @@ def scan_progressions(x: int, Q: int, a: int, threads: int = 1) -> ScanReport:
     check_rows("scan_progressions", Q + 1)
     qs = range(Q, 2 * Q + 1)
     counts = np.zeros(len(qs), dtype=np.int64)
-    for seg in iter_segments(1, x, threads=threads):
+    for seg in iter_segments(1, x):
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
     S = _landau()
@@ -236,7 +236,7 @@ def scan_progressions(x: int, Q: int, a: int, threads: int = 1) -> ScanReport:
     )
 
 
-def scan_residues(x: int, q: int, threads: int = 1) -> ScanReport:
+def scan_residues(x: int, q: int) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every residue a in [0, q)."""
     if x < 3:
         raise DomainError(f"scan_residues: x must be >= 3, got {x}")
@@ -244,7 +244,7 @@ def scan_residues(x: int, q: int, threads: int = 1) -> ScanReport:
         raise DomainError(f"scan_residues: q must be >= 1, got {q}")
     check_rows("scan_residues", q)
     counts = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(1, x, threads=threads):
+    for seg in iter_segments(1, x):
         members = seg.members()
         if members.size:
             counts += np.bincount(members % q, minlength=q)

@@ -16,14 +16,16 @@ p > n, the common case in short windows far out); their multiples are
 listed in one numpy pass, in chunks, and the parity of v_p at each is found
 by exact int64 division.
 
+Counts and scans stream segments through iter_segments on one thread: the
+per-prime loop runs Python under the GIL, so a thread pool saved no time on
+the benchmark's runs.
+
 Integers are restricted to the signed-64-bit range; work beyond 2^63 - 1 is
 rejected rather than silently overflowing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator
@@ -173,75 +175,43 @@ def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
         a = b
 
 
-def iter_segments(
-    lo: int,
-    hi: int,
-    segment: int = DEFAULT_SEGMENT,
-    threads: int = 1,
-) -> Iterator[SegmentTable]:
-    """Stream SegmentTables covering [lo, hi] in order.
+def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
+    """Stream SegmentTables of DEFAULT_SEGMENT integers covering [lo, hi] in
+    order, all sieved against one list of base primes.
 
-    With threads > 1 disjoint segments are sieved concurrently but always
-    yielded in ascending order, so consumers see identical streams for any
-    thread count.
+    threads is ignored; it stays only because the benchmark probes pass it.
     """
     if hi < lo:
         return
     if lo < 1 or hi > INT64_MAX:
         raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
     base = _base_primes(hi)
-    ranges = [(a, min(a + segment - 1, hi)) for a in range(lo, hi + 1, segment)]
-    if threads <= 1 or len(ranges) == 1:
-        yield from (sieve_segment(a, b, base) for a, b in ranges)
-        return
-    # sliding submission window keeps memory at O(threads * segment) while
-    # still yielding strictly in range order
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        idx = 0
-        while idx < len(ranges) or pending:
-            while idx < len(ranges) and len(pending) < 2 * threads:
-                a, b = ranges[idx]
-                pending.append(pool.submit(sieve_segment, a, b, base))
-                idx += 1
-            yield pending.popleft().result()
+    for a in range(lo, hi + 1, DEFAULT_SEGMENT):
+        yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 
 
-@dataclass(frozen=True)
-class ProgressionQuery:
-    """Count query: members n <= x with n = a (mod q)."""
-
-    x: int
-    q: int
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise DomainError(f"ProgressionQuery: q must be >= 1, got {self.q}")
-        if not 0 <= self.a < self.q:
-            raise DomainError(f"ProgressionQuery: need 0 <= a < q, got a={self.a}, q={self.q}")
-        if self.x < 0:
-            raise DomainError(f"ProgressionQuery: x must be >= 0, got {self.x}")
-
-
-def count_upto(x: int, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
+def count_upto(x: int) -> int:
     """Number of sums of two squares in [1, x]."""
     if x < 0:
         raise DomainError(f"count_upto: x must be >= 0, got {x}")
-    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(1, x, segment, threads))
+    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(1, x))
 
 
-def count_interval(x: int, y: int, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
+def count_interval(x: int, y: int) -> int:
     """Number of members in (x, x+y], i.e. count_upto(x+y) - count_upto(x)."""
     if x < 0:
         raise DomainError(f"count_interval: x must be >= 0, got {x}")
     if y < 1:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
-    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(x + 1, x + y, segment, threads))
+    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(x + 1, x + y))
 
 
-def count_progression(query: ProgressionQuery, threads: int = 1, segment: int = DEFAULT_SEGMENT) -> int:
+def count_progression(x: int, q: int, a: int) -> int:
     """Number of members n <= x with n = a (mod q)."""
-    q, a = query.q, query.a
-    segs = iter_segments(1, query.x, segment, threads)
-    return sum(int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])) for seg in segs)
+    if q < 1:
+        raise DomainError(f"count_progression: q must be >= 1, got {q}")
+    if not 0 <= a < q:
+        raise DomainError(f"count_progression: need 0 <= a < q, got a={a}, q={q}")
+    if x < 0:
+        raise DomainError(f"count_progression: x must be >= 0, got {x}")
+    return sum(int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])) for seg in iter_segments(1, x))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from importlib import import_module
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import twosq
-from twosq.cli import SPECIAL_FUNCTIONS, _resolve_threads, build_parser, dispatch
+from twosq.cli import SPECIAL_FUNCTIONS, build_parser, dispatch
 from twosq.special import FUNCTIONS
 
 
@@ -175,14 +176,33 @@ class TestCliBehavior:
         [
             ["scan-intervals", "--X", "2500000", "--y", "20", "--stride", "997"],
             ["scan-progressions", "--x", "5000000", "--Q", "20", "--a", "1"],
+            ["count", "--x", "5000000"],
+            ["scan-residues", "--x", "5000000", "--q", "12"],
         ],
     )
     def test_scan_thread_determinism(self, argv, capsys):
-        # both ranges span more than one sieve segment
+        # every range spans more than one sieve segment
         code1, out1, _ = run_cli(argv + ["--threads", "1"], capsys)
         code2, out2, _ = run_cli(argv + ["--threads", "2"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--x", "5000000"],
+            ["scan-intervals", "--X", "2500000", "--y", "20", "--stride", "997"],
+            ["scan-progressions", "--x", "5000000", "--Q", "20", "--a", "1"],
+        ],
+    )
+    def test_no_thread_started(self, argv, capsys, monkeypatch):
+        # --threads is accepted and ignored: the sieve streams on one thread
+        def refuse(thread):
+            raise AssertionError(f"thread started: {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, _ = run_cli(argv + ["--threads", "2"], capsys)
+        assert code == 0 and out.startswith('{"version": "v1"')
 
     @pytest.mark.parametrize(
         "argv",
@@ -266,14 +286,6 @@ class TestCliBehavior:
         assert code == 1
         assert "size condition" in err
 
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        # resolved only; no thread is started
-        monkeypatch.setattr("twosq.cli.os.cpu_count", lambda: 2)
-        assert _resolve_threads(64) == 2
-        assert _resolve_threads(1) == 1
-        assert _resolve_threads(0) == 1
-        assert _resolve_threads(None) == 2
-
     def test_maier_budget_checked_before_enumeration(self, capsys):
         # 1,783,627,776 d with d^2 | P: listing them before the budget check
         # once ran the machine out of memory
@@ -339,6 +351,22 @@ class TestLazyImports:
         assert {"twosq.errors", "twosq.reportio"} <= loaded
         assert loaded.isdisjoint(absent), loaded & set(absent)
 
+    def test_runpy_runs_like_python_m(self):
+        # under runpy.run_module the module runs in a namespace that is not
+        # sys.modules["twosq.cli"]; the handlers must still find their names
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["count", "--x", "100"]
+        via_m = subprocess.run(
+            [sys.executable, "-m", "twosq.cli", *argv], capture_output=True, env=env, timeout=60, check=True
+        )
+        code = f"import runpy, sys; sys.argv = ['twosq', *{argv!r}]; runpy.run_module('twosq.cli', run_name='__main__')"
+        via_runpy = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True
+        )
+        assert via_runpy.stdout == via_m.stdout
+        assert b'"count": 43' in via_m.stdout
+
     def test_special_choices_are_the_functions(self):
         assert SPECIAL_FUNCTIONS == tuple(FUNCTIONS)
         (special,) = [a.choices["special"] for a in build_parser()._subparsers._group_actions]
@@ -348,7 +376,7 @@ class TestLazyImports:
     def test_star_import_resolves_every_export(self):
         namespace = {}
         exec("from twosq import *", namespace)
-        assert len(set(twosq.__all__)) == len(twosq.__all__) == 45
+        assert len(set(twosq.__all__)) == len(twosq.__all__) == 44
         for module, names in twosq._EXPORTS.items():
             home = import_module(f"twosq.{module}")
             for name in names:

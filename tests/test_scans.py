@@ -15,7 +15,7 @@ from twosq.scans import (
     scan_progressions,
     scan_residues,
 )
-from twosq.sieve import count_interval, count_upto, is_two_square
+from twosq.sieve import count_interval, count_progression, count_upto, is_two_square
 
 
 class TestScanIntervals:
@@ -57,11 +57,6 @@ class TestScanIntervals:
         for ratio, count, predicted in zip(rep.ratio, rep.counts, rep.predicted):
             assert abs(ratio - count / predicted) < 1e-12
 
-    def test_threads_agree(self):
-        a = scan_intervals(5000, 40, stride=13, threads=1)
-        b = scan_intervals(5000, 40, stride=13, threads=4)
-        assert a.counts.tolist() == b.counts.tolist()
-
     def test_domain(self):
         with pytest.raises(DomainError):
             scan_intervals(8, 4)
@@ -77,6 +72,44 @@ class TestScanIntervals:
         assert rep.argmax_key in rep.keys[rep.counts == rep.max_count].tolist()
 
 
+@pytest.mark.parametrize("segment", [1000, 4097])
+class TestSegmentEdges:
+    # Short segments put hundreds of segment edges inside [1, 10^5]; every
+    # count and scan that streams the sieve must still match the oracle.
+    @pytest.fixture(autouse=True)
+    def short_segments(self, monkeypatch, segment):
+        monkeypatch.setattr("twosq.sieve.DEFAULT_SEGMENT", segment)
+
+    def test_counts(self, oracle_marks_100k, segment):
+        cum = np.cumsum(oracle_marks_100k)
+        for x in (0, 1, segment - 1, segment, segment + 1, 3 * segment, 99_999, 100_000):
+            assert count_upto(x) == cum[x], x
+        for x, y in ((0, segment), (segment - 5, 10), (segment, segment), (2 * segment - 1, 2), (12_345, 80_000)):
+            assert count_interval(x, y) == cum[x + y] - cum[x], (x, y)
+        for q in (1, 2, 7, 12, segment - 1, segment, segment + 1):
+            for a in {0, 1 % q, q // 2, q - 1}:
+                expect = np.count_nonzero(oracle_marks_100k[a::q])
+                assert count_progression(100_000, q, a) == expect, (q, a)
+
+    @pytest.mark.parametrize("stride", [1, 13])
+    def test_scan_intervals(self, oracle_marks_100k, stride):
+        X, y = 40_000, 40
+        cum = np.cumsum(oracle_marks_100k)
+        rep = scan_intervals(X, y, stride)
+        xs = np.arange(X, 2 * X + 1, stride)
+        assert rep.keys.tolist() == xs.tolist()
+        assert rep.counts.tolist() == (cum[xs + y] - cum[xs]).tolist()
+
+    def test_scan_progressions(self, oracle_marks_100k):
+        rep = scan_progressions(100_000, 50, 1)
+        assert rep.counts.tolist() == [np.count_nonzero(oracle_marks_100k[1 % q :: q]) for q in range(50, 101)]
+
+    @pytest.mark.parametrize("q", [12, 4097])
+    def test_scan_residues(self, oracle_marks_100k, q):
+        rep = scan_residues(100_000, q)
+        assert rep.counts.tolist() == [np.count_nonzero(oracle_marks_100k[a::q]) for a in range(q)]
+
+
 class TestScanProgressions:
     def test_q1_row(self):
         rep = scan_progressions(1000, 1, 0)
@@ -84,10 +117,10 @@ class TestScanProgressions:
 
     def test_counts_match_direct(self):
         rep = scan_progressions(2000, 7, 1)
-        from twosq.sieve import ProgressionQuery, count_progression
+        from twosq.sieve import count_progression
 
         for q, count in zip(rep.keys.tolist(), rep.counts.tolist()):
-            assert count == count_progression(ProgressionQuery(2000, q, 1 % q))
+            assert count == count_progression(2000, q, 1 % q)
 
     def test_predictions_use_exact_phi(self):
         # the phi_S column covers q in [2500, 5000]; each prediction matches the single-q route bit for bit

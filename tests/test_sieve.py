@@ -9,7 +9,6 @@ from twosq.errors import DomainError, ResourceError
 from twosq.primes import iter_prime_blocks, sieve_primes
 from twosq.sieve import (
     LARGE_PRIME_DIVISOR,
-    ProgressionQuery,
     count_interval,
     count_progression,
     count_upto,
@@ -243,17 +242,17 @@ class TestCounts:
         assert count_interval(9992, 4) == 0
 
     def test_count_progression_examples(self):
-        assert count_progression(ProgressionQuery(40, 4, 1)) == 8
-        assert count_progression(ProgressionQuery(40, 4, 3)) == 0
-        assert count_progression(ProgressionQuery(10, 1, 0)) == 7
+        assert count_progression(40, 4, 1) == 8
+        assert count_progression(40, 4, 3) == 0
+        assert count_progression(10, 1, 0) == 7
 
     def test_progression_query_validation(self):
         with pytest.raises(DomainError):
-            ProgressionQuery(10, 0, 0)
+            count_progression(10, 0, 0)
         with pytest.raises(DomainError):
-            ProgressionQuery(10, 4, 4)
+            count_progression(10, 4, 4)
         with pytest.raises(DomainError):
-            ProgressionQuery(-1, 4, 1)
+            count_progression(-1, 4, 1)
 
     @given(
         x=st.integers(min_value=0, max_value=3000),
@@ -269,14 +268,8 @@ class TestCounts:
     )
     @settings(max_examples=25)
     def test_progression_partition(self, x, q):
-        total = sum(count_progression(ProgressionQuery(x, q, a)) for a in range(q))
+        total = sum(count_progression(x, q, a) for a in range(q))
         assert total == count_upto(x)
-
-    def test_threaded_matches_serial(self):
-        x = 300_000
-        serial = count_upto(x, threads=1, segment=1 << 16)
-        threaded = count_upto(x, threads=4, segment=1 << 16)
-        assert serial == threaded
 
     def test_count_against_oracle(self, oracle_marks_100k):
         expect = int(np.count_nonzero(oracle_marks_100k))
