@@ -22,7 +22,7 @@ _EXPORTS = {
         "find_v0",
         "is_p3_admissible",
     ),
-    "arith": ("landau_constant", "nu", "p1_numbers", "p3_squarefree_upto", "phi_S"),
+    "arith": ("EULER_GAMMA", "landau_constant", "nu", "p1_numbers", "p3_squarefree_upto", "phi_S"),
     "errors": ("AdmissibilityError", "ConvergenceError", "DomainError", "ResourceError"),
     "scans": (
         "MaierConfig",
@@ -42,7 +42,7 @@ _EXPORTS = {
         "is_two_square",
         "sieve_segment",
     ),
-    "special": ("DelayTable", "EULER_GAMMA", "buchstab_omega", "g", "halfdim_F", "halfdim_f"),
+    "special": ("DelayTable", "buchstab_omega", "g", "halfdim_F", "halfdim_f"),
     "weights": (
         "QuadFormReport",
         "WeightSystem",

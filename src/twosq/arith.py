@@ -17,6 +17,9 @@ from .errors import DomainError, ResourceError
 from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, squarefree_products
 
 __all__ = [
+    "EULER_GAMMA",
+    "E_GAMMA",
+    "E_NEG_GAMMA",
     "phi_S",
     "phi_S_floats",
     "landau_constant",
@@ -26,6 +29,12 @@ __all__ = [
     "p3_squarefree_upto",
     "roots_mod",
 ]
+
+# Euler's constant, 30 digits.
+EULER_GAMMA = 0.577215664901532860606512090082
+
+E_GAMMA = math.exp(EULER_GAMMA)
+E_NEG_GAMMA = math.exp(-EULER_GAMMA)
 
 
 def phi_S(q: int) -> Fraction:

@@ -41,10 +41,10 @@ if TYPE_CHECKING:
 # docstring.
 _LIBRARY = {
     "admissible": ("AdmissibleSystem", "LinearForm", "build_default_set", "size_conditions"),
-    "arith": ("landau_constant",),
+    "arith": ("E_GAMMA", "E_NEG_GAMMA", "EULER_GAMMA", "landau_constant"),
     "scans": ("MaierConfig", "maier_demo", "scan_intervals", "scan_progressions", "scan_residues"),
     "sieve": ("count_interval", "count_progression", "count_upto", "sieve_segment"),
-    "special": ("E_GAMMA", "E_NEG_GAMMA", "EULER_GAMMA", "FUNCTIONS", "tabulation_rows"),
+    "special": ("FUNCTIONS", "tabulation_rows"),
     "weights": (
         "WeightSystem",
         "build_weights",

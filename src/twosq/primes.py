@@ -50,14 +50,14 @@ def sieve_primes(limit: int) -> np.ndarray:
     return primes
 
 
-def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.ndarray]:
+def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """Yield primes <= limit in ascending blocks without sieving all at once.
 
     The first block is the primes up to sqrt(limit); each later block holds
-    the primes of one range of segment integers, the last range cut at limit.
-    Memory stays O(segment + sqrt(limit)); used for the truncated Euler
-    products where limit can be 10^8.  Time grows with limit, so the
-    sieve_primes budget (limit <= 2^30) holds here too.
+    the primes of one range of PRIME_SEGMENT integers, the last range cut at
+    limit.  Memory stays O(PRIME_SEGMENT + sqrt(limit)); used for the
+    truncated Euler products where limit can be 10^8.  Time grows with
+    limit, so the sieve_primes budget (limit <= 2^30) holds here too.
     """
     if limit < 2:
         return
@@ -68,7 +68,7 @@ def iter_prime_blocks(limit: int, segment: int = PRIME_SEGMENT) -> Iterator[np.n
     yield base
     lo = base_limit + 1
     while lo <= limit:
-        hi = min(lo + segment - 1, limit)
+        hi = min(lo + PRIME_SEGMENT - 1, limit)
         # flags[i] stands for the odd number first + 2i in [lo, hi]
         first = lo | 1
         flags = np.ones((hi - first) // 2 + 1, dtype=bool)

@@ -16,16 +16,19 @@ closed form sqrt(s) f(s) = (2 e^(gamma/2)/sqrt(pi)) * asinh(sqrt(s-1)) on
 [1, 3]; tables start marching from there.
 
 Tabulation uses a uniform dyadic grid (step 1/4096) so that the
-unit delay is always grid-aligned.  Each marching step integrates its
-right-hand side by Simpson's rule; the midpoint delay value is obtained by
-half-offset cubic interpolation with stencils that never straddle a window
-junction (the functions have derivative discontinuities there).  The first
-F window (2, 4] is special: f(s-1) ~ C sqrt(s-2) at its left edge, so each
-step is integrated by Gauss-Legendre after the substitution t = 2 + v^2,
-which removes the corner exactly.
+unit delay is always grid-aligned.  All three equations have the form
+(scale(t) y(t))' = kernel(t) z(t-1), and one marcher steps them by
+Simpson's rule.  It takes the delay value at each step midpoint from the
+same cubic that interpolates a finished table: a four-node stencil that
+never straddles a window junction (the functions have derivative
+discontinuities there).  Two windows are special.  On omega's first, (2, 3],
+the midpoint values 1/(u-1) are closed-form.  On F's first, (2, 4],
+f(s-1) ~ C sqrt(s-2) at the left edge, so each step is integrated by
+Gauss-Legendre after the substitution t = 2 + v^2, which removes the corner
+exactly.
 
-Accuracy is estimated by rebuilding at half the step (Richardson); the
-builders refuse to return tables whose estimate exceeds 1e-9.
+Each table is rebuilt at half the step to estimate its error (Richardson);
+a table whose estimate exceeds 1e-9 is refused.
 """
 
 from __future__ import annotations
@@ -36,14 +39,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .arith import E_GAMMA, E_NEG_GAMMA, EULER_GAMMA
 from .errors import ConvergenceError, DomainError
 from .reportio import check_rows
-
-# Euler's constant, 30 digits.
-EULER_GAMMA = 0.577215664901532860606512090082
-
-E_GAMMA = math.exp(EULER_GAMMA)
-E_NEG_GAMMA = math.exp(-EULER_GAMMA)
 
 # F(1) = 2 e^(gamma/2)/sqrt(pi); also the constant in the f closed form.
 _HALFDIM_A = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
@@ -66,15 +64,6 @@ G_SEARCH_CAP = 50.0
 # just above 1 rather than as numerical noise around it.
 G_RESOLUTION_FLOOR = 1e-12
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-# Half-offset cubic interpolation weights: value at node0 + 1.5h from the
-# four nodes [0,1,2,3]h (centered), and the two one-sided variants used when
-# a window junction sits at the stencil edge.
-_MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-_MID_RIGHT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0  # eval at node0 + 0.5h
-_MID_LEFT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0  # eval at node0 + 2.5h
-
 
 def omega_closed(u: float) -> float:
     """omega on its initial interval (0, 2]."""
@@ -91,6 +80,30 @@ def halfdim_f_closed(s: float) -> float:
     if s <= 1.0:
         return 0.0
     return _HALFDIM_A * math.asinh(math.sqrt(s - 1.0)) / math.sqrt(s)
+
+
+def _stencil_start(base, kink_start: int, kink_stride: int):
+    """First of the four grid nodes that interpolate on [base, base + 1].
+
+    base is an int or an int array.  The stencil is centred (it starts at
+    base - 1) unless a window junction sits at base or at base + 1; then it
+    starts or ends at the junction, so that it never straddles one.
+    """
+    phase = (base - kink_start) % kink_stride  # a junction at base + 1 has phase kink_stride - 1
+    at_base = (base >= kink_start) & (phase == 0)
+    at_next = (base + 1 >= kink_start) & (phase == kink_stride - 1)
+    return base - 1 + at_base - at_next
+
+
+def _lagrange(x):
+    """Weights of the nodes 0, 1, 2, 3 in the cubic through them, at x."""
+    x1, x2, x3 = x - 1, x - 2, x - 3
+    return (x1 * x2 * x3) / -6.0, (x * x2 * x3) / 2.0, (x * x1 * x3) / -2.0, (x * x1 * x2) / 6.0
+
+
+def _cubic(values: np.ndarray, s0, w):
+    """The cubic through values[s0 : s0 + 4] with node weights w (scalars or arrays)."""
+    return w[0] * values[s0] + w[1] * values[s0 + 1] + w[2] * values[s0 + 2] + w[3] * values[s0 + 3]
 
 
 @dataclass(frozen=True)
@@ -110,30 +123,13 @@ class DelayTable:
     kink_stride: int
     err_estimate: float
 
-    def _is_kink(self, idx: int) -> bool:
-        return idx >= self.kink_start and (idx - self.kink_start) % self.kink_stride == 0
-
     def interp(self, u: float) -> float:
         """Cubic interpolation on the table (u within [grid0, u_max])."""
         pos = (u - self.grid0) / self.h
         n = len(self.values)
-        base = int(math.floor(pos))
-        base = min(max(base, 0), n - 2)
-        s0 = base - 1
-        if self._is_kink(base):
-            s0 = base
-        elif self._is_kink(base + 1):
-            s0 = base - 2
-        s0 = min(max(s0, 0), n - 4)
-        x = pos - s0
-        w = [
-            ((x - 1) * (x - 2) * (x - 3)) / -6.0,
-            (x * (x - 2) * (x - 3)) / 2.0,
-            (x * (x - 1) * (x - 3)) / -2.0,
-            (x * (x - 1) * (x - 2)) / 6.0,
-        ]
-        v = self.values
-        return w[0] * v[s0] + w[1] * v[s0 + 1] + w[2] * v[s0 + 2] + w[3] * v[s0 + 3]
+        base = min(max(int(math.floor(pos)), 0), n - 2)
+        s0 = min(max(_stencil_start(base, self.kink_start, self.kink_stride), 0), n - 4)
+        return _cubic(self.values, s0, _lagrange(pos - s0))
 
     @cached_property
     def envelope_argmax(self) -> np.ndarray:
@@ -156,96 +152,40 @@ class DelayTable:
         return np.minimum.accumulate(marks[::-1])[::-1]
 
 
-def _window_mids(src: np.ndarray, bases: np.ndarray, kink_start: int, kink_stride: int) -> np.ndarray:
-    """Values at grid0 + (bases + 1/2)h by half-offset cubic interpolation.
+def _march(dst, src, j0: int, j1: int, h: float, grid0: float, kernel, scale, start, src_kinks, mids=None):
+    """Simpson march of (scale(t) dst(t))' = kernel(t) src(t - 1) over grid
+    indices (j0, j1], where t = grid0 + index * h and scale * dst = start at j0.
 
-    Stencils are centered except where a junction sits at a stencil edge,
-    in which case the one-sided variant on the smooth side is used.
+    The delayed values at step midpoints are mids if given, else the cubic
+    on src's junction-aware stencil (src_kinks = (kink_start, kink_stride)).
+    Returns scale * dst at j1.
     """
-    b = bases
-    out = (
-        _MID_CENTER[0] * src[b - 1]
-        + _MID_CENTER[1] * src[b]
-        + _MID_CENTER[2] * src[b + 1]
-        + _MID_CENTER[3] * src[b + 2]
-    )
-    kinks_at = lambda i: (i >= kink_start) & ((i - kink_start) % kink_stride == 0)
-    right = kinks_at(b)
-    if np.any(right):
-        br = b[right]
-        out[right] = (
-            _MID_RIGHT[0] * src[br]
-            + _MID_RIGHT[1] * src[br + 1]
-            + _MID_RIGHT[2] * src[br + 2]
-            + _MID_RIGHT[3] * src[br + 3]
-        )
-    left = kinks_at(b + 1)
-    if np.any(left):
-        bl = b[left]
-        out[left] = (
-            _MID_LEFT[0] * src[bl - 2]
-            + _MID_LEFT[1] * src[bl - 1]
-            + _MID_LEFT[2] * src[bl]
-            + _MID_LEFT[3] * src[bl + 1]
-        )
-    return out
-
-
-def _build_buchstab(h: float) -> np.ndarray:
-    """Tabulate omega on [1, OMEGA_UMAX]; returns the value array."""
     n1 = round(1.0 / h)
-    total = n1 * (OMEGA_UMAX - 1) + 1
-    om = np.empty(total)
-    u_head = 1.0 + np.arange(n1 + 1) * h
-    om[: n1 + 1] = 1.0 / u_head
-
-    w_cur = 1.0  # u*omega(u) = 1 at u = 2
-    for m in range(2, OMEGA_UMAX):
-        j0 = (m - 1) * n1
-        j1 = j0 + n1
-        f0 = om[j0 - n1 : j1 - n1]
-        f1 = om[j0 - n1 + 1 : j1 - n1 + 1]
-        if m == 2:
-            t_mid = (m - 1.0) + (np.arange(n1) + 0.5) * h
-            fm = 1.0 / t_mid
-        else:
-            bases = np.arange(j0 - n1, j1 - n1)
-            fm = _window_mids(om, bases, kink_start=n1, kink_stride=n1)
-        inc = (h / 6.0) * (f0 + 4.0 * fm + f1)
-        w_vals = w_cur + np.cumsum(inc)
-        us = 1.0 + (np.arange(j0 + 1, j1 + 1)) * h
-        om[j0 + 1 : j1 + 1] = w_vals / us
-        w_cur = w_vals[-1]
-    return om
+    if mids is None:
+        bases = np.arange(j0 - n1, j1 - n1)
+        s0 = _stencil_start(bases, *src_kinks)
+        # each midpoint bases + 1/2 sits at 0.5, 1.5 or 2.5 in its stencil
+        mids = _cubic(src, s0, [w[bases - s0] for w in _lagrange(np.array([0.5, 1.5, 2.5]))])
+    t = grid0 + np.arange(j0, j1 + 1) * h
+    g = kernel(t) * src[j0 - n1 : j1 - n1 + 1]
+    gm = kernel(t[:-1] + 0.5 * h) * mids
+    prod = start + np.cumsum((h / 6.0) * (g[:-1] + 4.0 * gm + g[1:]))
+    dst[j0 + 1 : j1 + 1] = prod / scale(t[1:])
+    return prod[-1]
 
 
-def _march_simpson(
-    dst: np.ndarray,
-    src: np.ndarray,
-    j0: int,
-    j1: int,
-    n1: int,
-    h: float,
-    prod_start: float,
-    src_kink_start: int,
-    src_kink_stride: int,
-) -> None:
-    """March sqrt(s)*dst over grid indices (j0, j1] given the companion src.
-
-    The recurrence integrated is (sqrt(s) dst(s))' = (1/2) s^(-1/2) src(s-1);
-    dst and src share the grid with grid0 = 0.
-    """
-    js = np.arange(j0, j1)
-    s0 = js * h
-    s1 = (js + 1) * h
-    sm = s0 + 0.5 * h
-    g0 = 0.5 / np.sqrt(s0) * src[js - n1]
-    g1 = 0.5 / np.sqrt(s1) * src[js - n1 + 1]
-    mids = _window_mids(src, js - n1, src_kink_start, src_kink_stride)
-    gm = 0.5 / np.sqrt(sm) * mids
-    inc = (h / 6.0) * (g0 + 4.0 * gm + g1)
-    prod = prod_start + np.cumsum(inc)
-    dst[j0 + 1 : j1 + 1] = prod / np.sqrt(s1)
+def _build_buchstab(h: float) -> tuple[np.ndarray]:
+    """Tabulate omega on [1, OMEGA_UMAX]; returns (omega values,)."""
+    n1 = round(1.0 / h)
+    om = np.empty(n1 * (OMEGA_UMAX - 1) + 1)
+    om[: n1 + 1] = 1.0 / (1.0 + np.arange(n1 + 1) * h)
+    prod = 1.0  # u*omega(u) at u = 2
+    for j0 in range(n1, (OMEGA_UMAX - 1) * n1, n1):
+        # on (2, 3] the delayed omega(u - 1) = 1/(u - 1) is closed-form at
+        # the step midpoints too
+        mids = 1.0 / (1.0 + (np.arange(n1) + 0.5) * h) if j0 == n1 else None
+        prod = _march(om, om, j0, j0 + n1, h, 1.0, lambda u: 1.0, lambda u: u, prod, (n1, n1), mids)
+    return (om,)
 
 
 def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
@@ -255,20 +195,21 @@ def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
     the integrand analytic:
       d(sqrt(s) F) = A * v * asinh(v) / (sqrt(2+v^2) sqrt(1+v^2)) dv.
     """
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
     j0, j1 = 2 * n1, 4 * n1
     js = np.arange(j0, j1)
     v0 = np.sqrt(js * h - 2.0)
     v1 = np.sqrt((js + 1) * h - 2.0)
     half = 0.5 * (v1 - v0)
     mid = 0.5 * (v1 + v0)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
     integ = (
         _HALFDIM_A
         * nodes
         * np.arcsinh(nodes)
         / (np.sqrt(2.0 + nodes**2) * np.sqrt(1.0 + nodes**2))
     )
-    inc = half * (integ @ _GL_WEIGHTS)
+    inc = half * (integ @ gl_weights)
     prod = _HALFDIM_A + np.cumsum(inc)  # sqrt(2) F(2) = A
     s1 = (js + 1) * h
     Fv[j0 + 1 : j1 + 1] = prod / np.sqrt(s1)
@@ -291,76 +232,63 @@ def _build_halfdim(h: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
     _march_F_first_window(Fv, n1, h)
-    f_prod = math.sqrt(3.0) * fv[3 * n1]  # sqrt(s) f(s) at s = 3
-    w = 4
-    while w <= HALFDIM_SMAX:
-        j0, j1 = (w - 1) * n1, min((w + 1) * n1, total - 1)
-        _march_simpson(fv, Fv, j0, j1, n1, h, f_prod, src_kink_start=2 * n1, src_kink_stride=2 * n1)
-        f_prod = math.sqrt(j1 * h) * fv[j1]
+
+    def march(dst, src, j0, src_kinks):
+        # two unit windows at most, from the tabulated sqrt(s) * dst(s) at j0
+        start = math.sqrt(j0 * h) * dst[j0]
+        j1 = min(j0 + 2 * n1, total - 1)
+        _march(dst, src, j0, j1, h, 0.0, lambda s: 0.5 / np.sqrt(s), np.sqrt, start, src_kinks)
+
+    for w in range(4, HALFDIM_SMAX + 1, 2):
+        march(fv, Fv, (w - 1) * n1, (2 * n1, 2 * n1))  # f over (w - 1, w + 1]
         if w < HALFDIM_SMAX:
-            k0, k1 = w * n1, min((w + 2) * n1, total - 1)
-            F_prod = math.sqrt(w) * Fv[w * n1]
-            _march_simpson(Fv, fv, k0, k1, n1, h, F_prod, src_kink_start=n1, src_kink_stride=2 * n1)
-        w += 2
+            march(Fv, fv, w * n1, (n1, 2 * n1))  # F over (w, w + 2]
     return Fv, fv
 
 
-def _richardson(vals_h: np.ndarray, vals_h2: np.ndarray, start_idx: int) -> float:
-    """Max |table(h) - table(h/2)| over the marched region."""
-    coarse = vals_h[start_idx:]
-    fine = vals_h2[2 * start_idx :: 2]
-    return float(np.max(np.abs(coarse - fine))) if coarse.size else 0.0
+def _checked_tables(build, *layouts) -> tuple[DelayTable, ...]:
+    """One DelayTable per array of build(TABLE_H), after a Richardson check.
+
+    Each array's error estimate is its largest change over the marched
+    region when rebuilt at half the step; an estimate above TABLE_TOL is
+    refused.  A layout is (name, grid0, u_max, first marched index,
+    kink_start, kink_stride), indices in steps of TABLE_H.
+    """
+    tables = []
+    for vals, vals2, (name, grid0, u_max, marched, kink_start, kink_stride) in zip(
+        build(TABLE_H), build(TABLE_H / 2.0), layouts
+    ):
+        err = float(np.max(np.abs(vals[marched:] - vals2[2 * marched :: 2])))
+        if err > TABLE_TOL:
+            raise ConvergenceError(f"{name} table error estimate {err:.3e} exceeds {TABLE_TOL}")
+        tables.append(
+            DelayTable(
+                grid0=grid0,
+                h=TABLE_H,
+                u_max=float(u_max),
+                values=vals,
+                kink_start=kink_start,
+                kink_stride=kink_stride,
+                err_estimate=err,
+            )
+        )
+    return tuple(tables)
 
 
 @cache
 def buchstab_table() -> DelayTable:
-    om = _build_buchstab(TABLE_H)
-    om2 = _build_buchstab(TABLE_H / 2.0)
     n1 = round(1.0 / TABLE_H)
-    err = _richardson(om, om2, n1)
-    if err > TABLE_TOL:
-        raise ConvergenceError(f"buchstab table error estimate {err:.3e} exceeds {TABLE_TOL}")
-    return DelayTable(
-        grid0=1.0,
-        h=TABLE_H,
-        u_max=float(OMEGA_UMAX),
-        values=om,
-        kink_start=n1,
-        kink_stride=n1,
-        err_estimate=err,
-    )
+    return _checked_tables(_build_buchstab, ("buchstab", 1.0, OMEGA_UMAX, n1, n1, n1))[0]
 
 
 @cache
 def halfdim_tables() -> tuple[DelayTable, DelayTable]:
-    Fv, fv = _build_halfdim(TABLE_H)
-    Fv2, fv2 = _build_halfdim(TABLE_H / 2.0)
     n1 = round(1.0 / TABLE_H)
-    errF = _richardson(Fv, Fv2, 2 * n1)
-    errf = _richardson(fv, fv2, 3 * n1)
-    if max(errF, errf) > TABLE_TOL:
-        raise ConvergenceError(
-            f"half-dimensional table error estimates ({errF:.3e}, {errf:.3e}) exceed {TABLE_TOL}"
-        )
-    Ft = DelayTable(
-        grid0=0.0,
-        h=TABLE_H,
-        u_max=float(HALFDIM_SMAX),
-        values=Fv,
-        kink_start=2 * n1,
-        kink_stride=2 * n1,
-        err_estimate=errF,
+    return _checked_tables(
+        _build_halfdim,
+        ("half-dimensional F", 0.0, HALFDIM_SMAX, 2 * n1, 2 * n1, 2 * n1),
+        ("half-dimensional f", 0.0, HALFDIM_SMAX, 3 * n1, n1, 2 * n1),
     )
-    ft = DelayTable(
-        grid0=0.0,
-        h=TABLE_H,
-        u_max=float(HALFDIM_SMAX),
-        values=fv,
-        kink_start=n1,
-        kink_stride=2 * n1,
-        err_estimate=errf,
-    )
-    return Ft, ft
 
 
 def buchstab_omega(u: float) -> float:

@@ -35,13 +35,10 @@ from .admissible import AdmissibleSystem
 from .arith import nu as nu_of, p3_squarefree_factored, roots_mod
 from .errors import DomainError, ResourceError
 from .primes import sieve_primes, squarefree_products
-from .sieve import INT64_MAX, SegmentTable, sieve_segment
+from .sieve import sieve_segment
 
 # Direct double sums are O(|support|^2); refuse beyond this many pairs.
 MAX_SUPPORT_PAIRS = 4_000_000
-
-# Largest single membership table a weighted experiment may allocate.
-MAX_VALUE_SPAN = 1 << 26
 
 # Class members per chunk of a weighted experiment.  Only one chunk's n, hit
 # counts, form values, member index lists and divisor sums are held at once,
@@ -329,19 +326,6 @@ class WeightedScanReport:
         }
 
 
-def _membership_tables(system: AdmissibleSystem, X_lo: int, X_hi: int) -> list[SegmentTable]:
-    """One membership table per form covering its value range on (X_lo, X_hi]."""
-    tables = []
-    for form in system.forms:
-        lo, hi = form(X_lo + 1), form(X_hi)
-        if hi > INT64_MAX:
-            raise DomainError(f"weighted experiment: form value {hi} exceeds 2^63")
-        if hi - lo + 1 > MAX_VALUE_SPAN:
-            raise ResourceError(f"weighted experiment: value span {hi - lo + 1} exceeds budget")
-        tables.append(sieve_segment(lo, hi))
-    return tables
-
-
 def _chunk_divisor_sums(
     n0: int,
     size: int,
@@ -400,7 +384,9 @@ def weighted_experiment(
     sysm = ws.system
     W, v0, k = sysm.W, sysm.v0, sysm.k
 
-    tables = _membership_tables(sysm, X_lo, X_hi)
+    # one membership table per form over its values on (X_lo, X_hi];
+    # sieve_segment refuses a value past 2^63 - 1 or a span over its budget
+    tables = [sieve_segment(form(X_lo + 1), form(X_hi)) for form in sysm.forms]
 
     # Unweighted average over every n in range: one progression count per form.
     total_hits_all = 0

@@ -334,7 +334,8 @@ class TestCliBehavior:
 class TestLazyImports:
     @pytest.mark.parametrize("argv, stdout, absent", [
         (["count", "--x", "100"], '"count": 43', ("twosq.weights", "twosq.scans", "twosq.admissible")),
-        (["constants", "--truncation", "100"], '"landau": 0.76', ("twosq.weights", "twosq.scans", "twosq.admissible")),
+        (["constants", "--truncation", "100"], '"landau": 0.76',
+         ("twosq.weights", "twosq.scans", "twosq.admissible", "twosq.special")),
         (["special", "--fn", "buchstab", "--at", "1.5"], "0.6666666667",
          ("twosq.weights", "twosq.scans", "twosq.admissible", "twosq.sieve")),
     ], ids=["count", "constants", "special"])

@@ -76,13 +76,14 @@ class TestSievePrimes:
             sieve_primes(limit)
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
-    def test_block_layout(self, segment):
+    def test_block_layout(self, monkeypatch, segment):
         # the base primes up to sqrt(limit), then one block per range of
         # segment integers from sqrt(limit) + 1, the last range cut at limit
+        monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", segment)
         for limit in [*range(0, 300), 1000, 4099]:
             root = isqrt(limit)
             ranges = [(0, root)] + [(a, min(a + segment - 1, limit)) for a in range(root + 1, limit + 1, segment)]
-            blocks = list(iter_prime_blocks(limit, segment))
+            blocks = list(iter_prime_blocks(limit))
             assert len(blocks) == (len(ranges) if limit >= 2 else 0), (limit, segment)
             for block, (a, b) in zip(blocks, ranges):
                 assert block.dtype == np.int64
@@ -90,12 +91,14 @@ class TestSievePrimes:
             if blocks:
                 assert np.concatenate(blocks).tolist() == sieve_primes(limit).tolist()
 
-    def test_block_edges(self):
+    def test_block_edges(self, monkeypatch):
         # limit 3: sqrt is 1, so 2 comes in a streamed block of its own
-        assert [b.tolist() for b in iter_prime_blocks(3, 1)] == [[], [2], [3]]
-        assert [b.tolist() for b in iter_prime_blocks(2, 7)] == [[], [2]]
+        monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 1)
+        assert [b.tolist() for b in iter_prime_blocks(3)] == [[], [2], [3]]
         # limit 14, segment 1: each even number from 4 on is a block of its own, empty
-        assert [b.tolist() for b in iter_prime_blocks(14, 1)] == [[2, 3], [], [5], [], [7], [], [], [], [11], [], [13], []]
+        assert [b.tolist() for b in iter_prime_blocks(14)] == [[2, 3], [], [5], [], [7], [], [], [], [11], [], [13], []]
+        monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 7)
+        assert [b.tolist() for b in iter_prime_blocks(2)] == [[], [2]]
 
     @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 10**12])
     def test_streamed_budget(self, limit):

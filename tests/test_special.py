@@ -8,6 +8,9 @@ from scipy.optimize import minimize_scalar
 from twosq.errors import DomainError, ResourceError
 from twosq.reportio import MAX_SCAN_ROWS
 from twosq.special import (
+    HALFDIM_SMAX,
+    OMEGA_UMAX,
+    TABLE_H,
     E_GAMMA,
     G_ENVELOPE_EPS,
     G_RESOLUTION_FLOOR,
@@ -21,6 +24,9 @@ from twosq.special import (
     halfdim_f,
     halfdim_tables,
     tabulation_rows,
+    _build_buchstab,
+    _build_halfdim,
+    _march_F_first_window,
 )
 
 A_CONST = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
@@ -314,6 +320,140 @@ class TestHalfDim:
             halfdim_F(41.0)
         with pytest.raises(DomainError):
             halfdim_f(41.0)
+
+
+# Reference route for the tables: a midpoint routine with fixed half-offset
+# weight rows, an inline omega march and a separate F/f march.  The library
+# builds the same tables with one stencil rule, one Lagrange sum and one
+# marcher, keeping every float operation and its order.
+_MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+_MID_RIGHT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0  # eval at node0 + 0.5h
+_MID_LEFT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0  # eval at node0 + 2.5h
+
+
+def ref_window_mids(src, bases, kink_start, kink_stride):
+    b = bases
+    out = (
+        _MID_CENTER[0] * src[b - 1]
+        + _MID_CENTER[1] * src[b]
+        + _MID_CENTER[2] * src[b + 1]
+        + _MID_CENTER[3] * src[b + 2]
+    )
+    kinks_at = lambda i: (i >= kink_start) & ((i - kink_start) % kink_stride == 0)
+    right = kinks_at(b)
+    if np.any(right):
+        br = b[right]
+        out[right] = (
+            _MID_RIGHT[0] * src[br]
+            + _MID_RIGHT[1] * src[br + 1]
+            + _MID_RIGHT[2] * src[br + 2]
+            + _MID_RIGHT[3] * src[br + 3]
+        )
+    left = kinks_at(b + 1)
+    if np.any(left):
+        bl = b[left]
+        out[left] = (
+            _MID_LEFT[0] * src[bl - 2]
+            + _MID_LEFT[1] * src[bl - 1]
+            + _MID_LEFT[2] * src[bl]
+            + _MID_LEFT[3] * src[bl + 1]
+        )
+    return out
+
+
+def ref_build_buchstab(h):
+    n1 = round(1.0 / h)
+    total = n1 * (OMEGA_UMAX - 1) + 1
+    om = np.empty(total)
+    u_head = 1.0 + np.arange(n1 + 1) * h
+    om[: n1 + 1] = 1.0 / u_head
+
+    w_cur = 1.0  # u*omega(u) = 1 at u = 2
+    for m in range(2, OMEGA_UMAX):
+        j0 = (m - 1) * n1
+        j1 = j0 + n1
+        f0 = om[j0 - n1 : j1 - n1]
+        f1 = om[j0 - n1 + 1 : j1 - n1 + 1]
+        if m == 2:
+            t_mid = (m - 1.0) + (np.arange(n1) + 0.5) * h
+            fm = 1.0 / t_mid
+        else:
+            bases = np.arange(j0 - n1, j1 - n1)
+            fm = ref_window_mids(om, bases, kink_start=n1, kink_stride=n1)
+        inc = (h / 6.0) * (f0 + 4.0 * fm + f1)
+        w_vals = w_cur + np.cumsum(inc)
+        us = 1.0 + (np.arange(j0 + 1, j1 + 1)) * h
+        om[j0 + 1 : j1 + 1] = w_vals / us
+        w_cur = w_vals[-1]
+    return om
+
+
+def ref_march_simpson(dst, src, j0, j1, n1, h, prod_start, src_kink_start, src_kink_stride):
+    js = np.arange(j0, j1)
+    s0 = js * h
+    s1 = (js + 1) * h
+    sm = s0 + 0.5 * h
+    g0 = 0.5 / np.sqrt(s0) * src[js - n1]
+    g1 = 0.5 / np.sqrt(s1) * src[js - n1 + 1]
+    mids = ref_window_mids(src, js - n1, src_kink_start, src_kink_stride)
+    gm = 0.5 / np.sqrt(sm) * mids
+    inc = (h / 6.0) * (g0 + 4.0 * gm + g1)
+    prod = prod_start + np.cumsum(inc)
+    dst[j0 + 1 : j1 + 1] = prod / np.sqrt(s1)
+
+
+def ref_build_halfdim(h):
+    n1 = round(1.0 / h)
+    total = n1 * HALFDIM_SMAX + 1
+    Fv = np.empty(total)
+    fv = np.empty(total)
+
+    ss = np.arange(total) * h
+    Fv[0] = np.inf
+    Fv[1 : 2 * n1 + 1] = A_CONST / np.sqrt(ss[1 : 2 * n1 + 1])
+    fv[: n1 + 1] = 0.0
+    top = min(3 * n1, total - 1)
+    fv[n1 + 1 : top + 1] = A_CONST * np.arcsinh(np.sqrt(ss[n1 + 1 : top + 1] - 1.0)) / np.sqrt(ss[n1 + 1 : top + 1])
+
+    _march_F_first_window(Fv, n1, h)
+    f_prod = math.sqrt(3.0) * fv[3 * n1]  # sqrt(s) f(s) at s = 3
+    w = 4
+    while w <= HALFDIM_SMAX:
+        j0, j1 = (w - 1) * n1, min((w + 1) * n1, total - 1)
+        ref_march_simpson(fv, Fv, j0, j1, n1, h, f_prod, src_kink_start=2 * n1, src_kink_stride=2 * n1)
+        f_prod = math.sqrt(j1 * h) * fv[j1]
+        if w < HALFDIM_SMAX:
+            k0, k1 = w * n1, min((w + 2) * n1, total - 1)
+            F_prod = math.sqrt(w) * Fv[w * n1]
+            ref_march_simpson(Fv, fv, k0, k1, n1, h, F_prod, src_kink_start=n1, src_kink_stride=2 * n1)
+        w += 2
+    return Fv, fv
+
+
+def ref_richardson(vals_h, vals_h2, start_idx):
+    coarse = vals_h[start_idx:]
+    fine = vals_h2[2 * start_idx :: 2]
+    return float(np.max(np.abs(coarse - fine))) if coarse.size else 0.0
+
+
+class TestReferenceRoute:
+    # Same float operations in the same order, so every array and estimate
+    # is equal bit for bit.  Two routes on one host are compared, never a
+    # digest: numpy's SIMD log and asinh differ across CPUs.
+    def test_tables_match_reference_builders(self):
+        n1 = round(1.0 / TABLE_H)
+        omega = buchstab_table()
+        F, f = halfdim_tables()
+        ref_om, ref_om2 = ref_build_buchstab(TABLE_H), ref_build_buchstab(TABLE_H / 2.0)
+        (ref_F, ref_f), (ref_F2, ref_f2) = ref_build_halfdim(TABLE_H), ref_build_halfdim(TABLE_H / 2.0)
+        (om2,) = _build_buchstab(TABLE_H / 2.0)
+        F2, f2 = _build_halfdim(TABLE_H / 2.0)
+        for table, ref in ((omega.values, ref_om), (om2, ref_om2), (F.values, ref_F), (F2, ref_F2),
+                           (f.values, ref_f), (f2, ref_f2)):
+            assert np.array_equal(table, ref)
+        assert omega.err_estimate == ref_richardson(ref_om, ref_om2, n1)
+        assert F.err_estimate == ref_richardson(ref_F, ref_F2, 2 * n1)
+        assert f.err_estimate == ref_richardson(ref_f, ref_f2, 3 * n1)
 
 
 class TestTabulation:

@@ -7,7 +7,7 @@ import pytest
 
 from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set
 from twosq.arith import roots_mod
-from twosq.errors import DomainError
+from twosq.errors import DomainError, ResourceError
 from twosq.primes import squarefree_products
 from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
@@ -327,6 +327,25 @@ class TestWeightedExperiment:
             tracemalloc.stop()
         assert report.class_size == 10**6
         assert peak < 12 * 2**20
+
+    def test_value_span_budget(self):
+        # n + 1 over (X_lo, X_hi] takes 2^26 + 1 values: refused before any
+        # membership table is allocated
+        ws = build_weights(AdmissibleSystem.build([LinearForm(1, 1)], W=1), 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                weighted_experiment(ws, 10**6, 10**6 + 2**26 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_form_value_past_int64(self):
+        # n + 1 at n = 2^63 - 1 is 2^63
+        ws = build_weights(AdmissibleSystem.build([LinearForm(1, 1)], W=1), 10)
+        with pytest.raises(DomainError):
+            weighted_experiment(ws, 2**63 - 10, 2**63 - 1)
 
     def test_hits_bounded_by_k(self):
         system = AdmissibleSystem.build(build_default_set(3), W=3)
