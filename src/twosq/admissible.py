@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .arith import nu, p1_numbers, roots_mod
 from .errors import AdmissibilityError, DomainError
-from .primes import INT64_MAX, factorize, is_prime, sieve_primes
+from .primes import INT64_MAX, factorize, is_prime, p3_primes
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def is_p3_admissible(forms: Sequence[LinearForm]) -> bool:
     if not forms:
         raise DomainError("is_p3_admissible: forms must be nonempty")
     k = len(forms)
-    candidates = {p for p in range(3, k + 1, 4) if is_prime(p)}
+    candidates = set(p3_primes(k).tolist())
     for form in forms:
         g_ = math.gcd(form.a, form.b)
         candidates.update(p for p in factorize(g_) if p % 4 == 3)
@@ -75,12 +75,7 @@ def compute_W(X: int, p0: int = 1) -> int:
     if X < 3:
         raise DomainError(f"compute_W: X must be >= 3, got {X}")
     threshold = 2.0 * math.log(X) ** (1.0 / 3.0)
-    W = 1
-    for p in sieve_primes(int(threshold)):
-        p = int(p)
-        if p <= threshold and p % 4 == 3 and p != p0:
-            W *= p
-    return W
+    return math.prod(p for p in p3_primes(int(threshold)).tolist() if p != p0)
 
 
 def find_v0(forms: Sequence[LinearForm], W: int) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, squarefree_products
+from .primes import factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes, squarefree_products
 
 __all__ = [
     "EULER_GAMMA",
@@ -100,7 +100,7 @@ def landau_constant(truncation_limit: int) -> tuple[float, float]:
         raise DomainError(f"landau_constant: truncation_limit must be >= 10, got {truncation_limit}")
     log_parts: list[float] = []
     for block in iter_prime_blocks(truncation_limit):
-        sel = block[(block % 4 == 3) & (block <= truncation_limit)]
+        sel = block[block % 4 == 3]
         if sel.size:
             x = 1.0 / (sel.astype(np.float64) ** 2)
             log_parts.append(float(np.sum(np.log1p(-x))))
@@ -173,8 +173,7 @@ def p3_squarefree_factored(R: int, coprime_to: int = 1) -> list[tuple[int, tuple
     """
     if R < 1:
         raise DomainError(f"p3_squarefree: R must be >= 1, got {R}")
-    ps = sieve_primes(R - 1)
-    primes = [int(p) for p in ps[ps % 4 == 3] if math.gcd(int(p), coprime_to) == 1]
+    primes = [p for p in p3_primes(R - 1).tolist() if math.gcd(p, coprime_to) == 1]
     return sorted(squarefree_products(primes, R))
 
 

@@ -1,10 +1,12 @@
 """Prime generation and factorization helpers used throughout the toolkit.
 
-Simple and segmented sieves of Eratosthenes that keep one flag per odd
-number (numpy bool arrays; 2 is added by hand), the one
-factorization routine (trial division by small factors, then Pollard rho
-with deterministic Miller-Rabin, exact on [1, 2^63 - 1]) and the one
-enumeration of squarefree products over a prime list.
+One segmented sieve of Eratosthenes that keeps one flag per odd number
+(numpy bool arrays; 2 is added by hand) and streams its primes in blocks;
+the list of all primes and the one list of primes = 3 (mod 4) are built
+from those blocks.  Also the one factorization routine (trial division by
+small factors, then Pollard rho with deterministic Miller-Rabin, exact on
+[1, 2^63 - 1]) and the one enumeration of squarefree products over a prime
+list.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .errors import DomainError, ResourceError
 
 INT64_MAX = 2**63 - 1
 
-# Largest limit sieve_primes accepts (its flag array takes (limit + 1) / 2 bytes);
-# iter_prime_blocks, whose run time grows with the limit, answers to it too.
+# Largest limit any prime sieve accepts: it bounds the primes returned and the
+# time taken, both of which grow with the limit (a segment's flags do not).
 MAX_SIEVE_LIMIT = 1 << 30
 
 # Segment length (in integers) for streaming prime enumeration.
@@ -31,23 +33,18 @@ TRIAL_BOUND = 1 << 10
 # Miller-Rabin with these bases is exact below 3.3e24 (far above 2^63).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceError(f"sieve_primes: sieve to {limit} exceeds memory budget (limit 2^30)")
-    # flags[i] stands for 2i + 1, except flags[0], which stands for 2
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    for p in range(3, isqrt(limit) + 1, 2):
-        if flags[p // 2]:
-            flags[p * p // 2 :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
+    return np.concatenate([_EMPTY, *iter_prime_blocks(limit)])
+
+
+def p3_primes(limit: int) -> np.ndarray:
+    """The primes p = 3 (mod 4) with p <= limit as an int64 array, each block
+    filtered as it is streamed (the list of all primes is never held)."""
+    return np.concatenate([_EMPTY, *(block[block % 4 == 3] for block in iter_prime_blocks(limit))])
 
 
 def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
@@ -55,9 +52,10 @@ def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
 
     The first block is the primes up to sqrt(limit); each later block holds
     the primes of one range of PRIME_SEGMENT integers, the last range cut at
-    limit.  Memory stays O(PRIME_SEGMENT + sqrt(limit)); used for the
-    truncated Euler products where limit can be 10^8.  Time grows with
-    limit, so the sieve_primes budget (limit <= 2^30) holds here too.
+    limit.  Memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base primes
+    come from sieve_primes(sqrt(limit)), itself built from these blocks, so
+    the recursion ends after a few levels.  Limits above MAX_SIEVE_LIMIT are
+    refused before anything is allocated.
     """
     if limit < 2:
         return

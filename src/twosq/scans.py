@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import landau_constant, phi_S, phi_S_floats
 from .errors import DomainError, ResourceError
-from .primes import INT64_MAX, sieve_primes
+from .primes import INT64_MAX, p3_primes
 from .reportio import Records, check_rows
 from .sieve import is_two_square, iter_segments
 from .special import halfdim_F
@@ -28,6 +28,7 @@ from .special import halfdim_F
 LANDAU_TRUNCATION = 10**6
 # A row whose count reaches this multiple of its prediction is a record.
 RECORD_THRESHOLD = 2.0
+# Most u flags (one byte each) maier_demo sieves.
 MAX_MAIER_ENUM = 10**8
 
 
@@ -306,10 +307,7 @@ class MaierConfig:
     def P_exponents(self) -> dict[int, int]:
         """{p: alpha_p} for p = 3 (mod 4), p <= z (alpha_p odd, minimal)."""
         out: dict[int, int] = {}
-        for p in sieve_primes(self.z):
-            p = int(p)
-            if p % 4 != 3:
-                continue
+        for p in p3_primes(self.z).tolist():
             alpha = 1
             power = p
             while power < self.power_floor:
@@ -351,35 +349,33 @@ class MaierReport:
         }
 
 
-def _count_sieved(u_bound: Fraction, rad_P: int) -> int:
-    """#{u < u_bound : u = 1 (mod 4), gcd(u, rad_P) = 1} by direct enumeration."""
-    return sum(1 for u in range(1, math.ceil(u_bound), 4) if math.gcd(u, rad_P) == 1)
-
-
 def maier_demo(config: MaierConfig) -> MaierReport:
     """Enumerate sum over d^2 | P of #{u < (4x/Q+1)/d^2 : u=1 (4), (u,P)=1}
     and compare with (x/Q) * (phi_S(P)/P) * F(ln(x/Q) / ln z).
 
     The residue a enters only the prime-power floor defining P; the u-range
     does not carry it.  phi_S(P)/P collapses to prod p/(p+1) over p | P
-    because every exponent in P is odd.
+    because every exponent in P is odd.  One sieve pass flags the
+    u = 1 + 4i < 4x/Q + 1 (so i < x/Q) coprime to P; each d counts a prefix.
     """
     exps = config.P_exponents()
-    u_limit = config.u_limit
-    # The d with d^2 | P have exponent of p at most (alpha_p - 1)/2; the budget
-    # is charged from their number, before any of them is listed.
-    n_d = math.prod(e // 2 + 1 for e in exps.values())
-    if float(u_limit) * n_d > MAX_MAIER_ENUM:
-        raise ResourceError(
-            f"maier_demo: enumeration of ~{float(u_limit) * n_d:.2e} candidates exceeds budget"
-        )
+    # The d with d^2 | P have exponent of p at most (alpha_p - 1)/2; each is a
+    # report row, charged before any of them is listed.
+    check_rows("maier_demo", math.prod(e // 2 + 1 for e in exps.values()))
+    n_u = -(-config.x // config.Q)
+    if n_u > MAX_MAIER_ENUM:
+        raise ResourceError(f"maier_demo: {n_u} sieved u exceed budget {MAX_MAIER_ENUM}")
+    keep = np.ones(n_u, dtype=bool)
+    for p in exps:
+        keep[-pow(4, -1, p) % p :: p] = False  # p | 1 + 4i
     P = math.prod(p**e for p, e in exps.items())
-    rad_P = math.prod(exps)
     ds = [1]
     for p, e in exps.items():
         ds = [d * p**c for d in ds for c in range(e // 2 + 1)]
     ds.sort()
-    d_terms = tuple((d, _count_sieved(u_limit / (d * d), rad_P)) for d in ds)
+    # u = 1 + 4i < u_limit / d^2 exactly when i < (u_limit / d^2 - 1) / 4
+    ends = [max(0, math.ceil((config.u_limit / (d * d) - 1) / 4)) for d in ds]
+    d_terms = tuple((d, int(np.count_nonzero(keep[:end]))) for d, end in zip(ds, ends))
     lhs = sum(c for _, c in d_terms)
 
     density = math.prod((p / (p + 1.0) for p in exps), start=1.0)

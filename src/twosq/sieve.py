@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import INT64_MAX, factorize, sieve_primes
+from .primes import INT64_MAX, factorize, p3_primes
 
 # Default segment length for streaming scans (integers per segment).
 DEFAULT_SEGMENT = 1 << 21
@@ -84,18 +84,12 @@ class SegmentTable:
         return self.lo + np.flatnonzero(self.bits).astype(np.int64)
 
 
-def _base_primes(hi: int) -> np.ndarray:
-    """The primes p = 3 (mod 4) with p <= sqrt(hi), ascending."""
-    primes = sieve_primes(isqrt(hi))
-    return primes[primes % 4 == 3]
-
-
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> SegmentTable:
     """Parity sieve for membership over [lo, hi] (1 <= lo <= hi < 2^63).
 
     base_primes, if given, must hold the primes = 3 (mod 4) up to at least
-    sqrt(hi) in ascending order; iter_segments passes one list to every
-    segment.
+    sqrt(hi) in ascending order (by default p3_primes(sqrt(hi)));
+    iter_segments passes one list to every segment.
     """
     if not 1 <= lo <= hi <= INT64_MAX:
         raise DomainError(f"sieve_segment: need 1 <= lo <= hi < 2^63, got [{lo}, {hi}]")
@@ -106,7 +100,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
             "stream smaller segments instead"
         )
     if base_primes is None:
-        base_primes = _base_primes(hi)
+        base_primes = p3_primes(isqrt(hi))
 
     # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
     # are capped at n (which hits the same one position) to stay below 2^63.
@@ -177,7 +171,7 @@ def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
     """Stream SegmentTables of DEFAULT_SEGMENT integers covering [lo, hi] in
-    order, all sieved against one list of base primes.
+    order, all sieved against one list of base primes, p3_primes(sqrt(hi)).
 
     threads is ignored; it stays only because the benchmark probes pass it.
     """
@@ -185,7 +179,7 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
         return
     if lo < 1 or hi > INT64_MAX:
         raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
-    base = _base_primes(hi)
+    base = p3_primes(isqrt(hi))
     for a in range(lo, hi + 1, DEFAULT_SEGMENT):
         yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 

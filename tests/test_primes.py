@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, iter_prime_blocks, sieve_primes
+from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -71,9 +71,19 @@ class TestSievePrimes:
 
     @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 2**40])
     def test_budget(self, limit):
-        # checked before the limit + 1 flag bytes are allocated
+        # checked before the first block is sieved
         with pytest.raises(ResourceError):
             sieve_primes(limit)
+
+    @pytest.mark.parametrize("segment", [1, 7])
+    def test_recursion_through_blocks(self, monkeypatch, segment):
+        # sieve_primes is the concatenated blocks, whose base primes come from
+        # sieve_primes(sqrt(limit)); short segments make every level stream
+        monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", segment)
+        for limit in [*range(0, 300), 960, 961, 962, 4099]:
+            got = sieve_primes(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == primes_upto(limit), (limit, segment)
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_block_layout(self, monkeypatch, segment):
@@ -89,7 +99,7 @@ class TestSievePrimes:
                 assert block.dtype == np.int64
                 assert block.tolist() == primes_between(a, b), (limit, segment, a, b)
             if blocks:
-                assert np.concatenate(blocks).tolist() == sieve_primes(limit).tolist()
+                assert np.concatenate(blocks).tolist() == primes_upto(limit)
 
     def test_block_edges(self, monkeypatch):
         # limit 3: sqrt is 1, so 2 comes in a streamed block of its own
@@ -105,6 +115,20 @@ class TestSievePrimes:
         # refused at the first block, before any segment is sieved
         with pytest.raises(ResourceError, match="budget"):
             next(iter_prime_blocks(limit))
+
+
+class TestP3Primes:
+    def test_matches_reference(self):
+        for limit in range(0, 2001):
+            got = p3_primes(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == [p for p in primes_upto(limit) if p % 4 == 3], limit
+
+    @pytest.mark.parametrize("limit", EDGE_LIMITS)
+    def test_matches_reference_at_edges(self, limit):
+        got = p3_primes(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in primes_upto(limit) if p % 4 == 3]
 
 
 class TestFactorize:

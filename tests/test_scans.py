@@ -312,6 +312,13 @@ class TestMaier:
         cfg = MaierConfig(z=7, a=1, x=100 * xq, Q=100)
         assert maier_demo(cfg).lhs == maier_lhs_oracle(cfg)
 
+    @pytest.mark.parametrize("z,a,x,Q", [(7, 5, 250_000_000, 100), (19, 1, 123_457, 1)])
+    def test_lhs_against_oracle_beyond_old_budget(self, z, a, x, Q):
+        # u_limit * #d is 5.4e8 and 1.7e8 here, above MAX_MAIER_ENUM, but the
+        # sieve holds only ceil(x / Q) flags
+        cfg = MaierConfig(z=z, a=a, x=x, Q=Q)
+        assert maier_demo(cfg).lhs == maier_lhs_oracle(cfg)
+
     def test_odd_minimal_exponents(self):
         cfg = MaierConfig(z=11, a=5, x=20_000, Q=100)
         for p, e in cfg.P_exponents().items():

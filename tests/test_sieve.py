@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import iter_prime_blocks, sieve_primes
+from twosq.primes import p3_primes
 from twosq.sieve import (
     LARGE_PRIME_DIVISOR,
     count_interval,
@@ -151,11 +152,6 @@ class TestHighWindows:
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
 
 
-def base_primes_upto(limit: int) -> np.ndarray:
-    """Primes = 3 (mod 4) up to limit, streamed in blocks to keep memory small."""
-    return np.concatenate([b[b % 4 == 3] for b in iter_prime_blocks(limit)])
-
-
 class TestLargePrimePass:
     """Base primes above n // LARGE_PRIME_DIVISOR skip the toggle loop; these
     windows put p, p^2, p^3 and products of two such primes in that pass and
@@ -187,7 +183,7 @@ class TestLargePrimePass:
     def test_short_segments(self, start):
         # n <= 64 puts every base prime in the vectorized pass, 3 and 11 included
         end = start + 2 * 64
-        base = base_primes_upto(isqrt(end))
+        base = p3_primes(isqrt(end))
         expect = [is_two_square(n) for n in range(start, end + 1)]
         for n in range(1, 65):
             for lo in (start, start + 40 - n // 2, start + 64):
@@ -196,8 +192,23 @@ class TestLargePrimePass:
 
     def test_window_at_1e17(self):
         lo, hi = 10**17, 10**17 + 199
-        seg = sieve_segment(lo, hi, base_primes_upto(isqrt(hi)))
+        seg = sieve_segment(lo, hi)
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
+
+    def test_base_primes_streamed(self):
+        # the base primes up to sqrt(hi) ~ 3.2e7 are streamed in blocks and
+        # filtered to p = 3 (mod 4), so neither a flag array over [1, sqrt(hi)]
+        # nor the list of every prime below it (about 15 MiB each) is held
+        lo, hi = 10**15, 10**15 + 1999
+        tracemalloc.start()
+        try:
+            seg = sieve_segment(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+        sample = range(lo, hi + 1, 97)
+        assert [bool(seg.bits[n - lo]) for n in sample] == [is_two_square(n) for n in sample]
 
     @given(
         lo=st.integers(min_value=1, max_value=10**14),
@@ -212,7 +223,7 @@ class TestLargePrimePass:
         # divisor 2^30 sends every base prime through the vectorized pass; 3 then
         # has more multiples than one chunk holds
         lo, hi = 10**12 - (1 << 15), 10**12 + (1 << 15)
-        base = base_primes_upto(isqrt(hi))
+        base = p3_primes(isqrt(hi))
         split = sieve_segment(lo, hi, base).bits
         monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", 1 << 30)
         assert np.array_equal(sieve_segment(lo, hi, base).bits, split)
