@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceError
-from .reportio import Records, to_csv, to_json
+from .reportio import Records, check_rows, to_csv, to_json
 
 if TYPE_CHECKING:
     from .admissible import AdmissibleSystem, LinearForm
@@ -94,7 +94,9 @@ class UsageError(Exception):
 
 
 def _cmd_sieve(args):
-    members = _cli.sieve_segment(args.lo, args.hi).members().tolist()
+    table = _cli.sieve_segment(args.lo, args.hi)
+    check_rows("sieve", table.count_range(args.lo, args.hi))  # a row per member
+    members = table.members().tolist()
     doc = {"lo": args.lo, "hi": args.hi, "count": len(members), "members": members}
     return doc, (["member"], zip(members))
 

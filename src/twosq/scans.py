@@ -81,8 +81,8 @@ _KEY_NAMES = {"intervals": "x", "progressions": "q", "residues": "a"}
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Summary statistics over rows held as columns; a row's key is the window
-    start x, the modulus q or the residue a."""
+    """Rows held as columns, a row's key being the window start x, the modulus q
+    or the residue a; every summary statistic is derived from the columns."""
 
     kind: str
     params: dict
@@ -90,14 +90,6 @@ class ScanReport:
     counts: np.ndarray = field(repr=False)
     predicted: np.ndarray = field(repr=False)
     applicable: np.ndarray = field(repr=False)
-    total_count: int
-    mean: float
-    variance: float
-    max_count: int
-    argmax_key: int
-    records: tuple[int, ...]
-    histogram: dict[int, int] = field(repr=False)
-    mean_ratio_valid: float | None
 
     @property
     def n_windows(self) -> int:
@@ -109,6 +101,43 @@ class ScanReport:
         once, as the JSON and CSV rows share it."""
         out = np.full(self.counts.shape, math.inf)
         return np.divide(self.counts, self.predicted, out=out, where=self.predicted > 0)
+
+    @cached_property
+    def histogram(self) -> dict[int, int]:
+        values, mult = np.unique(self.counts, return_counts=True)
+        return dict(zip(values.tolist(), mult.tolist()))
+
+    # Exact Python ints over the histogram: counts past 3.04e9 square past int64.
+    @property
+    def total_count(self) -> int:
+        return sum(c * m for c, m in self.histogram.items())
+
+    @property
+    def mean(self) -> float:
+        return self.total_count / self.n_windows
+
+    @property
+    def variance(self) -> float:
+        sum_sq = sum(c * c * m for c, m in self.histogram.items())
+        return max(0.0, sum_sq / self.n_windows - self.mean * self.mean)
+
+    @property
+    def max_count(self) -> int:
+        return int(self.counts.max())
+
+    @property
+    def argmax_key(self) -> int:
+        return int(self.keys[np.argmax(self.counts)])
+
+    @property
+    def records(self) -> tuple[int, ...]:
+        return tuple(self.keys[self.applicable & (self.counts >= RECORD_THRESHOLD * self.predicted)].tolist())
+
+    @property
+    def mean_ratio_valid(self) -> float | None:
+        ratios = self.ratio[self.applicable & (self.predicted > 0)]
+        # cumsum adds left to right in row order; np.sum's pairwise sum changes last digits.
+        return float(np.cumsum(ratios)[-1]) / ratios.size if ratios.size else None
 
     @property
     def csv_header(self) -> tuple[str, ...]:
@@ -135,43 +164,6 @@ class ScanReport:
             "mean_ratio_valid": self.mean_ratio_valid,
             "rows": Records(ROW_FIELDS, self.columns),
         }
-
-
-def _summarize(
-    kind: str,
-    params: dict,
-    keys: np.ndarray,
-    counts: np.ndarray,
-    predicted: np.ndarray,
-    applicable: np.ndarray,
-) -> ScanReport:
-    values, mult = np.unique(counts, return_counts=True)
-    histogram = dict(zip(values.tolist(), mult.tolist()))
-    # Exact Python ints: squares of counts past 3.04e9 overflow int64.
-    total = sum(c * m for c, m in histogram.items())
-    sum_sq = sum(c * c * m for c, m in histogram.items())
-    n = len(keys)
-    mean = total / n
-    imax = int(np.argmax(counts))
-    valid = applicable & (predicted > 0)
-    ratios = counts[valid] / predicted[valid]
-    return ScanReport(
-        kind=kind,
-        params=params,
-        keys=keys,
-        counts=counts,
-        predicted=predicted,
-        applicable=applicable,
-        total_count=total,
-        mean=mean,
-        variance=max(0.0, sum_sq / n - mean * mean),
-        max_count=int(counts[imax]),
-        argmax_key=int(keys[imax]),
-        records=tuple(keys[applicable & (counts >= RECORD_THRESHOLD * predicted)].tolist()),
-        histogram=histogram,
-        # cumsum adds left to right in row order; np.sum's pairwise sum changes last digits.
-        mean_ratio_valid=float(np.cumsum(ratios)[-1]) / ratios.size if ratios.size else None,
-    )
 
 
 def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
@@ -202,7 +194,7 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
         base = int(cum[-1])
 
     S = _landau()
-    return _summarize(
+    return ScanReport(
         kind="intervals",
         params={"X": X, "y": y, "stride": stride},
         keys=xs,
@@ -227,7 +219,7 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
     S = _landau()
     phis = phi_S_floats(Q, 2 * Q)
     keys = np.arange(Q, 2 * Q + 1, dtype=np.int64)
-    return _summarize(
+    return ScanReport(
         kind="progressions",
         params={"x": x, "Q": Q, "a": a},
         keys=keys,
@@ -252,7 +244,7 @@ def scan_residues(x: int, q: int) -> ScanReport:
     S = _landau()
     pred_q = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
     keys = np.arange(q, dtype=np.int64)
-    return _summarize(
+    return ScanReport(
         kind="residues",
         params={"x": x, "q": q},
         keys=keys,
@@ -323,13 +315,25 @@ class MaierReport:
 
     config: MaierConfig
     P_exponents: dict[int, int]
-    P: int
     d_terms: tuple[tuple[int, int], ...]
-    lhs: int
     rhs: float
-    ratio: float
-    d1_count: int
     F_argument: float
+
+    @property
+    def P(self) -> int:
+        return math.prod(p**e for p, e in self.P_exponents.items())
+
+    @cached_property
+    def lhs(self) -> int:
+        return sum(c for _, c in self.d_terms)
+
+    @property
+    def ratio(self) -> float:
+        return self.lhs / self.rhs if self.rhs else math.inf
+
+    @property
+    def d1_count(self) -> int:
+        return self.d_terms[0][1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,7 +372,6 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     keep = np.ones(n_u, dtype=bool)
     for p in exps:
         keep[-pow(4, -1, p) % p :: p] = False  # p | 1 + 4i
-    P = math.prod(p**e for p, e in exps.items())
     ds = [1]
     for p, e in exps.items():
         ds = [d * p**c for d in ds for c in range(e // 2 + 1)]
@@ -376,20 +379,14 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     # u = 1 + 4i < u_limit / d^2 exactly when i < (u_limit / d^2 - 1) / 4
     ends = [max(0, math.ceil((config.u_limit / (d * d) - 1) / 4)) for d in ds]
     d_terms = tuple((d, int(np.count_nonzero(keep[:end]))) for d, end in zip(ds, ends))
-    lhs = sum(c for _, c in d_terms)
 
     density = math.prod((p / (p + 1.0) for p in exps), start=1.0)
     ratio_xq = config.x / config.Q
     s_arg = math.log(ratio_xq) / math.log(config.z)
-    rhs = ratio_xq * density * halfdim_F(s_arg)
     return MaierReport(
         config=config,
         P_exponents=exps,
-        P=P,
         d_terms=d_terms,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs else math.inf,
-        d1_count=d_terms[0][1],
+        rhs=ratio_xq * density * halfdim_F(s_arg),
         F_argument=s_arg,
     )

@@ -112,19 +112,16 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
 
     # Base primes above n // LARGE_PRIME_DIVISOR hit few positions each and go
     # through one vectorized pass, which reads nothing of the loop below.
+    base_primes = base_primes[: np.searchsorted(base_primes, isqrt(hi), side="right")]
     split = int(np.searchsorted(base_primes, n // LARGE_PRIME_DIVISOR, side="right"))
-    end = int(np.searchsorted(base_primes, isqrt(hi), side="right"))
-    _mark_odd_valuations(bad, lo, base_primes[split:end])
+    _mark_odd_valuations(bad, lo, base_primes[split:])
 
     # Valuation parity on the multiples of p alone: odd[j] is v_p of the j-th
-    # multiple mod 2, the multiples of p^2, p^3, ... lying every p, p^2, ...
-    # entries apart; one strided OR then carries it into bad.
+    # multiple mod 2 (the first, at start < p <= n, is in the segment), the
+    # multiples of p^2, p^3, ... lying every p, p^2, ... entries apart; one
+    # strided OR then carries it into bad.
     for p in base_primes[:split].tolist():
-        if p * p > hi:
-            break
         start = -lo % p
-        if start >= n:
-            continue
         odd = np.ones((n - 1 - start) // p + 1, dtype=bool)
         q = p * p
         while q <= hi:

@@ -280,11 +280,12 @@ def weight_w(ws: WeightSystem, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightedScanReport:
-    """Sums and averages from one weighted scan over (X_lo, X_hi].
+    """Sums from one weighted scan over (X_lo, X_hi] and the averages they give.
 
-    hits(n) counts the forms whose value at n is a sum of two squares.  The
-    averages are None (and empty_class is set) when the congruence class or
-    the weight mass is empty.
+    hits(n) counts the forms whose value at n is a sum of two squares, and
+    class_hits is its sum over the class.  weighted_avg is None (and
+    empty_class is set) when the weight mass is empty, as it is for an empty
+    class; class_unweighted_avg is None when the class is empty.
     """
 
     X_lo: int
@@ -294,12 +295,22 @@ class WeightedScanReport:
     W: int
     v0: int
     class_size: int
+    class_hits: int
     sum_w: Fraction
     sum_hits_w: Fraction
-    weighted_avg: Fraction | None
-    class_unweighted_avg: Fraction | None
     overall_unweighted_avg: Fraction
-    empty_class: bool
+
+    @property
+    def empty_class(self) -> bool:
+        return self.sum_w == 0
+
+    @property
+    def weighted_avg(self) -> Fraction | None:
+        return None if self.empty_class else self.sum_hits_w / self.sum_w
+
+    @property
+    def class_unweighted_avg(self) -> Fraction | None:
+        return Fraction(self.class_hits, self.class_size) if self.class_size else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,19 +404,9 @@ def weighted_experiment(
     for form, table in zip(sysm.forms, tables):
         # table.lo = form(X_lo + 1), so the form's image is every a-th bit
         total_hits_all += int(np.count_nonzero(table.bits[:: form.a]))
-    overall_avg = Fraction(total_hits_all, X_hi - X_lo)
 
+    # with no class member the chunk loop below runs zero times
     first_n = X_lo + 1 + ((v0 - (X_lo + 1)) % W)
-    class_size = len(range(first_n, X_hi + 1, W))
-    if class_size == 0:
-        return WeightedScanReport(
-            X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
-            class_size=0,
-            sum_w=Fraction(0), sum_hits_w=Fraction(0),
-            weighted_avg=None, class_unweighted_avg=None,
-            overall_unweighted_avg=overall_avg, empty_class=True,
-        )
-
     lam_scaled, denom = _scaled_lambdas(ws)
     by_top: dict[int, list[int]] = {}
     for d in ws.support[1:]:
@@ -430,18 +431,13 @@ def weighted_experiment(
         sum_hw_scaled += sum((w * hits).tolist())
 
     d2 = denom * denom
-    sum_w = Fraction(sum_w_scaled, d2)
-    sum_hits_w = Fraction(sum_hw_scaled, d2)
-    empty = sum_w_scaled == 0
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
-        class_size=class_size,
-        sum_w=sum_w,
-        sum_hits_w=sum_hits_w,
-        weighted_avg=None if empty else Fraction(sum_hw_scaled, sum_w_scaled),
-        class_unweighted_avg=Fraction(hit_total, class_size),
-        overall_unweighted_avg=overall_avg,
-        empty_class=empty,
+        class_size=len(range(first_n, X_hi + 1, W)),
+        class_hits=hit_total,
+        sum_w=Fraction(sum_w_scaled, d2),
+        sum_hits_w=Fraction(sum_hw_scaled, d2),
+        overall_unweighted_avg=Fraction(total_hits_all, X_hi - X_lo),
     )
 
 
@@ -492,10 +488,19 @@ class SummationReport:
     kappa: float
     R: int
     lhs: float
-    rhs: float
     singular_series: float
-    gamma_factor: float
-    integral: float
+
+    @property
+    def gamma_factor(self) -> float:
+        return math.gamma(self.kappa)
+
+    @property
+    def integral(self) -> float:
+        return 1.0 / self.kappa
+
+    @property
+    def rhs(self) -> float:
+        return self.singular_series * math.log(self.R) ** self.kappa / self.gamma_factor * self.integral
 
     @property
     def rel_error(self) -> float:
@@ -544,17 +549,4 @@ def verify_sieve_summation(kappa: float, gamma_spec: Callable[[int], float], R: 
     log_parts = [
         -math.log1p(-gam[p] / p) + kappa * math.log1p(-1.0 / p) for p in primes
     ]
-    s_gamma = math.exp(math.fsum(log_parts))
-
-    integral = 1.0 / kappa
-    gamma_factor = math.gamma(kappa)
-    rhs = s_gamma * math.log(R) ** kappa / gamma_factor * integral
-    return SummationReport(
-        kappa=kappa,
-        R=R,
-        lhs=lhs,
-        rhs=rhs,
-        singular_series=s_gamma,
-        gamma_factor=gamma_factor,
-        integral=integral,
-    )
+    return SummationReport(kappa=kappa, R=R, lhs=lhs, singular_series=math.exp(math.fsum(log_parts)))

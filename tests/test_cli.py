@@ -252,6 +252,13 @@ class TestCliBehavior:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "rows exceed budget" in err
 
+    def test_sieve_member_budget(self, capsys):
+        # each member is a report row: unchecked, these 5,744,784 members take
+        # about 720 MB as JSON
+        code, out, err = run_cli(["sieve", "--from", "1", "--to", "30000000"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "sieve: 5744784 rows exceed budget" in err
+
     def test_constants_truncation_budget(self, capsys):
         # unchecked, 2.4e5 segments of 2^22 integers: hours
         t0 = time.perf_counter()

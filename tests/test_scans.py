@@ -7,8 +7,8 @@ import pytest
 from twosq.errors import DomainError
 from twosq.scans import (
     MaierConfig,
+    ScanReport,
     _progression_applicable,
-    _summarize,
     maier_demo,
     predicted_average,
     scan_intervals,
@@ -243,7 +243,7 @@ class TestSummaryOracle:
     def test_variance_exact_past_int64_squares(self):
         counts = np.array([3_037_000_500, 3_100_000_000, 2_999_999_999, 3_100_000_000], dtype=np.int64)
         assert int((counts * counts).sum()) != sum(c * c for c in counts.tolist())  # int64 wraps
-        rep = _summarize(
+        rep = ScanReport(
             "intervals",
             {},
             keys=np.arange(4, dtype=np.int64),
@@ -256,6 +256,25 @@ class TestSummaryOracle:
         assert rep.total_count == sum(cs)
         assert rep.variance == max(0.0, sum(c * c for c in cs) / len(cs) - mean * mean)
         assert (rep.max_count, rep.argmax_key) == (3_100_000_000, 1)  # first of the tied maxima
+
+    def test_statistics_derived_from_columns(self):
+        # a report is its columns: tied maxima, inapplicable rows and zero
+        # predictions (ratio inf, left out of the mean ratio) in random order
+        rng = np.random.default_rng(18)
+        n = 500
+        counts = rng.integers(0, 12, n)
+        predicted = rng.uniform(0.5, 6.0, n)
+        predicted[rng.choice(n, 40, replace=False)] = 0.0
+        applicable = rng.random(n) < 0.7
+        columns = dict(keys=np.arange(7, 7 + 3 * n, 3), counts=counts, predicted=predicted, applicable=applicable)
+        assert np.count_nonzero(counts == counts.max()) > 1
+        assert np.count_nonzero(applicable & (predicted == 0)) and not applicable.all()
+        rep = ScanReport("progressions", {}, **columns)
+        expect = summary_oracle(rep)
+        assert {name: getattr(rep, name) for name in expect} == expect
+        assert rep.records and rep.n_windows == n
+        with pytest.raises(TypeError):
+            ScanReport("progressions", {}, **columns, total_count=0)
 
 
 def maier_lhs_oracle(cfg: MaierConfig) -> int:

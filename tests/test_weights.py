@@ -291,8 +291,10 @@ class TestWeightedExperiment:
         # a window of width 1 that misses the class
         lo = v0 + 21 * 50
         report = weighted_experiment(ws, lo, lo + 1)
+        assert report.class_size == 0
         assert report.empty_class
         assert report.weighted_avg is None
+        assert report.class_unweighted_avg is None
 
     def test_k1_average_in_unit_interval(self, k1_weights):
         report = weighted_experiment(k1_weights, 10**4, 2 * 10**4)
