@@ -79,7 +79,7 @@ ROW_FIELDS = ("key", "count", "predicted", "ratio", "applicable")
 _KEY_NAMES = {"intervals": "x", "progressions": "q", "residues": "a"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
     """Rows held as columns, a row's key being the window start x, the modulus q
     or the residue a; every summary statistic is derived from the columns."""

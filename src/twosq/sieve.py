@@ -57,7 +57,7 @@ def is_two_square(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize(n).items() if p % 4 == 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentTable:
     """Immutable membership table for a contiguous range [lo, hi].
 

@@ -106,7 +106,7 @@ def _cubic(values: np.ndarray, s0, w):
     return w[0] * values[s0] + w[1] * values[s0 + 1] + w[2] * values[s0 + 2] + w[3] * values[s0 + 3]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayTable:
     """Uniform-grid tabulation of one delay-differential function.
 

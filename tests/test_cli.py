@@ -22,6 +22,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def subprocess_env(**overrides):
+    """This environment with src/ first on PYTHONPATH, OPENBLAS_NUM_THREADS
+    removed, and `overrides` set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **overrides}
+
+
 class TestCliExamples:
     def test_sieve_window(self, capsys):
         code, out, _ = run_cli(["sieve", "--from", "100", "--to", "120"], capsys)
@@ -348,8 +357,7 @@ class TestLazyImports:
     ], ids=["count", "constants", "special"])
     def test_subcommand_loads_only_its_modules(self, argv, stdout, absent):
         # python -v logs every module as it is loaded, by import statement or importlib
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env()
         done = subprocess.run(
             [sys.executable, "-v", "-m", "twosq.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60, check=True,
@@ -362,8 +370,7 @@ class TestLazyImports:
     def test_runpy_runs_like_python_m(self):
         # under runpy.run_module the module runs in a namespace that is not
         # sys.modules["twosq.cli"]; the handlers must still find their names
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env()
         argv = ["count", "--x", "100"]
         via_m = subprocess.run(
             [sys.executable, "-m", "twosq.cli", *argv], capture_output=True, env=env, timeout=60, check=True
@@ -392,3 +399,39 @@ class TestLazyImports:
                 assert getattr(namespace[name], "__module__", home.__name__) == home.__name__, name
         with pytest.raises(AttributeError):
             twosq.no_such_name
+
+
+class TestBlasThreads:
+    @staticmethod
+    def threads_and_setting(**preset):
+        code = 'import os, twosq.cli; print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))'
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=subprocess_env(**preset), timeout=60, check=True)
+        return done.stdout.split()
+
+    needs_task_list = pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+        reason="needs /proc/self/task and two or more CPUs",
+    )
+
+    @needs_task_list
+    def test_cli_process_holds_one_thread(self):
+        # without the setting numpy's OpenBLAS starts one worker per extra CPU
+        assert self.threads_and_setting() == ["1", "1"]
+
+    @needs_task_list
+    def test_explicit_setting_wins(self):
+        assert self.threads_and_setting(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+    def test_bytes_do_not_depend_on_blas_threads(self, capsys):
+        # past s = 3, f comes from the marched F/f tables, whose build makes
+        # the toolkit's two BLAS calls (leggauss and a matrix-vector product)
+        argv = ["special", "--fn", "halfdim_f", "--from", "2", "--to", "6", "--step", "0.5"]
+        outs = [
+            subprocess.run([sys.executable, "-m", "twosq.cli", *argv], capture_output=True,
+                           env=subprocess_env(**preset), timeout=60, check=True).stdout
+            for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+        ]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert outs[0] == outs[1] == out.encode()

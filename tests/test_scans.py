@@ -15,7 +15,8 @@ from twosq.scans import (
     scan_progressions,
     scan_residues,
 )
-from twosq.sieve import count_interval, count_progression, count_upto, is_two_square
+from twosq.sieve import count_interval, count_progression, count_upto, is_two_square, sieve_segment
+from twosq.special import DelayTable
 
 
 class TestScanIntervals:
@@ -177,6 +178,19 @@ class TestScanResidues:
         rep = scan_residues(100, 4)
         assert rep.applicable.tolist()[3] is False
         assert rep.counts[3] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scan_residues(100, 4),
+    lambda: sieve_segment(1, 100),
+    lambda: DelayTable(0.0, 0.5, 1.0, np.arange(3.0), 0, 2, 0.0),
+], ids=["ScanReport", "SegmentTable", "DelayTable"])
+def test_reports_compare_by_identity(make):
+    # the array fields have no truth value, so == is identity and never raises
+    report, equal = make(), make()
+    assert report == report
+    assert (report == equal) is False
+    assert len({report, report, equal}) == 2
 
 
 def summary_oracle(rep, record_threshold=2.0):
