@@ -106,9 +106,9 @@ class UsageError(Exception):
 def _cmd_sieve(args):
     table = _cli.sieve_segment(args.lo, args.hi)
     check_rows("sieve", table.count_range(args.lo, args.hi))  # a row per member
-    members = table.members().tolist()
+    members = table.members()
     doc = {"lo": args.lo, "hi": args.hi, "count": len(members), "members": members}
-    return doc, (["member"], zip(members))
+    return doc, Records(("member",), (members,))
 
 
 def _cmd_count(args):

@@ -5,9 +5,11 @@ float formatting is fixed at 10 significant digits and rationals print as
 "num/den"; identical report objects therefore serialize to identical bytes
 regardless of how they were computed.
 
-Row tables (`Records`: scan rows, special-function tabulations) are written
-from columns, 2^16 rows at a time: each chunk of columns becomes Python
-lists with `.tolist()`, and every row is formatted by one `%`-template, e.g.
+Every long list is written CHUNK_ROWS (2^12) rows at a time, straight from
+its column: a 1-D integer array (a `sieve` report's members) or a list longer
+than a chunk becomes one ", "-joined string per chunk.  Row tables (`Records`:
+scan rows, special-function tabulations) turn each chunk of their columns into
+Python lists with `.tolist()` and format every row by one `%`-template, e.g.
 '{"key": %d, "count": %d, "predicted": %.10g, "ratio": %.10g, "applicable": %s}'
 in JSON or '%d,%d,%.10g,%.10g,%s' in CSV.  Integer columns take %d, float
 columns %.10g, flags the pre-mapped words true/false (JSON) or 1/0 (CSV), and
@@ -15,9 +17,9 @@ string columns %s (quoted in JSON).  %.10g spells finite floats exactly as
 `format_float` does, but not NaN and ±inf: a chunk whose float column holds
 one writes that column through `format_float` (NaN, Infinity, -Infinity).
 
-`to_json` and `to_csv` return the text as a list of strings, to be written
-in order; a row table adds one string per chunk, so no single string holds
-a whole report.
+`to_json` and `to_csv` return the text as a list of strings, one per chunk,
+to be written in order.  The scratch memory is one chunk, but the text is held
+whole until written: bench/tracer.py counts the pieces with `len`.
 """
 
 from __future__ import annotations
@@ -25,22 +27,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ResourceError
 
-# Rows any one table (a scan or a special-function tabulation) may hold.  A
-# row's peak cost, the slope of CLI peak RSS between JSON scan reports of 10^5
-# and 10^6 rows (written in 2^16-row chunks that are held until written), is
-# about 190 B for intervals, 140 B for residues and 280 B for progressions;
-# 512 B per row in a 2 GiB budget gives 2^22 rows.
+# Rows any one table (a scan, a special-function tabulation, a `sieve` member
+# list) may hold.  A row's peak cost, the slope of CLI peak RSS between JSON
+# reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
+# scan-progressions at x = 10^7; the text is held until written), is about
+# 130 B for intervals, 130 B for residues, 145 B for progressions and 17 B per
+# `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
-# Rows per chunk of a row table: whole columns as Python objects would add
-# ~85 B per row at peak.
-CHUNK_ROWS = 1 << 16
+# Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per
+# row at peak; 2^12 is the knee for the seed-0 benchmark scan (150,664 rows):
+# CLI peak RSS 50.2 / 52.5 / 55.7 / 67.5 MB at 2^10 / 2^12 / 2^14 / 2^16,
+# at equal wall time.
+CHUNK_ROWS = 1 << 12
 
 
 def format_float(v: float) -> str:
@@ -110,19 +115,28 @@ def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
     raise TypeError(f"cannot serialize a column of dtype {col.dtype}")
 
 
+def _chunked(n: int, write: Callable[[slice], str], sep: str = "") -> Iterator[str]:
+    """`write` of each CHUNK_ROWS-row slice of n rows, one string per chunk;
+    `sep` leads every chunk but the first."""
+    for i in range(0, n, CHUNK_ROWS):
+        yield (sep if i else "") + write(slice(i, i + CHUNK_ROWS))
+
+
 def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
-    """The rows of `rec`, CHUNK_ROWS to a string; JSON rows are separated by
+    """The rows of `rec`, a chunk to a string; JSON rows are separated by
     ", " (also between chunks), CSV rows end in a newline."""
     columns = [np.asarray(c) for c in rec.columns]
     keys = [_quote(f).replace("%", "%%") + ": " for f in rec.fields]
-    for i in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-        specs, values = zip(*(_cells(c[i : i + CHUNK_ROWS], as_json) for c in columns))
+
+    def write(span: slice) -> str:
+        specs, values = zip(*(_cells(c[span], as_json) for c in columns))
         if as_json:
             template = "{" + ", ".join(k + s for k, s in zip(keys, specs)) + "}"
-            yield (", " if i else "") + ", ".join([template % row for row in zip(*values)])
-        else:
-            template = ",".join(specs) + "\n"
-            yield "".join([template % row for row in zip(*values)])
+            return ", ".join([template % row for row in zip(*values)])
+        template = ",".join(specs) + "\n"
+        return "".join([template % row for row in zip(*values)])
+
+    return _chunked(len(columns[0]) if columns else 0, write, ", " if as_json else "")
 
 
 def _emit(obj: Any, out: list[str]) -> None:
@@ -133,6 +147,9 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if len(obj) > CHUNK_ROWS:
+            out.extend(_long_list(obj))
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -140,11 +157,24 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(v, out)
         out.append("]")
     elif isinstance(obj, Records):
-        out.append("[")
-        out.extend(_record_chunks(obj, as_json=True))
-        out.append("]")
+        out.extend(["[", *_record_chunks(obj, as_json=True), "]"])
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        out.extend(_long_list(obj))
     else:
         out.append(_scalar(obj))
+
+
+def _long_list(obj: Sequence | np.ndarray) -> list[str]:
+    """A list longer than a chunk, or a 1-D integer array, as JSON pieces."""
+
+    def write(span: slice) -> str:
+        if isinstance(obj, np.ndarray):
+            return ", ".join(map(str, obj[span].tolist()))
+        part: list[str] = []
+        _emit(obj[span], part)  # a chunk is short: written element by element
+        return "".join(part[1:-1])
+
+    return ["[", *_chunked(len(obj), write, ", "), "]"]
 
 
 def to_json(obj: Any) -> list[str]:
@@ -155,7 +185,7 @@ def to_json(obj: Any) -> list[str]:
     return out
 
 
-def to_csv(rows: Records | Iterable[Iterable[Any]], header: Iterable[str] | None = None) -> list[str]:
+def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None = None) -> list[str]:
     """CSV text, in pieces to be written in order.  A `Records` table brings its
     own header (its fields); other rows are written value by value."""
     if isinstance(rows, Records):
@@ -168,9 +198,8 @@ def to_csv(rows: Records | Iterable[Iterable[Any]], header: Iterable[str] | None
             return format_fraction(v)
         return str(v)
 
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(cell(v) for v in row))
-    return ["\n".join(lines) + "\n"]
+    def write(span: slice) -> str:
+        return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[span]])
+
+    head = [] if header is None else [",".join(header) + "\n"]
+    return [*head, *_chunked(len(rows), write)]

@@ -81,7 +81,9 @@ class SegmentTable:
 
     def members(self) -> np.ndarray:
         """All members in [lo, hi], ascending, as int64."""
-        return self.lo + np.flatnonzero(self.bits).astype(np.int64)
+        m = np.flatnonzero(self.bits).astype(np.int64, copy=False)
+        m += self.lo  # in place, and exact: lo + index <= hi < 2^63
+        return m
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> SegmentTable:

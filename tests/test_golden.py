@@ -4,12 +4,14 @@ Each digest was recorded from the toolkit before its root-set, trial-division
 and squarefree-product helpers were merged into one copy each; the
 scan-intervals and scan-progressions digests were recorded before scan rows
 became numpy columns; the `g` tabulations and the 70,000-row scan (wider than
-one 2^16-row writer chunk) were recorded before rows were written from
-templates and `g` read a per-table search index; the sieve, count,
-constants, `special --at` and remaining CSV digests were recorded before
-every report came to be written by `dispatch` alone.  Any change to
-a report's bytes fails here; re-record a digest only for a deliberate,
-documented format change.
+one 2^16-row writer chunk then, 18 chunks of 2^12 rows now) were recorded
+before rows were written from templates and `g` read a per-table search
+index; the sieve, count, constants, `special --at` and remaining CSV digests
+were recorded before every report came to be written by `dispatch` alone;
+the 12,460-member sieve of [1, 50000] (four 2^12-row chunks) was recorded
+while member lists were still Python lists written element by element.  Any
+change to a report's bytes fails here; re-record a digest only for a
+deliberate, documented format change.
 """
 
 import hashlib
@@ -115,6 +117,14 @@ CASES = {
     "sieve_csv": (
         ["sieve", "--from", "100", "--to", "200", "--format", "csv"],
         "723ab45b3b305a5fcbce0cd17b5918e2e99a835eef7a13c7a0dded28c8d7156a",
+    ),
+    "sieve_multichunk_json": (
+        ["sieve", "--from", "1", "--to", "50000"],
+        "30555ae779f1a44761ff460ebffd45e8f84117613aa4d89a01653acf5ee1b794",
+    ),
+    "sieve_multichunk_csv": (
+        ["sieve", "--from", "1", "--to", "50000", "--format", "csv"],
+        "3a666224227185290aa069f57ddbda1598839efd5b053bd9b9df88e5bf39cb89",
     ),
     "sieve_empty": (
         ["sieve", "--from", "21", "--to", "24"],

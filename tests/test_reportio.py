@@ -1,14 +1,20 @@
-"""The row-template writer against a plain per-value writer.
+"""The chunked report writer against a plain per-value writer.
 
 `reference_json` and `reference_csv` format one value at a time from
 `format_float`, `_quote` and the words true/false (JSON) or 1/0 (CSV); the
 `Records` writer must produce the same bytes on seeded random columns that
-span more than one 2^16-row chunk.
+span many CHUNK_ROWS-row chunks.  The bytes of every long list must not
+depend on the chunk size, and the writer's scratch memory must stay near
+one chunk whatever the length of the list.
 """
+
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twosq import reportio
 from twosq.reportio import CHUNK_ROWS, Records, _quote, format_float, to_csv, to_json
 
 INT64_MAX = 2**63 - 1
@@ -70,7 +76,7 @@ FIELDS = ("key", "count", "predicted", "ra%tio", "applicable", "kind")
 
 
 def test_records_match_reference():
-    columns = random_columns(CHUNK_ROWS + 4321, seed=0)
+    columns = random_columns((1 << 16) + 4321, seed=0)
     plain = [c.tolist() for c in columns]
     assert all(isinstance(v, bool) for v in plain[4]) and any(plain[4]) and not all(plain[4])
     assert np.isfinite(columns[3][:CHUNK_ROWS]).all() and not np.isfinite(columns[2][:CHUNK_ROWS]).all()
@@ -100,3 +106,78 @@ def test_empty_table():
 def test_unsupported_column_rejected():
     with pytest.raises(TypeError):
         to_json(Records(("x",), (np.array([object()]),)))
+
+
+def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
+    table = Records(FIELDS, random_columns(CHUNK_ROWS + 1000, seed=3))  # ratio: non-finite in one chunk only
+    ints = np.array([-(2**63), INT64_MAX, 0, -1, 20] * 999, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    pairs = [[d, (d * d) % 97] for d in range(1, 10**4 + 1)]
+
+    def texts():
+        return {
+            "records_json": "".join(to_json(table)),
+            "records_csv": "".join(to_csv(table)),
+            "ints_json": "".join(to_json(ints)),
+            "ints_csv": "".join(to_csv(Records(("member",), (ints,)))),
+            "empty_json": "".join(to_json(empty)),
+            "empty_csv": "".join(to_csv(Records(("member",), (empty,)))),
+            "pairs_json": "".join(to_json(pairs)),
+            "pairs_csv": "".join(to_csv(pairs, header=["d", "count"])),
+        }
+
+    plain = [c.tolist() for c in table.columns]
+    want = {
+        "records_json": reference_json(FIELDS, plain) + "\n",
+        "records_csv": reference_csv(FIELDS, plain),
+        "ints_json": json.dumps(ints.tolist()) + "\n",
+        "ints_csv": "member\n" + "".join(f"{v}\n" for v in ints.tolist()),
+        "empty_json": "[]\n",
+        "empty_csv": "member\n",
+        "pairs_json": json.dumps(pairs) + "\n",
+        "pairs_csv": "d,count\n" + "".join(f"{d},{c}\n" for d, c in pairs),
+    }
+    for size in (1, 7, 1 << 12, 1 << 16):
+        monkeypatch.setattr(reportio, "CHUNK_ROWS", size)
+        for name, got in texts().items():
+            assert_same_text(got, want[name])
+
+
+def traced_excess(write, *args):
+    """The pieces `write(*args)` returns, and its traced peak memory less the
+    characters of those pieces (ASCII: a byte each)."""
+    tracemalloc.start()
+    try:
+        pieces = write(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pieces, peak - sum(map(len, pieces))
+
+
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("write", [to_json, to_csv], ids=["json", "csv"])
+def test_records_writer_memory_is_one_chunk(write):
+    n = 2 * 10**5
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 30, size=n, dtype=np.int64)
+    predicted = np.full(n, 7.25)
+    rec = Records(
+        ("x", "count", "predicted", "ratio", "applicable"),
+        (np.arange(10**6, 10**6 + n, dtype=np.int64), counts, predicted, counts / predicted, counts > 7),
+    )
+    pieces, excess = traced_excess(write, rec)
+    assert len(pieces) <= -(-n // CHUNK_ROWS) + 3
+    assert excess <= 2 * MIB
+
+
+@pytest.mark.parametrize("kind", ["int64_array", "list"])
+def test_list_writer_memory_is_one_chunk(kind):
+    column = np.arange(10**6, dtype=np.int64) * 20
+    if kind == "list":
+        column = column.tolist()
+    pieces, excess = traced_excess(to_json, column)
+    assert len(pieces) <= -(-(10**6) // CHUNK_ROWS) + 3
+    assert excess <= 2 * MIB
