@@ -99,11 +99,12 @@ def landau_constant(truncation_limit: int) -> tuple[float, float]:
     if truncation_limit < 10:
         raise DomainError(f"landau_constant: truncation_limit must be >= 10, got {truncation_limit}")
     log_parts: list[float] = []
-    for block in iter_prime_blocks(truncation_limit):
-        sel = block[block % 4 == 3]
-        if sel.size:
-            x = 1.0 / (sel.astype(np.float64) ** 2)
-            log_parts.append(float(np.sum(np.log1p(-x))))
+    for block in iter_prime_blocks(truncation_limit, p3=True):
+        x = block.astype(np.float64)  # -1/p^2, then log1p of it, in place
+        x *= x
+        np.divide(-1.0, x, out=x)
+        log_parts.append(float(np.sum(np.log1p(x, out=x))))
+        del block, x  # not held while the next block is sieved
     log_product = math.fsum(log_parts)
     value = math.exp(-0.5 * log_product) / math.sqrt(2.0)
 

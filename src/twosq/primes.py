@@ -1,16 +1,18 @@
 """Prime generation and factorization helpers used throughout the toolkit.
 
-One segmented sieve of Eratosthenes that keeps one flag per odd number
-(numpy bool arrays; 2 is added by hand) and streams its primes in blocks;
-the list of all primes and the one list of primes = 3 (mod 4) are built
-from those blocks.  Also the one factorization routine (trial division by
-small factors, then Pollard rho with deterministic Miller-Rabin, exact on
-[1, 2^63 - 1]) and the one enumeration of squarefree products over a prime
-list.
+One segmented sieve of Eratosthenes that streams its primes in blocks.  It
+keeps one flag per odd number (2 is added by hand) for the list of all
+primes, or one flag per n = 3 (mod 4) for the primes = 3 (mod 4) alone,
+which are all the membership sieve and the Landau-Ramanujan product need
+(the segmented sieve of one residue class, Bays and Hudson, BIT 17, 1977).
+Also the one factorization routine (trial division by small factors, then
+Pollard rho with deterministic Miller-Rabin, exact on [1, 2^63 - 1]) and the
+one enumeration of squarefree products over a prime list.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
@@ -33,29 +35,37 @@ TRIAL_BOUND = 1 << 10
 # Miller-Rabin with these bases is exact below 3.3e24 (far above 2^63).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2)."""
-    return np.concatenate([_EMPTY, *iter_prime_blocks(limit)])
+    return _joined(iter_prime_blocks(limit))
 
 
 def p3_primes(limit: int) -> np.ndarray:
-    """The primes p = 3 (mod 4) with p <= limit as an int64 array, each block
-    filtered as it is streamed (the list of all primes is never held)."""
-    return np.concatenate([_EMPTY, *(block[block % 4 == 3] for block in iter_prime_blocks(limit))])
+    """The primes p = 3 (mod 4) with p <= limit as an int64 array."""
+    return _joined(iter_prime_blocks(limit, p3=True))
 
 
-def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
-    """Yield primes <= limit in ascending blocks without sieving all at once.
+def _joined(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """The blocks end to end, each copied into the growing result and freed
+    before the next is sieved: the peak is the result and one block."""
+    out = array("q")
+    for block in blocks:
+        out.frombytes(memoryview(block).cast("B"))
+        del block  # not held while the next block is sieved
+    return np.frombuffer(out, dtype=np.int64)
+
+
+def iter_prime_blocks(limit: int, p3: bool = False) -> Iterator[np.ndarray]:
+    """Yield primes <= limit, or with p3 those = 3 (mod 4), in ascending blocks.
 
     The first block is the primes up to sqrt(limit); each later block holds
     the primes of one range of PRIME_SEGMENT integers, the last range cut at
-    limit.  Memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base primes
-    come from sieve_primes(sqrt(limit)), itself built from these blocks, so
-    the recursion ends after a few levels.  Limits above MAX_SIEVE_LIMIT are
-    refused before anything is allocated.
+    limit, sieved in one buffer of flags (one per odd n, or with p3 per
+    n = 3 (mod 4)), so memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base
+    primes come from sieve_primes(sqrt(limit)), itself built from these
+    blocks, so the recursion ends after a few levels.  Limits above
+    MAX_SIEVE_LIMIT are refused before anything is allocated.
     """
     if limit < 2:
         return
@@ -63,21 +73,29 @@ def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
         raise ResourceError(f"iter_prime_blocks: sieve to {limit} exceeds the prime-sieve budget (limit 2^30)")
     base_limit = isqrt(limit)
     base = sieve_primes(base_limit)
-    yield base
+    yield base[base % 4 == 3] if p3 else base
+    # flags[i] stands for first + step * i, first the least n >= lo with
+    # n = -1 (mod step): the odd numbers, or those = 3 (mod 4)
+    step = 4 if p3 else 2
+    buffer = np.empty((min(PRIME_SEGMENT, limit) - 1) // step + 1, dtype=bool)
+    odd_base = base[1:].tolist()  # base[0] is 2, which has no flags here
     lo = base_limit + 1
     while lo <= limit:
         hi = min(lo + PRIME_SEGMENT - 1, limit)
-        # flags[i] stands for the odd number first + 2i in [lo, hi]
-        first = lo | 1
-        flags = np.ones((hi - first) // 2 + 1, dtype=bool)
-        for p in base[1:].tolist():  # base[0] is 2, which has no flags here
-            start = (-(-lo // p) | 1) * p  # the first odd multiple >= lo
-            flags[(start - first) // 2 :: p] = False
+        first = lo + (-1 - lo) % step
+        flags = buffer[: (hi - first) // step + 1]
+        flags[:] = True
+        for p in odd_base:
+            # k * p = first (mod step) iff k = first * p (mod step), as p * p = 1
+            k = -(-lo // p)
+            k += (first * p - k) % step
+            flags[(k * p - first) // step :: p] = False
         block = np.flatnonzero(flags).astype(np.int64, copy=False)
-        block *= 2
+        block *= step
         block += first
         # 2 is streamed (rather than in base) only when limit < 4
-        yield np.concatenate(([2], block)) if lo == 2 else block
+        yield np.concatenate(([2], block)) if lo == 2 and not p3 else block
+        del block  # the caller has it; not held here while the next is sieved
         lo = hi + 1
 
 

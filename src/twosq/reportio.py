@@ -131,10 +131,12 @@ def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
     def write(span: slice) -> str:
         specs, values = zip(*(_cells(c[span], as_json) for c in columns))
         if as_json:
-            template = "{" + ", ".join(k + s for k, s in zip(keys, specs)) + "}"
-            return ", ".join([template % row for row in zip(*values)])
-        template = ",".join(specs) + "\n"
-        return "".join([template % row for row in zip(*values)])
+            template, sep = "{" + ", ".join(k + s for k, s in zip(keys, specs)) + "}", ", "
+        else:
+            template, sep = ",".join(specs) + "\n", ""
+        if len(values) == 1:  # one column: the chunk in one format call, no 1-tuple per row
+            return sep.join([template] * len(values[0])) % tuple(values[0])
+        return sep.join([template % row for row in zip(*values)])
 
     return _chunked(len(columns[0]) if columns else 0, write, ", " if as_json else "")
 

@@ -12,13 +12,14 @@ small array over the multiples of p holds the parity of v_p, toggled along
 the multiples of p^2, p^3, ... with strided slices, and is ORed into the
 segment with one strided store; nothing is divided.
 Primes above n / 64 hit at most 65 positions each (only one or none when
-p > n, the common case in short windows far out); their multiples are
-listed in one numpy pass, in chunks, and the parity of v_p at each is found
-by exact int64 division.
+p > n, the common case in short windows far out); they are taken a chunk at
+a time, their multiples listed in one numpy pass per chunk, and the parity
+of v_p at each is found by exact int64 division.  The membership bits are
+the marks inverted in place: a segment's memory is n bytes plus scratch.
 
 Counts and scans stream segments through iter_segments on one thread: the
 per-prime loop runs Python under the GIL, so a thread pool saved no time on
-the benchmark's runs.
+the benchmark's runs.  Counts drop each segment before the next is sieved.
 
 Integers are restricted to the signed-64-bit range; work beyond 2^63 - 1 is
 rejected rather than silently overflowing.
@@ -131,41 +132,43 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
             q *= p
         bad[start::p] |= odd
 
-    return SegmentTable(lo=lo, hi=hi, bits=~bad)
+    return SegmentTable(lo=lo, hi=hi, bits=np.logical_not(bad, out=bad))
 
 
 def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
     """Set bad[i] where v_p(lo + i) is odd for some p in primes.
 
-    The multiples of the primes in the segment are listed with np.repeat, at
-    most LARGE_PRIME_CHUNK at a time (or one prime's), and the parity of v_p
-    at each is found by dividing out p; lo + i <= hi < 2^63, so int64 is exact.
+    Primes come LARGE_PRIME_CHUNK at a time and their multiples in the segment
+    are listed with np.repeat, at most LARGE_PRIME_CHUNK (or one prime's) at a
+    time; v_p's parity at each is found by exact int64 division (lo + i < 2^63).
     """
     n = bad.size
-    first = -lo % primes
-    keep = first < n
-    primes, first = primes[keep], first[keep]
-    hits = (n - 1 - first) // primes + 1
-    ends = np.cumsum(hits)
-    starts = ends - hits
-    a = 0
-    while a < primes.size:
-        b = max(int(np.searchsorted(ends, starts[a] + LARGE_PRIME_CHUNK, side="right")), a + 1)
-        # the j-th multiple of a prime p in the segment sits at first + j * p
-        p = np.repeat(primes[a:b], hits[a:b])
-        pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], hits[a:b])
-        pos *= p
-        pos += np.repeat(first[a:b], hits[a:b])
-        # at: entries still divisible by p, q: their value with p divided out so far
-        odd = np.ones(pos.size, dtype=bool)
-        at, q, pa = np.arange(pos.size), (lo + pos) // p, p
-        while at.size:
-            more = q % pa == 0
-            at, pa = at[more], pa[more]
-            q = q[more] // pa
-            odd[at] ^= True
-        bad[pos[odd]] = True
-        a = b
+    for c in range(0, primes.size, LARGE_PRIME_CHUNK):
+        chunk = primes[c : c + LARGE_PRIME_CHUNK]
+        first = -lo % chunk
+        keep = first < n
+        chunk, first = chunk[keep], first[keep]
+        hits = (n - 1 - first) // chunk + 1
+        ends = np.cumsum(hits)
+        starts = ends - hits
+        a = 0
+        while a < chunk.size:
+            b = max(int(np.searchsorted(ends, starts[a] + LARGE_PRIME_CHUNK, side="right")), a + 1)
+            # the j-th multiple of a prime p in the segment sits at first + j * p
+            p = np.repeat(chunk[a:b], hits[a:b])
+            pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], hits[a:b])
+            pos *= p
+            pos += np.repeat(first[a:b], hits[a:b])
+            # at: entries still divisible by p, q: their value with p divided out so far
+            odd = np.ones(pos.size, dtype=bool)
+            at, q, pa = np.arange(pos.size), (lo + pos) // p, p
+            while at.size:
+                more = q % pa == 0
+                at, pa = at[more], pa[more]
+                q = q[more] // pa
+                odd[at] ^= True
+            bad[pos[odd]] = True
+            a = b
 
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
@@ -183,11 +186,17 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
         yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 
 
+def _count(lo: int, hi: int, q: int = 1, a: int = 0) -> int:
+    """Members n in [lo, hi] with n = a (mod q).  map drops each segment before
+    the next is sieved (a generator expression's loop variable would hold it)."""
+    return sum(map(lambda seg: int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])), iter_segments(lo, hi)))
+
+
 def count_upto(x: int) -> int:
     """Number of sums of two squares in [1, x]."""
     if x < 0:
         raise DomainError(f"count_upto: x must be >= 0, got {x}")
-    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(1, x))
+    return _count(1, x)
 
 
 def count_interval(x: int, y: int) -> int:
@@ -196,7 +205,7 @@ def count_interval(x: int, y: int) -> int:
         raise DomainError(f"count_interval: x must be >= 0, got {x}")
     if y < 1:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
-    return sum(int(np.count_nonzero(seg.bits)) for seg in iter_segments(x + 1, x + y))
+    return _count(x + 1, x + y)
 
 
 def count_progression(x: int, q: int, a: int) -> int:
@@ -207,4 +216,4 @@ def count_progression(x: int, q: int, a: int) -> int:
         raise DomainError(f"count_progression: need 0 <= a < q, got a={a}, q={q}")
     if x < 0:
         raise DomainError(f"count_progression: x must be >= 0, got {x}")
-    return sum(int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])) for seg in iter_segments(1, x))
+    return _count(1, x, q, a)

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,20 @@ from hypothesis import strategies as st
 from twosq.admissible import LinearForm
 from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S, phi_S_floats
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import factorize, sieve_primes
+from twosq.primes import factorize, iter_prime_blocks, sieve_primes
+
+
+def reference_landau_constant(T: int) -> tuple[float, float]:
+    """landau_constant by filtering the blocks of all primes to p = 3 (mod 4)
+    and summing log1p(-1/p^2) block by block."""
+    log_parts = []
+    for block in iter_prime_blocks(T):
+        sel = block[block % 4 == 3]
+        if sel.size:
+            x = 1.0 / (sel.astype(np.float64) ** 2)
+            log_parts.append(float(np.sum(np.log1p(-x))))
+    value = math.exp(-0.5 * math.fsum(log_parts)) / math.sqrt(2.0)
+    return value, value * math.expm1((50.0 / 99.0) / (T - 1))
 
 
 class TestPhiS:
@@ -79,6 +94,31 @@ class TestLandauConstant:
         value, tail = landau_constant(10**7)
         assert abs(value - 0.764223) < 1e-5
         assert tail < 1e-6
+
+    # (10^6 + 1, 7) is left out: 1.4e5 blocks of 7 integers take about 50 s,
+    # and T = 1000 already runs segment 7 through its empty and one-prime blocks
+    @pytest.mark.parametrize(
+        "T,segment", [(T, s) for T in (10, 1000, 10**6 + 1) for s in (None, 7, 4096) if (T, s) != (10**6 + 1, 7)]
+    )
+    def test_matches_all_primes_route(self, monkeypatch, T, segment):
+        # the blocks of primes = 3 (mod 4) sieved on their own cover the same
+        # ranges as the filtered blocks of all primes, so every per-block sum,
+        # and the product, agree bit for bit
+        if segment is not None:
+            monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", segment)
+        assert landau_constant(T) == reference_landau_constant(T)
+
+    def test_peak_one_block(self):
+        # one block of primes = 3 (mod 4), its floats and the flag buffer
+        # (8.8 MiB when every prime was flagged and each block filtered)
+        tracemalloc.start()
+        try:
+            value, _ = landau_constant(3 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        assert abs(value - 0.764223) < 1e-5
 
 
 class TestNu:

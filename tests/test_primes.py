@@ -48,6 +48,14 @@ def primes_upto(limit: int) -> list[int]:
     return primes_between(0, limit)
 
 
+def p3_between(a: int, b: int) -> list[int]:
+    return [p for p in primes_between(a, b) if p % 4 == 3]
+
+
+# every limit to 300, 31^2 - 1, 31^2 and 31^2 + 1, 1000 and 4099
+BLOCK_LIMITS = [*range(0, 300), 960, 961, 962, 1000, 4099]
+
+
 # p^2 +- 1 for a few p, 10^6 +- 1 (all below the reference limit)
 EDGE_LIMITS = [q for p in (2, 3, 5, 7, 31, 97, 1009) for q in (p * p - 1, p * p, p * p + 1)] + [
     10**6 - 1, 10**6, 10**6 + 1
@@ -75,40 +83,48 @@ class TestSievePrimes:
         with pytest.raises(ResourceError):
             sieve_primes(limit)
 
-    @pytest.mark.parametrize("segment", [1, 7])
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_recursion_through_blocks(self, monkeypatch, segment):
-        # sieve_primes is the concatenated blocks, whose base primes come from
-        # sieve_primes(sqrt(limit)); short segments make every level stream
+        # sieve_primes and p3_primes are the concatenated blocks, whose base
+        # primes come from sieve_primes(sqrt(limit)); short segments make
+        # every level stream
         monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", segment)
-        for limit in [*range(0, 300), 960, 961, 962, 4099]:
-            got = sieve_primes(limit)
-            assert got.dtype == np.int64
+        for limit in BLOCK_LIMITS:
+            got, got3 = sieve_primes(limit), p3_primes(limit)
+            assert got.dtype == got3.dtype == np.int64
             assert got.tolist() == primes_upto(limit), (limit, segment)
+            assert got3.tolist() == p3_between(0, limit), (limit, segment)
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_block_layout(self, monkeypatch, segment):
         # the base primes up to sqrt(limit), then one block per range of
-        # segment integers from sqrt(limit) + 1, the last range cut at limit
+        # segment integers from sqrt(limit) + 1, the last range cut at limit;
+        # with p3 each block keeps its primes = 3 (mod 4) alone
         monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", segment)
-        for limit in [*range(0, 300), 1000, 4099]:
-            root = isqrt(limit)
-            ranges = [(0, root)] + [(a, min(a + segment - 1, limit)) for a in range(root + 1, limit + 1, segment)]
-            blocks = list(iter_prime_blocks(limit))
-            assert len(blocks) == (len(ranges) if limit >= 2 else 0), (limit, segment)
-            for block, (a, b) in zip(blocks, ranges):
-                assert block.dtype == np.int64
-                assert block.tolist() == primes_between(a, b), (limit, segment, a, b)
-            if blocks:
-                assert np.concatenate(blocks).tolist() == primes_upto(limit)
+        for p3, expect in ((False, primes_between), (True, p3_between)):
+            for limit in BLOCK_LIMITS:
+                root = isqrt(limit)
+                ranges = [(0, root)] + [(a, min(a + segment - 1, limit)) for a in range(root + 1, limit + 1, segment)]
+                blocks = list(iter_prime_blocks(limit, p3=p3))
+                assert len(blocks) == (len(ranges) if limit >= 2 else 0), (limit, segment, p3)
+                for block, (a, b) in zip(blocks, ranges):
+                    assert block.dtype == np.int64
+                    assert block.tolist() == expect(a, b), (limit, segment, p3, a, b)
+                if blocks:
+                    assert np.concatenate(blocks).tolist() == expect(0, limit)
 
     def test_block_edges(self, monkeypatch):
         # limit 3: sqrt is 1, so 2 comes in a streamed block of its own
         monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 1)
         assert [b.tolist() for b in iter_prime_blocks(3)] == [[], [2], [3]]
+        assert [b.tolist() for b in iter_prime_blocks(3, p3=True)] == [[], [], [3]]
         # limit 14, segment 1: each even number from 4 on is a block of its own, empty
         assert [b.tolist() for b in iter_prime_blocks(14)] == [[2, 3], [], [5], [], [7], [], [], [], [11], [], [13], []]
+        # with p3, every block but those of 7 and 11 is empty (the base block keeps 3)
+        assert [b.tolist() for b in iter_prime_blocks(14, p3=True)] == [[3], [], [], [], [7], [], [], [], [11], [], [], []]
         monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 7)
         assert [b.tolist() for b in iter_prime_blocks(2)] == [[], [2]]
+        assert [b.tolist() for b in iter_prime_blocks(2, p3=True)] == [[], []]
 
     @pytest.mark.parametrize("limit", [MAX_SIEVE_LIMIT + 1, 10**12])
     def test_streamed_budget(self, limit):

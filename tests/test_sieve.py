@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from twosq.errors import DomainError, ResourceError
 from twosq.primes import p3_primes
 from twosq.sieve import (
+    DEFAULT_SEGMENT,
     LARGE_PRIME_DIVISOR,
     count_interval,
     count_progression,
@@ -210,6 +211,21 @@ class TestLargePrimePass:
         sample = range(lo, hi + 1, 97)
         assert [bool(seg.bits[n - lo]) for n in sample] == [is_two_square(n) for n in sample]
 
+    def test_short_window_allocates_chunks(self):
+        # the 332,398 given base primes reach the vectorized pass
+        # LARGE_PRIME_CHUNK at a time, so a 200-integer window allocates
+        # chunk-sized arrays only (2.9 MiB when they spanned every prime)
+        lo, hi = 10**14, 10**14 + 199
+        base = p3_primes(10**7)
+        tracemalloc.start()
+        try:
+            seg = sieve_segment(lo, hi, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+        assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
+
     @given(
         lo=st.integers(min_value=1, max_value=10**14),
         span=st.integers(min_value=0, max_value=200),
@@ -264,6 +280,19 @@ class TestCounts:
             count_progression(10, 4, 4)
         with pytest.raises(DomainError):
             count_progression(-1, 4, 1)
+
+    def test_count_holds_one_segment(self):
+        # a segment is freed before the next is sieved, and its membership
+        # bits are the sieve's array inverted in place: one segment's bytes
+        # and the per-prime scratch, not two segments (6 MiB)
+        tracemalloc.start()
+        try:
+            count = count_upto(3 * DEFAULT_SEGMENT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * DEFAULT_SEGMENT
+        assert count == 1269406
 
     @given(
         x=st.integers(min_value=0, max_value=3000),
