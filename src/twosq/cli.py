@@ -3,10 +3,11 @@
 One subcommand per toolkit object.  Each handler takes the parsed arguments
 and returns its report twice over: the JSON document (without its version)
 and its CSV rows, a `Records` table or a (header, rows) pair; `special --at`
-gives the bare value as text instead of rows.  `dispatch` alone stamps
+gives its bare value as one row with no header.  `dispatch` alone stamps
 "version": "v1" on the document, picks the format (JSON by default;
-`special` writes text, that is its CSV table or bare value) and writes the
-report.  Identical configurations produce byte-identical output; floats are
+`special` writes CSV, its table or its bare value) and writes the report.
+Handlers pass floats and Fractions as they are: the writer alone formats
+them.  Identical configurations produce byte-identical output; floats are
 fixed at 10 significant digits and rationals print as "num/den".  Every run
 uses one thread; --threads is accepted and ignored.  numpy's OpenBLAS gets
 one thread too, unless OPENBLAS_NUM_THREADS is already set: otherwise it
@@ -22,8 +23,9 @@ parser itself imports nothing).  Handlers read those names through `_cli`,
 a view of this module's globals, which keeps each of them reachable as
 `twosq.cli.<name>`; a name rebound there (by a tracer, say) is the one that runs.
 
-Exit codes: 0 success, 1 domain/resource error, 2 usage error (including
-flags that conflict or that the chosen mode would ignore).
+Exit codes: 0 success, 1 domain/resource error or an --out path that
+cannot be written, 2 usage error (including flags that conflict or that the
+chosen mode would ignore).
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def _cmd_special(args):
         if (args.lo, args.hi, args.step) != (None, None, None):
             raise UsageError("special: --at (one value) excludes --from/--to/--step (a table)")
         value = _cli.FUNCTIONS[args.fn](args.at)
-        return {"fn": args.fn, "s": args.at, "value": value}, f"{value:.10g}\n"
+        return {"fn": args.fn, "s": args.at, "value": value}, (None, [(value,)])
     if args.lo is None or args.hi is None:
         raise UsageError("special: provide --at, or --from/--to for tabulation")
     step = SPECIAL_STEP if args.step is None else args.step
@@ -174,7 +176,9 @@ def _cmd_special(args):
 
 def _parse_forms(text: str) -> list[LinearForm]:
     try:
-        pairs = [(int(a), int(b)) for a, b in json.loads(text)]
+        pairs = [(a, b) for a, b in json.loads(text)]
+        if not all(type(v) is int for pair in pairs for v in pair):  # not bool, float or str
+            raise TypeError("coefficients must be JSON integers")
     except (ValueError, TypeError) as exc:
         raise DomainError(f"--forms must be JSON like [[1,1],[1,5]], got {text!r}: {exc}")
     return [_cli.LinearForm(a, b) for a, b in pairs]
@@ -214,7 +218,7 @@ def _cmd_weights(args):
     system = _build_system(args)
     ws = _cli.build_weights(system, _paper_strict_R(args))
     doc = {"system": system.to_json_dict(), **ws.to_json_dict()}
-    return doc, (["d", "lambda", "ystar"], [(d, str(ws.lam[d]), str(ws.ystar[d])) for d in ws.support])
+    return doc, (["d", "lambda", "ystar"], [(d, ws.lam[d], ws.ystar[d]) for d in ws.support])
 
 
 def _cmd_gpy_demo(args):
@@ -415,16 +419,18 @@ def dispatch(argv: list[str] | None = None) -> int:
         doc, table = args.handler(args)
         if args.format == "json":
             chunks = to_json({"version": SCHEMA_VERSION, **doc})
-        elif isinstance(table, str):
-            chunks = [table]
         elif isinstance(table, Records):
             chunks = to_csv(table)
         else:
             header, rows = table
             chunks = to_csv(rows, header=header)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         else:
             sys.stdout.writelines(chunks)
         return 0

@@ -18,14 +18,18 @@ diagonalize exactly to
   Q_nu-1   = sum_r (ystar_r)^2 prod_{p|r} (nu(p)-1)/(p - nu(p)),
 
 with ystar_r = r * sum_{s: r|s} 1/phi(s) on the part of the support where
-nu(p) > 1 for all p | r, and 0 elsewhere.  Everything is computed in exact
-rational arithmetic; the identities are verified by computing both routes.
+nu(p) > 1 for all p | r, and 0 elsewhere.  The sums over r in lambda_d and
+over s in ystar_r run over support multiples; `_multiple_sums` gives them for
+every element at once, a support prime at a time (the zeta transform over the
+squarefree lattice).  Everything is computed in exact rational arithmetic;
+the identities are verified by computing both routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -70,13 +74,21 @@ class WeightSystem:
     def lambda_max(self) -> Fraction:
         return max(abs(v) for v in self.lam.values())
 
+    @cached_property
+    def lam_denom(self) -> int:  # D, the lcm of the lambda denominators
+        return math.lcm(*(v.denominator for v in self.lam.values()))
+
+    @cached_property
+    def lam_scaled(self) -> dict[int, int]:  # lambda_d * D as integers
+        return {d: v.numerator * (self.lam_denom // v.denominator) for d, v in self.lam.items()}
+
     def to_json_dict(self) -> dict:
         return {
             "R": self.R,
             "support": list(self.support),
-            "lambda": {str(d): str(self.lam[d]) for d in self.support},
-            "Q_nu": str(self.Q_nu),
-            "Q_nu_minus1": str(self.Q_nu_minus1),
+            "lambda": {str(d): self.lam[d] for d in self.support},
+            "Q_nu": self.Q_nu,
+            "Q_nu_minus1": self.Q_nu_minus1,
         }
 
 
@@ -106,46 +118,15 @@ def build_weights(system: AdmissibleSystem, R: int) -> WeightSystem:
     support = tuple(r for r, _ in supp)
     factors = {r: facs for r, facs in supp}
 
-    # prod_{p|r} nu(p)/(p - nu(p)) per support element
-    gfac: dict[int, Fraction] = {}
-    for r, facs in supp:
-        acc = Fraction(1)
-        for p in facs:
-            acc *= Fraction(nu_table[p], p - nu_table[p])
-        gfac[r] = acc
+    def prod_nu(facs: tuple[int, ...], f: Callable[[int, int], Fraction]) -> Fraction:
+        """prod over the primes p of a support element of f(p, nu(p))."""
+        return math.prod((f(p, nu_table[p]) for p in facs), start=Fraction(1))
 
-    lam: dict[int, Fraction] = {}
-    for d, facs in supp:
-        tail = sum((gfac[r] for r in support if r % d == 0), Fraction(0))
-        mu_d = -1 if len(facs) % 2 else 1
-        lead = Fraction(1)
-        for p in facs:
-            lead *= Fraction(p, nu_table[p])
-        lam[d] = mu_d * lead * tail
-
-    ystar: dict[int, Fraction] = {}
-    for r, facs in supp:
-        if all(nu_table[p] > 1 for p in facs):
-            tot = Fraction(0)
-            for s, sfacs in supp:
-                if s % r == 0:
-                    phi_s = 1
-                    for p in sfacs:
-                        phi_s *= p - 1
-                    tot += Fraction(1, phi_s)
-            ystar[r] = r * tot
-        else:
-            ystar[r] = Fraction(0)
-
-    q_nu = sum((gfac[r] for r in support), Fraction(0))
-    q_nu1 = Fraction(0)
-    for r, facs in supp:
-        if ystar[r]:
-            acc = ystar[r] * ystar[r]
-            for p in facs:
-                acc *= Fraction(nu_table[p] - 1, p - nu_table[p])
-            q_nu1 += acc
-
+    tail = _multiple_sums(supp, {r: prod_nu(facs, lambda p, v: Fraction(v, p - v)) for r, facs in supp})
+    phi_tail = _multiple_sums(supp, {r: Fraction(1, math.prod(p - 1 for p in facs)) for r, facs in supp})
+    lam = {d: (-1) ** len(facs) * prod_nu(facs, lambda p, v: Fraction(p, v)) * tail[d] for d, facs in supp}
+    ystar = {r: r * phi_tail[r] if all(nu_table[p] > 1 for p in facs) else Fraction(0) for r, facs in supp}
+    q_nu1 = sum((ystar[r] ** 2 * prod_nu(facs, lambda p, v: Fraction(v - 1, p - v)) for r, facs in supp), Fraction(0))
     return WeightSystem(
         system=system,
         R=R,
@@ -154,9 +135,30 @@ def build_weights(system: AdmissibleSystem, R: int) -> WeightSystem:
         nu_table=nu_table,
         lam=lam,
         ystar=ystar,
-        Q_nu=q_nu,
+        Q_nu=tail[1],
         Q_nu_minus1=q_nu1,
     )
+
+
+def _multiple_sums(supp: Sequence[tuple[int, tuple[int, ...]]], values: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """{d: sum of values[r] over support r with d | r}.
+
+    The support is squarefree and closed under divisors, so this is the zeta
+    transform over its lattice: for each support prime p in turn, every d
+    adds the sum held at d * p, which is in the support only when p does not
+    divide d.  The support is ascending, so each prime stops at the first
+    d * p past its end.
+    """
+    acc = dict(values)
+    top = supp[-1][0]
+    for p in (r for r, facs in supp if len(facs) == 1):
+        for d, _ in supp:
+            dp = d * p
+            if dp > top:
+                break
+            if dp in acc:
+                acc[d] += acc[dp]
+    return acc
 
 
 def ystar_from_lambda(ws: WeightSystem, r: int) -> Fraction:
@@ -197,14 +199,6 @@ class QuadFormReport:
         return self.Q_nu == self.diag_nu and self.Q_nu_minus1 == self.diag_nu_minus1
 
 
-def _scaled_lambdas(ws: WeightSystem) -> tuple[dict[int, int], int]:
-    """lambda_d * D as integers, D = lcm of the lambda denominators."""
-    denom = 1
-    for v in ws.lam.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return {d: int(v * denom) for d, v in ws.lam.items()}, denom
-
-
 def _pair_sum(ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fraction | int]) -> Fraction | int:
     """sum over support d, e with coeff_d coeff_e != 0 of coeff_d coeff_e F([d, e]),
     for the multiplicative F with F(p) = f[p].
@@ -236,10 +230,9 @@ def quadratic_forms(ws: WeightSystem) -> QuadFormReport:
             f"quadratic_forms: |support|^2 = {len(support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R"
         )
     nu_t = ws.nu_table
-    lam_scaled, denom = _scaled_lambdas(ws)
-    d2 = denom * denom
-    q_nu = Fraction(_pair_sum(ws, lam_scaled, {p: Fraction(v, p) for p, v in nu_t.items()}), d2)
-    q_nu1 = Fraction(_pair_sum(ws, lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2)
+    d2 = ws.lam_denom**2
+    q_nu = Fraction(_pair_sum(ws, ws.lam_scaled, {p: Fraction(v, p) for p, v in nu_t.items()}), d2)
+    q_nu1 = Fraction(_pair_sum(ws, ws.lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2)
     return QuadFormReport(
         Q_nu=q_nu,
         Q_nu_minus1=q_nu1,
@@ -321,13 +314,11 @@ class WeightedScanReport:
             "W": self.W,
             "v0": self.v0,
             "class_size": self.class_size,
-            "sum_w": str(self.sum_w),
-            "sum_hits_w": str(self.sum_hits_w),
-            "weighted_avg": None if self.weighted_avg is None else str(self.weighted_avg),
-            "class_unweighted_avg": None
-            if self.class_unweighted_avg is None
-            else str(self.class_unweighted_avg),
-            "overall_unweighted_avg": str(self.overall_unweighted_avg),
+            "sum_w": self.sum_w,
+            "sum_hits_w": self.sum_hits_w,
+            "weighted_avg": self.weighted_avg,
+            "class_unweighted_avg": self.class_unweighted_avg,
+            "overall_unweighted_avg": self.overall_unweighted_avg,
             "weighted_avg_float": None if self.weighted_avg is None else float(self.weighted_avg),
             "class_unweighted_avg_float": None
             if self.class_unweighted_avg is None
@@ -407,7 +398,6 @@ def weighted_experiment(
 
     # with no class member the chunk loop below runs zero times
     first_n = X_lo + 1 + ((v0 - (X_lo + 1)) % W)
-    lam_scaled, denom = _scaled_lambdas(ws)
     by_top: dict[int, list[int]] = {}
     for d in ws.support[1:]:
         by_top.setdefault(ws.support_factors[d][-1], []).append(d)
@@ -423,14 +413,14 @@ def weighted_experiment(
         for form, table in zip(sysm.forms, tables):
             hits += table.bits[form.a * ns + form.b - table.lo]
         hit_total += int(hits.sum())
-        t = _chunk_divisor_sums(chunk_lo, ns.size, W, by_top, roots, lam_scaled)
+        t = _chunk_divisor_sums(chunk_lo, ns.size, W, by_top, roots, ws.lam_scaled)
         w = t * t
         # builtin sum, not ndarray.sum: it adds totals that fit a C long
         # without allocating, and costs about the same on big ones
         sum_w_scaled += sum(w.tolist())
         sum_hw_scaled += sum((w * hits).tolist())
 
-    d2 = denom * denom
+    d2 = ws.lam_denom**2
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
         class_size=len(range(first_n, X_hi + 1, W)),
@@ -470,9 +460,8 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
             f"check_weight_mass: need a report over (X, 2X] at R={ws.R}, got ({X}, {report.X_hi}] at R={report.R}"
         )
     main = Fraction(X, ws.system.W) * ws.Q_nu
-    lam_scaled, denom = _scaled_lambdas(ws)
-    abs_scaled = {d: abs(v) for d, v in lam_scaled.items()}
-    bound = Fraction(_pair_sum(ws, abs_scaled, ws.nu_table), denom * denom)
+    abs_scaled = {d: abs(v) for d, v in ws.lam_scaled.items()}
+    bound = Fraction(_pair_sum(ws, abs_scaled, ws.nu_table), ws.lam_denom**2)
     return WeightMassReport(X=X, measured=report.sum_w, main_term=main, bound=bound)
 
 

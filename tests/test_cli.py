@@ -152,6 +152,15 @@ class TestCliBehavior:
         assert out == ""
         assert json.loads(path.read_text())["count"] == 7
 
+    def test_out_path_not_writable(self, capsys, tmp_path):
+        # a missing directory: an error line and exit 1, not a traceback
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(["count", "--x", "10", "--out", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "No such file or directory" in err
+        assert not path.parent.exists()
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(["count", "--x", "-5"], capsys)
         assert code == 1
@@ -178,6 +187,13 @@ class TestCliBehavior:
     def test_forms_wrong_shape_rejected(self, capsys):
         code, _, err = run_cli(["admissible", "--forms", "[[1,2,3]]", "--W", "1"], capsys)
         assert code == 1
+        assert "--forms must be JSON like" in err
+
+    @pytest.mark.parametrize("forms", ["[[1.5,2]]", "[[true,5]]", '[[1,"5"]]'], ids=["float", "bool", "string"])
+    def test_forms_not_integers_rejected(self, forms, capsys):
+        # none is a JSON integer, though int() takes each (1.5 and true as 1)
+        code, out, err = run_cli(["admissible", "--forms", forms, "--W", "1"], capsys)
+        assert code == 1 and out == ""
         assert "--forms must be JSON like" in err
 
     @pytest.mark.parametrize(
@@ -340,6 +356,15 @@ class TestCliBehavior:
     def test_special_non_finite_rejected(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_special_point_value_overflow(self, capsys):
+        # buchstab(s) = 1/s overflows just above 0; the bare value is spelled
+        # as in the JSON report and in every CSV table
+        argv = ["special", "--fn", "buchstab", "--at", "1e-320"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == "Infinity\n"
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0 and '"value": Infinity' in out
 
     def test_float_formatting_ten_digits(self, capsys):
         code, out, _ = run_cli(["special", "--fn", "buchstab", "--at", "2.5", "--format", "json"], capsys)

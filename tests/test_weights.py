@@ -12,7 +12,6 @@ from twosq.primes import squarefree_products
 from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
     CLASS_CHUNK,
-    _scaled_lambdas,
     build_weights,
     gamma_p3_indicator,
     check_weight_mass,
@@ -54,6 +53,55 @@ def assert_matches_reference(ws):
     assert check_weight_mass(ws, weighted_experiment(ws, 50, 100)).bound == bound
 
 
+def support_scan_weights(ws):
+    """Reference: (lam, ystar, Q_nu, Q_nu-1) by scanning the whole support for
+    the multiples of each element, once for the lambda tails and once for the
+    1/phi sums: the direct O(|support|^2) route."""
+    nu_table = ws.nu_table
+    supp = [(r, ws.support_factors[r]) for r in ws.support]
+    support = ws.support
+
+    gfac = {}
+    for r, facs in supp:
+        acc = Fraction(1)
+        for p in facs:
+            acc *= Fraction(nu_table[p], p - nu_table[p])
+        gfac[r] = acc
+
+    lam = {}
+    for d, facs in supp:
+        tail = sum((gfac[r] for r in support if r % d == 0), Fraction(0))
+        mu_d = -1 if len(facs) % 2 else 1
+        lead = Fraction(1)
+        for p in facs:
+            lead *= Fraction(p, nu_table[p])
+        lam[d] = mu_d * lead * tail
+
+    ystar = {}
+    for r, facs in supp:
+        if all(nu_table[p] > 1 for p in facs):
+            tot = Fraction(0)
+            for s, sfacs in supp:
+                if s % r == 0:
+                    phi_s = 1
+                    for p in sfacs:
+                        phi_s *= p - 1
+                    tot += Fraction(1, phi_s)
+            ystar[r] = r * tot
+        else:
+            ystar[r] = Fraction(0)
+
+    q_nu = sum((gfac[r] for r in support), Fraction(0))
+    q_nu1 = Fraction(0)
+    for r, facs in supp:
+        if ystar[r]:
+            acc = ystar[r] * ystar[r]
+            for p in facs:
+                acc *= Fraction(nu_table[p] - 1, p - nu_table[p])
+            q_nu1 += acc
+    return lam, ystar, q_nu, q_nu1
+
+
 def divisor_sum_totals(ns, roots, lam_scaled, R):
     """Reference: sum of scaled lambda_d over support d dividing the form
     product, per n.  The primes hitting each n are collected in ascending
@@ -78,7 +126,7 @@ def reference_experiment(ws, X_lo, X_hi):
     for form in sysm.forms:
         table = sieve_segment(form(X_lo + 1), form(X_hi))
         hits += table.bits[form.a * ns + form.b - table.lo]
-    lam_scaled, denom = _scaled_lambdas(ws)
+    lam_scaled, denom = ws.lam_scaled, ws.lam_denom
     primes = sorted({p for facs in ws.support_factors.values() for p in facs})
     roots = {p: roots_mod(p, sysm.forms) for p in primes}
     totals = divisor_sum_totals(ns, roots, lam_scaled, ws.R)
@@ -365,6 +413,7 @@ REFERENCE_CASES = {
     "R_1": ([(1, 1)], 1, 1, 1, 5_000, 10_000),
     "dead_prime": ([(1, 3)], 1, 1, 100, 10_000, 20_000),
     "bench": ([(1, 37), (1, 89), (1, 137), (1, 197)], 3, 1, 1000, 100_000, 150_000),
+    "R_2": ([(1, 1)], 1, 1, 2, 5_000, 10_000),
 }
 
 
@@ -372,6 +421,19 @@ def reference_case_weights(name):
     forms, W, p0, R, X_lo, X_hi = REFERENCE_CASES[name]
     system = AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W, p0=p0)
     return build_weights(system, R), X_lo, X_hi
+
+
+class TestSupportScanRoute:
+    """The sums over support multiples equal the per-element support scans."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_support_scans(self, name):
+        ws, _, _ = reference_case_weights(name)
+        lam, ystar, q_nu, q_nu1 = support_scan_weights(ws)
+        assert ws.lam == lam
+        assert ws.ystar == ystar
+        assert ws.Q_nu == q_nu
+        assert ws.Q_nu_minus1 == q_nu1
 
 
 class TestReferenceRoute:
@@ -382,7 +444,7 @@ class TestReferenceRoute:
         ws, X_lo, X_hi = reference_case_weights(name)
         report = assert_matches_reference_route(ws, X_lo, X_hi)
         assert report.sum_w > 0
-        if name == "R_1":
+        if name in ("R_1", "R_2"):
             assert ws.support == (1,)
         if name == "dead_prime":
             assert ws.nu_table[3] == 0
