@@ -23,8 +23,9 @@ parser itself imports nothing).  Handlers read those names through `_cli`,
 a view of this module's globals, which keeps each of them reachable as
 `twosq.cli.<name>`; a name rebound there (by a tracer, say) is the one that runs.
 
-Exit codes: 0 success, 1 domain/resource error or an --out path that
-cannot be written, 2 usage error (including flags that conflict or that the
+Exit codes: 0 success, 1 domain/resource error, an --out path that cannot
+be written or a stdout pipe that its reader closed early (nothing is printed
+on stderr then), 2 usage error (including flags that conflict or that the
 chosen mode would ignore).
 """
 
@@ -432,7 +433,13 @@ def dispatch(argv: list[str] | None = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         else:
-            sys.stdout.writelines(chunks)
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader is gone; devnull keeps the exit-time flush quiet
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
         return 0
     except UsageError as exc:
         parser.error(str(exc))

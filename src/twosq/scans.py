@@ -182,16 +182,20 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
     check_rows("scan_intervals", X // stride + 1)
     xs = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
 
-    # Members in (X, t], sampled at t = x and t = x + y for every window x.
+    # Members in (X, t] at t = x and t = x + y for every window x; each sorted
+    # column meets a segment in one run.  Prefix counts within a segment fit
+    # int32; base joins after the store, as base + an int32 array stays int32.
     at_start = np.zeros(xs.size, dtype=np.int64)
     at_end = np.zeros(xs.size, dtype=np.int64)
+    ends = xs + y
     base = 0
     for seg in iter_segments(X + 1, 2 * X + y):
-        cum = base + np.cumsum(seg.bits, dtype=np.int64)
-        for at, pts in ((at_start, xs), (at_end, xs + y)):
-            inseg = (pts >= seg.lo) & (pts <= seg.hi)
-            at[inseg] = cum[pts[inseg] - seg.lo]
-        base = int(cum[-1])
+        cum = np.cumsum(seg.bits, dtype=np.int32)
+        for at, pts in ((at_start, xs), (at_end, ends)):
+            i, j = np.searchsorted(pts, (seg.lo - 1, seg.hi), side="right")
+            at[i:j] = cum[pts[i:j] - seg.lo]
+            at[i:j] += base
+        base += int(cum[-1])
 
     S = _landau()
     return ScanReport(
@@ -241,8 +245,7 @@ def scan_residues(x: int, q: int) -> ScanReport:
         members = seg.members()
         if members.size:
             counts += np.bincount(members % q, minlength=q)
-    S = _landau()
-    pred_q = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
+    pred_q = predicted_average("progression", x=x, q=q, a=1).value
     keys = np.arange(q, dtype=np.int64)
     return ScanReport(
         kind="residues",

@@ -12,9 +12,9 @@ small array over the multiples of p holds the parity of v_p, toggled along
 the multiples of p^2, p^3, ... with strided slices, and is ORed into the
 segment with one strided store; nothing is divided.
 Primes above n / 64 hit at most 65 positions each (only one or none when
-p > n, the common case in short windows far out); they are taken a chunk at
-a time, their multiples listed in one numpy pass per chunk, and the parity
-of v_p at each is found by exact int64 division.  The membership bits are
+p > n, the common case in short windows far out); a chunk of them walks
+the segment together, one multiple of each per numpy round, and v_p's
+parity there is found by exact int64 division.  The membership bits are
 the marks inverted in place: a segment's memory is n bytes plus scratch.
 
 Counts and scans stream segments through iter_segments on one thread: the
@@ -46,7 +46,7 @@ MAX_SEGMENT = 1 << 26
 # most LARGE_PRIME_DIVISOR + 1 positions each and skip the per-prime loop.
 LARGE_PRIME_DIVISOR = 64
 
-# Multiples of large base primes expanded at once (bounds that pass's memory).
+# Large base primes walked at once (bounds that pass's memory).
 LARGE_PRIME_CHUNK = 1 << 14
 
 
@@ -138,27 +138,16 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
 def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
     """Set bad[i] where v_p(lo + i) is odd for some p in primes.
 
-    Primes come LARGE_PRIME_CHUNK at a time and their multiples in the segment
-    are listed with np.repeat, at most LARGE_PRIME_CHUNK (or one prime's) at a
-    time; v_p's parity at each is found by exact int64 division (lo + i < 2^63).
+    Primes come LARGE_PRIME_CHUNK at a time and walk the segment together,
+    one multiple of each still inside it per round; v_p's parity there is
+    found by exact int64 division (lo + i < 2^63).
     """
     n = bad.size
     for c in range(0, primes.size, LARGE_PRIME_CHUNK):
-        chunk = primes[c : c + LARGE_PRIME_CHUNK]
-        first = -lo % chunk
-        keep = first < n
-        chunk, first = chunk[keep], first[keep]
-        hits = (n - 1 - first) // chunk + 1
-        ends = np.cumsum(hits)
-        starts = ends - hits
-        a = 0
-        while a < chunk.size:
-            b = max(int(np.searchsorted(ends, starts[a] + LARGE_PRIME_CHUNK, side="right")), a + 1)
-            # the j-th multiple of a prime p in the segment sits at first + j * p
-            p = np.repeat(chunk[a:b], hits[a:b])
-            pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], hits[a:b])
-            pos *= p
-            pos += np.repeat(first[a:b], hits[a:b])
+        p = primes[c : c + LARGE_PRIME_CHUNK]
+        pos = -lo % p
+        while (keep := pos < n).any():
+            p, pos = p[keep], pos[keep]
             # at: entries still divisible by p, q: their value with p divided out so far
             odd = np.ones(pos.size, dtype=bool)
             at, q, pa = np.arange(pos.size), (lo + pos) // p, p
@@ -168,7 +157,7 @@ def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
                 q = q[more] // pa
                 odd[at] ^= True
             bad[pos[odd]] = True
-            a = b
+            pos += p
 
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:

@@ -152,6 +152,18 @@ class TestCliBehavior:
         assert out == ""
         assert json.loads(path.read_text())["count"] == 7
 
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # the reader takes 20 bytes of a 3.5 MB report and closes the pipe:
+        # exit 1 and nothing on stderr, not a BrokenPipeError traceback
+        argv = [sys.executable, "-m", "twosq.cli", "sieve", "--from", "1", "--to", "2000000"]
+        with open(tmp_path / "stderr", "w+b") as err:
+            child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=subprocess_env())
+            assert len(child.stdout.read(20)) == 20
+            child.stdout.close()
+            assert child.wait(timeout=60) == 1
+            err.seek(0)
+            assert err.read() == b""
+
     def test_out_path_not_writable(self, capsys, tmp_path):
         # a missing directory: an error line and exit 1, not a traceback
         path = tmp_path / "missing" / "report.json"

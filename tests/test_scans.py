@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from twosq.errors import DomainError
 from twosq.scans import (
     MaierConfig,
     ScanReport,
+    _landau,
     _progression_applicable,
     maier_demo,
     predicted_average,
@@ -15,7 +17,7 @@ from twosq.scans import (
     scan_progressions,
     scan_residues,
 )
-from twosq.sieve import count_interval, count_progression, count_upto, is_two_square, sieve_segment
+from twosq.sieve import DEFAULT_SEGMENT, count_interval, count_progression, count_upto, is_two_square, sieve_segment
 from twosq.special import DelayTable
 
 
@@ -65,6 +67,20 @@ class TestScanIntervals:
             scan_intervals(100, 0)
         with pytest.raises(DomainError):
             scan_intervals(100, 200)
+
+    def test_prefix_counts_held_per_segment(self):
+        # each segment's prefix counts are int32 and read only at the window
+        # boundaries inside it; whole-segment int64 sums and boolean masks over
+        # the columns peaked at 50 MiB here
+        _landau()  # cached, so the peak is the scan's own
+        tracemalloc.start()
+        try:
+            rep = scan_intervals(3 * DEFAULT_SEGMENT, 30, stride=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
 
     def test_records_at_scale(self):
         # count variance guarantees record windows at this size

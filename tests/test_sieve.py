@@ -10,6 +10,7 @@ from twosq.errors import DomainError, ResourceError
 from twosq.primes import p3_primes
 from twosq.sieve import (
     DEFAULT_SEGMENT,
+    LARGE_PRIME_CHUNK,
     LARGE_PRIME_DIVISOR,
     count_interval,
     count_progression,
@@ -251,11 +252,15 @@ class TestLargePrimePass:
         # a window longer than sqrt(hi) under divisor 1 sends every base prime
         # through the per-prime parity loop, under divisor 2^30 through the
         # vectorized pass; 3^13, 7^8 and 11^6 test the toggles along p^2, p^3, ...
+        # There every prime walks the window, in chunks of one prime, of 7
+        # (primes leaving a chunk at different rounds) and of the default size.
         lo, hi = power - 3000, power + 3000
         assert isqrt(hi) <= hi - lo + 1 and hi < oracle_marks_6m.size
         monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", divisor)
-        for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi)):
-            assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (a, b)
+        for chunk in (1, 7, LARGE_PRIME_CHUNK) if divisor > 1 else (LARGE_PRIME_CHUNK,):
+            monkeypatch.setattr("twosq.sieve.LARGE_PRIME_CHUNK", chunk)
+            for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi)):
+                assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (chunk, a, b)
 
 
 class TestCounts:
