@@ -9,7 +9,9 @@ before rows were written from templates and `g` read a per-table search
 index; the sieve, count, constants, `special --at` and remaining CSV digests
 were recorded before every report came to be written by `dispatch` alone;
 the 12,460-member sieve of [1, 50000] (four 2^12-row chunks) was recorded
-while member lists were still Python lists written element by element.  Any
+while member lists were still Python lists written element by element; the
+7,901-row tabulations of each special function (two chunks) were recorded
+while tables were still evaluated one row at a time.  Any
 change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
@@ -206,6 +208,38 @@ CASES = {
     "scan_residues_csv": (
         ["scan-residues", "--x", "10000", "--q", "12", "--format", "csv", "--threads", "1"],
         "ad99076ddffff85b1fae1a0d100550a128e0b408c722f26a6a17c1b9543e2d39",
+    ),
+    "special_buchstab_chunks_csv": (
+        ["special", "--fn", "buchstab", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "csv"],
+        "3621cc60e82c81c8b7127da0687fbe6c92bc9cb150ac9d25f0ce166a69832b1d",
+    ),
+    "special_buchstab_chunks_json": (
+        ["special", "--fn", "buchstab", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "json"],
+        "e0c4cd5fa722e98a220b4ce729470692f589dc08a1ef4e8c05799dbe2c0e1d25",
+    ),
+    "special_halfdim_F_chunks_csv": (
+        ["special", "--fn", "halfdim_F", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "csv"],
+        "80443b919c531d919306ebe1b39a82f7f2a0f33a745654a35c8866429093b3fd",
+    ),
+    "special_halfdim_F_chunks_json": (
+        ["special", "--fn", "halfdim_F", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "json"],
+        "34518290d4ca5f8bd7fed869b5fecc15ccafd636f406f56fe53378270a8cd128",
+    ),
+    "special_halfdim_f_chunks_csv": (
+        ["special", "--fn", "halfdim_f", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "csv"],
+        "579109482bcdb5f9833a493d7c94246e997b95e888d121027a1c0e4104369515",
+    ),
+    "special_halfdim_f_chunks_json": (
+        ["special", "--fn", "halfdim_f", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "json"],
+        "60600c29645bb6d098754de21263d75228ab2ec8ad863cdf40bf6a8b164a34ca",
+    ),
+    "special_g_chunks_csv": (
+        ["special", "--fn", "g", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "csv"],
+        "f3c401f4fb5597eff1397578c69fcaa1d8f59246ee1ad26a5a407683668045b5",
+    ),
+    "special_g_chunks_json": (
+        ["special", "--fn", "g", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "json"],
+        "fbc5d23bb9fada207f2705b739d3ed21736d3b51ce3ae0526e2d52e20f1e7acb",
     ),
 }
 
