@@ -170,8 +170,7 @@ def _cmd_special(args):
     if args.lo is None or args.hi is None:
         raise UsageError("special: provide --at, or --from/--to for tabulation")
     step = SPECIAL_STEP if args.step is None else args.step
-    rows = _cli.tabulation_rows(args.fn, args.lo, args.hi, step)
-    table = Records(("kind", "s", "value"), tuple(zip(*rows)))
+    table = _cli.tabulation_rows(args.fn, args.lo, args.hi, step)
     return {"fn": args.fn, "rows": table}, table
 
 

@@ -69,6 +69,9 @@ class Records:
     fields: tuple[str, ...]
     columns: tuple[Sequence, ...]
 
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
 
 def check_rows(who: str, n_rows: int) -> None:
     """Refuse a table of more than MAX_SCAN_ROWS rows before it is built."""
@@ -138,7 +141,7 @@ def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
             return sep.join([template] * len(values[0])) % tuple(values[0])
         return sep.join([template % row for row in zip(*values)])
 
-    return _chunked(len(columns[0]) if columns else 0, write, ", " if as_json else "")
+    return _chunked(len(rec), write, ", " if as_json else "")
 
 
 def _emit(obj: Any, out: list[str]) -> None:

@@ -196,6 +196,7 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
             at[i:j] = cum[pts[i:j] - seg.lo]
             at[i:j] += base
         base += int(cum[-1])
+        del cum, seg  # freed before the next segment is sieved
 
     S = _landau()
     return ScanReport(
@@ -220,6 +221,7 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
     for seg in iter_segments(1, x):
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
+        del seg  # freed before the next segment is sieved
     S = _landau()
     phis = phi_S_floats(Q, 2 * Q)
     keys = np.arange(Q, 2 * Q + 1, dtype=np.int64)

@@ -29,6 +29,11 @@ exactly.
 
 Each table is rebuilt at half the step to estimate its error (Richardson);
 a table whose estimate exceeds 1e-9 is refused.
+
+Every evaluator takes a float or an array and returns its shape (a numpy
+float for a float); a table is built only if some value lies past the
+closed form, which the table builders call too.  f's closed form takes
+`math.asinh` value by value: np.arcsinh differs at thousands of points.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .arith import E_GAMMA, E_NEG_GAMMA, EULER_GAMMA
 from .errors import ConvergenceError, DomainError
-from .reportio import check_rows
+from .reportio import Records, check_rows
 
 # F(1) = 2 e^(gamma/2)/sqrt(pi); also the constant in the f closed form.
 _HALFDIM_A = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
@@ -65,21 +70,22 @@ G_SEARCH_CAP = 50.0
 G_RESOLUTION_FLOOR = 1e-12
 
 
-def omega_closed(u: float) -> float:
-    """omega on its initial interval (0, 2]."""
-    return 1.0 / u
+def omega_closed(u):
+    """omega on its initial interval (0, 2]; past the float range, inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / u
 
 
-def halfdim_F_closed(s: float) -> float:
+def halfdim_F_closed(s):
     """F on its initial interval (0, 2]."""
-    return _HALFDIM_A / math.sqrt(s)
+    return _HALFDIM_A / np.sqrt(s)
 
 
-def halfdim_f_closed(s: float) -> float:
-    """f on [0, 3]: zero up to 1, then the one-step asinh integral."""
-    if s <= 1.0:
-        return 0.0
-    return _HALFDIM_A * math.asinh(math.sqrt(s - 1.0)) / math.sqrt(s)
+def halfdim_f_closed(s):
+    """f on [0, 3]: zero up to 1, then the one-step asinh integral (math.asinh per value)."""
+    s = np.asarray(s, dtype=float)
+    v = np.sqrt(np.maximum(s - 1.0, 0.0)).ravel().tolist()
+    return _HALFDIM_A * np.reshape([math.asinh(x) for x in v], s.shape) / np.sqrt(np.maximum(s, 1.0))
 
 
 def _stencil_start(base, kink_start: int, kink_stride: int):
@@ -101,8 +107,13 @@ def _lagrange(x):
     return (x1 * x2 * x3) / -6.0, (x * x2 * x3) / 2.0, (x * x1 * x3) / -2.0, (x * x1 * x2) / 6.0
 
 
-def _cubic(values: np.ndarray, s0, w):
-    """The cubic through values[s0 : s0 + 4] with node weights w (scalars or arrays)."""
+def _cubic(values: np.ndarray, pos, kinks: tuple[int, int]):
+    """The cubic through values on the junction-aware stencil (kinks = (kink_start,
+    kink_stride)) at grid position pos, a float or an array, clamped to the table."""
+    n = len(values)
+    base = np.clip(np.floor(pos), 0, n - 2).astype(np.int64)
+    s0 = np.clip(_stencil_start(base, *kinks), 0, n - 4)
+    w = _lagrange(pos - s0)
     return w[0] * values[s0] + w[1] * values[s0 + 1] + w[2] * values[s0 + 2] + w[3] * values[s0 + 3]
 
 
@@ -123,13 +134,10 @@ class DelayTable:
     kink_stride: int
     err_estimate: float
 
-    def interp(self, u: float) -> float:
-        """Cubic interpolation on the table (u within [grid0, u_max])."""
-        pos = (u - self.grid0) / self.h
-        n = len(self.values)
-        base = min(max(int(math.floor(pos)), 0), n - 2)
-        s0 = min(max(_stencil_start(base, self.kink_start, self.kink_stride), 0), n - 4)
-        return _cubic(self.values, s0, _lagrange(pos - s0))
+    def interp(self, u):
+        """Cubic interpolation at u (a float or an array within [grid0, u_max])."""
+        pos = (np.asarray(u, dtype=float) - self.grid0) / self.h
+        return _cubic(self.values, pos, (self.kink_start, self.kink_stride))
 
     @cached_property
     def envelope_argmax(self) -> np.ndarray:
@@ -161,11 +169,8 @@ def _march(dst, src, j0: int, j1: int, h: float, grid0: float, kernel, scale, st
     Returns scale * dst at j1.
     """
     n1 = round(1.0 / h)
-    if mids is None:
-        bases = np.arange(j0 - n1, j1 - n1)
-        s0 = _stencil_start(bases, *src_kinks)
-        # each midpoint bases + 1/2 sits at 0.5, 1.5 or 2.5 in its stencil
-        mids = _cubic(src, s0, [w[bases - s0] for w in _lagrange(np.array([0.5, 1.5, 2.5]))])
+    if mids is None:  # the step midpoints, one unit back, sit half-way between src's nodes
+        mids = _cubic(src, np.arange(j0 - n1, j1 - n1) + 0.5, src_kinks)
     t = grid0 + np.arange(j0, j1 + 1) * h
     g = kernel(t) * src[j0 - n1 : j1 - n1 + 1]
     gm = kernel(t[:-1] + 0.5 * h) * mids
@@ -178,12 +183,12 @@ def _build_buchstab(h: float) -> tuple[np.ndarray]:
     """Tabulate omega on [1, OMEGA_UMAX]; returns (omega values,)."""
     n1 = round(1.0 / h)
     om = np.empty(n1 * (OMEGA_UMAX - 1) + 1)
-    om[: n1 + 1] = 1.0 / (1.0 + np.arange(n1 + 1) * h)
+    om[: n1 + 1] = omega_closed(1.0 + np.arange(n1 + 1) * h)
     prod = 1.0  # u*omega(u) at u = 2
     for j0 in range(n1, (OMEGA_UMAX - 1) * n1, n1):
         # on (2, 3] the delayed omega(u - 1) = 1/(u - 1) is closed-form at
         # the step midpoints too
-        mids = 1.0 / (1.0 + (np.arange(n1) + 0.5) * h) if j0 == n1 else None
+        mids = omega_closed(1.0 + (np.arange(n1) + 0.5) * h) if j0 == n1 else None
         prod = _march(om, om, j0, j0 + n1, h, 1.0, lambda u: 1.0, lambda u: u, prod, (n1, n1), mids)
     return (om,)
 
@@ -203,12 +208,7 @@ def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
     half = 0.5 * (v1 - v0)
     mid = 0.5 * (v1 + v0)
     nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
-    integ = (
-        _HALFDIM_A
-        * nodes
-        * np.arcsinh(nodes)
-        / (np.sqrt(2.0 + nodes**2) * np.sqrt(1.0 + nodes**2))
-    )
+    integ = _HALFDIM_A * nodes * np.arcsinh(nodes) / (np.sqrt(2.0 + nodes**2) * np.sqrt(1.0 + nodes**2))
     inc = half * (integ @ gl_weights)
     prod = _HALFDIM_A + np.cumsum(inc)  # sqrt(2) F(2) = A
     s1 = (js + 1) * h
@@ -224,7 +224,7 @@ def _build_halfdim(h: float) -> tuple[np.ndarray, np.ndarray]:
 
     ss = np.arange(total) * h
     Fv[0] = np.inf
-    Fv[1 : 2 * n1 + 1] = _HALFDIM_A / np.sqrt(ss[1 : 2 * n1 + 1])
+    Fv[1 : 2 * n1 + 1] = halfdim_F_closed(ss[1 : 2 * n1 + 1])
     fv[: n1 + 1] = 0.0
     top = min(3 * n1, total - 1)
     fv[n1 + 1 : top + 1] = (
@@ -261,17 +261,8 @@ def _checked_tables(build, *layouts) -> tuple[DelayTable, ...]:
         err = float(np.max(np.abs(vals[marched:] - vals2[2 * marched :: 2])))
         if err > TABLE_TOL:
             raise ConvergenceError(f"{name} table error estimate {err:.3e} exceeds {TABLE_TOL}")
-        tables.append(
-            DelayTable(
-                grid0=grid0,
-                h=TABLE_H,
-                u_max=float(u_max),
-                values=vals,
-                kink_start=kink_start,
-                kink_stride=kink_stride,
-                err_estimate=err,
-            )
-        )
+        tables.append(DelayTable(grid0=grid0, h=TABLE_H, u_max=float(u_max), values=vals,
+                                 kink_start=kink_start, kink_stride=kink_stride, err_estimate=err))
     return tuple(tables)
 
 
@@ -291,24 +282,37 @@ def halfdim_tables() -> tuple[DelayTable, DelayTable]:
     )
 
 
-def buchstab_omega(u: float) -> float:
+def _argument(x, ok, what: str) -> np.ndarray:
+    """x as a float array; a DomainError names its first value where ok fails."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(ok(x)):
+        raise DomainError(f"{what}, got {x[~ok(x)][0]}")
+    return x
+
+
+def _piecewise(x: np.ndarray, edge: float, closed, table) -> np.ndarray:
+    """closed(x) where x <= edge, else table().interp(x); table() only if needed."""
+    out = np.empty(x.shape)
+    low = x <= edge
+    out[low] = closed(x[low])
+    if not low.all():
+        out[~low] = table().interp(x[~low])
+    return out
+
+
+def buchstab_omega(u):
     """Buchstab omega(u) for u > 0.
 
     Closed form 1/u on (0, 2]; tabulated beyond; for u past the table end
     the limit e^(-gamma) is returned (the oscillation there is far below
     double precision).
     """
-    if not u > 0:
-        raise DomainError(f"buchstab_omega: u must be > 0, got {u}")
-    if u <= 2.0:
-        return omega_closed(u)
-    table = buchstab_table()
-    if u > table.u_max:
-        return E_NEG_GAMMA
-    return table.interp(u)
+    u = _argument(u, lambda u: u > 0, "buchstab_omega: u must be > 0")
+    inner = _piecewise(np.minimum(u, OMEGA_UMAX), 2.0, omega_closed, buchstab_table)
+    return np.where(u > OMEGA_UMAX, E_NEG_GAMMA, inner)[()]
 
 
-def g(t: float) -> float:
+def g(t):
     """sup over u >= t of e^gamma * omega(u), for t > 0.
 
     The search runs over the closed-form branch (where e^gamma/u is
@@ -318,49 +322,41 @@ def g(t: float) -> float:
     below 1 + 1e-12: the sup provably exceeds 1, and past the search window
     the oscillation is beneath table resolution.
     """
-    if not t > 0:
-        raise DomainError(f"g: t must be > 0, got {t}")
+    t = _argument(t, lambda t: t > 0, "g: t must be > 0")
     table = buchstab_table()
-    best = 1.0 + G_RESOLUTION_FLOOR
-    if t < 2.0:
-        best = max(best, E_GAMMA / t)
-    vals = table.values
-    first_argmax = table.envelope_argmax
+    vals, first_argmax = table.values, table.envelope_argmax
     hi_idx = len(first_argmax) - 1
-    lo_u = max(t, 2.0)
-    if lo_u <= table.u_max:
-        best = max(best, E_GAMMA * table.interp(lo_u))
-        lo_idx = int(math.ceil((lo_u - table.grid0) / table.h))
-        if lo_idx <= hi_idx:
-            k = int(first_argmax[lo_idx])
-            best = max(best, E_GAMMA * vals[k])
-            if lo_idx < k < hi_idx:
-                y0, y1, y2 = vals[k - 1], vals[k], vals[k + 1]
-                denom = y0 - 2.0 * y1 + y2
-                if denom < 0:  # concave: parabolic vertex refines the peak
-                    vertex = y1 - (y2 - y0) ** 2 / (8.0 * denom)
-                    best = max(best, E_GAMMA * vertex)
-    return best
+    with np.errstate(over="ignore"):
+        best = np.maximum(np.where(t < 2.0, E_GAMMA / t, 0.0), 1.0 + G_RESOLUTION_FLOOR)
+    # each later candidate counts where its flag holds: a False flag times a finite value is 0
+    on_table = t <= table.u_max
+    lo_u = np.clip(t, 2.0, table.u_max)  # max(t, 2) wherever it is on the table
+    best = np.maximum(best, on_table * E_GAMMA * table.interp(lo_u))
+    lo_pos = np.ceil((lo_u - table.grid0) / table.h)
+    searched = on_table & (lo_pos <= hi_idx)
+    lo_idx = np.minimum(lo_pos, hi_idx).astype(np.int64)
+    k = first_argmax[lo_idx]
+    y0, y1, y2 = vals[k - 1], vals[k], vals[np.minimum(k + 1, len(vals) - 1)]
+    best = np.maximum(best, searched * E_GAMMA * y1)
+    denom = y0 - 2.0 * y1 + y2
+    # concave around an interior grid peak: the parabolic vertex refines it
+    peak = searched & (lo_idx < k) & (k < hi_idx) & (denom < 0)
+    vertex = y1 - (y2 - y0) ** 2 / (8.0 * np.where(peak, denom, -1.0))
+    return np.maximum(best, peak * E_GAMMA * vertex)[()]
 
 
-def halfdim_F(s: float) -> float:
+def halfdim_F(s):
     """Upper half-dimensional sieve function F(s), s in [HALFDIM_SMIN, HALFDIM_SMAX]."""
-    Ft, _ = halfdim_tables()
-    if not HALFDIM_SMIN <= s <= Ft.u_max:
-        raise DomainError(f"halfdim_F: s must be in [{HALFDIM_SMIN}, {Ft.u_max}], got {s}")
-    if s <= 2.0:
-        return halfdim_F_closed(s)
-    return Ft.interp(s)
+    s = _argument(s, lambda s: (HALFDIM_SMIN <= s) & (s <= HALFDIM_SMAX),
+                  f"halfdim_F: s must be in [{HALFDIM_SMIN}, {HALFDIM_SMAX}]")
+    return _piecewise(s, 2.0, halfdim_F_closed, lambda: halfdim_tables()[0])[()]
 
 
-def halfdim_f(s: float) -> float:
+def halfdim_f(s):
     """Lower half-dimensional sieve function f(s), s in [0, HALFDIM_SMAX]."""
-    _, ft = halfdim_tables()
-    if not 0.0 <= s <= ft.u_max:
-        raise DomainError(f"halfdim_f: s must be in [0, {ft.u_max}], got {s}")
-    if s <= 3.0:
-        return halfdim_f_closed(s)
-    return ft.interp(s)
+    s = _argument(s, lambda s: (0.0 <= s) & (s <= HALFDIM_SMAX),
+                  f"halfdim_f: s must be in [0, {HALFDIM_SMAX}]")
+    return _piecewise(s, 3.0, halfdim_f_closed, lambda: halfdim_tables()[1])[()]
 
 
 # The special functions by the name reports and the CLI give them.
@@ -372,21 +368,19 @@ FUNCTIONS = {
 }
 
 
-def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> list[tuple[str, float, float]]:
-    """(kind, s, value) rows for CSV export of any of the FUNCTIONS."""
+def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> Records:
+    """Columns (kind, s, value) of one of the FUNCTIONS at s = lo + k*step,
+    k = 0, 1, ... while s <= hi + 1e-12, evaluated in one call.  A division bounds
+    the rows for the budget, the float test picks them; a step lost to rounding is refused."""
     if kind not in FUNCTIONS:
         raise DomainError(f"tabulation_rows: unknown kind {kind!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DomainError("tabulation_rows: need finite lo, hi and step, step > 0 and hi >= lo")
-    # rows s = lo + k*step for k = 0, 1, ..., about (hi - lo) / step
-    check_rows("tabulation_rows", math.floor(min((hi - lo) / step, 2.0**63)) + 1)
-    fn = FUNCTIONS[kind]
-    out = []
-    k = 0
-    while True:
-        s = lo + k * step
-        if s > hi + 1e-12:
-            break
-        out.append((kind, s, fn(s)))
-        k += 1
-    return out
+    top = hi + 1e-12
+    bound = math.floor(min((top - lo) / step, 2.0**63)) + 1
+    check_rows("tabulation_rows", bound)
+    s = lo + np.arange(bound + 2) * step  # rounding may keep one point past the bound
+    if not s[-1] > top:
+        raise DomainError(f"tabulation_rows: step {step} is lost to rounding between {lo} and {hi}")
+    s = s[: np.count_nonzero(~(s > top))]  # s is non-decreasing: the rows are a prefix
+    return Records(("kind", "s", "value"), (np.broadcast_to(kind, s.shape), s, FUNCTIONS[kind](s)))

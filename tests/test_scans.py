@@ -79,7 +79,7 @@ class TestScanIntervals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 << 20
+        assert peak < 22 << 20  # 26 MiB while a segment was held as the next was sieved
         assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
 
     def test_records_at_scale(self):

@@ -21,10 +21,14 @@ from twosq.special import (
     buchstab_table,
     g,
     halfdim_F,
+    halfdim_F_closed,
     halfdim_f,
+    halfdim_f_closed,
     halfdim_tables,
     tabulation_rows,
     _build_buchstab,
+    _lagrange,
+    _stencil_start,
     _build_halfdim,
     _march_F_first_window,
 )
@@ -111,6 +115,40 @@ class TestBuchstab:
             assert abs(buchstab_omega(u) - val) < 1e-7, u
 
 
+class TestArrays:
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (buchstab_omega, 0.01, 60.0), (g, 0.01, 60.0), (halfdim_F, 1e-3, 40.0), (halfdim_f, 0.0, 40.0),
+    ])
+    def test_same_shape_and_bits_as_per_value(self, fn, lo, hi):
+        xs = lo + (hi - lo) * np.random.default_rng(3).random((40, 25))
+        out = fn(xs)
+        assert out.shape == xs.shape
+        assert type(fn(float(xs[0, 0]))) is np.float64
+        assert out.ravel().tolist() == [fn(x) for x in xs.ravel().tolist()]
+        assert fn(xs[:0]).shape == (0, 25)
+
+    def test_closed_branch_builds_no_table(self):
+        buchstab_table.cache_clear()
+        halfdim_tables.cache_clear()
+        assert buchstab_omega(np.array([0.5, 1.5, 2.0])).tolist() == [2.0, 1.0 / 1.5, 0.5]
+        assert halfdim_f(3.0) == halfdim_f_closed(3.0)
+        assert halfdim_F(2.0) == halfdim_F_closed(2.0)
+        assert buchstab_table.cache_info().currsize == halfdim_tables.cache_info().currsize == 0
+        buchstab_omega(2.5)
+        assert buchstab_table.cache_info().currsize == 1
+
+    def test_overflow_is_quiet(self):
+        # 1/u overflows for subnormal u; as a Python float, it gives inf with no warning
+        assert buchstab_omega(1e-320) == math.inf
+        assert g(np.array([1e-320, 1.0]))[0] == math.inf
+
+    def test_domain_error_names_the_first_bad_value(self):
+        with pytest.raises(DomainError, match="got -2.0"):
+            buchstab_omega(np.array([1.0, -2.0, -3.0]))
+        with pytest.raises(DomainError, match="got nan"):
+            halfdim_f(np.array([[1.0], [math.nan]]))
+
+
 class TestEnvelopeSup:
     def test_g1_is_e_gamma(self):
         assert abs(g(1.0) - E_GAMMA) < 1e-9
@@ -181,9 +219,11 @@ class TestEnvelopeSearchIndex:
     """`g` reads the table's search index; it must equal the full rescan exactly."""
 
     def test_bench_grid(self):
-        ts = [row[1] for row in tabulation_rows("g", 1.95, 20.95, 0.01)]
+        _, ts, values = tabulation_rows("g", 1.95, 20.95, 0.01).columns
         assert len(ts) == 1901
-        assert [g(t) for t in ts] == [g_rescan(t) for t in ts]
+        expected = [g_rescan(t) for t in ts.tolist()]
+        assert [g(t) for t in ts.tolist()] == expected
+        assert g(ts).tolist() == values.tolist() == expected
 
     def test_edges(self):
         table = buchstab_table()
@@ -196,7 +236,9 @@ class TestEnvelopeSearchIndex:
     def test_random_points(self):
         rng = np.random.default_rng(7)
         ts = 60.0 - 60.0 * rng.random(500)  # in (0, 60]
-        assert [g(t) for t in ts] == [g_rescan(t) for t in ts]
+        expected = [g_rescan(t) for t in ts]
+        assert [g(t) for t in ts] == expected
+        assert g(ts).tolist() == expected
 
 
 class TestHalfDim:
@@ -430,6 +472,17 @@ def ref_build_halfdim(h):
     return Fv, fv
 
 
+def ref_interp(table, u):
+    """The cubic interpolation of `DelayTable.interp` as it was written for one
+    float: the stencil is chosen and clamped with Python ints."""
+    pos = (u - table.grid0) / table.h
+    n = len(table.values)
+    base = min(max(int(math.floor(pos)), 0), n - 2)
+    s0 = min(max(_stencil_start(base, table.kink_start, table.kink_stride), 0), n - 4)
+    w, v = _lagrange(pos - s0), table.values
+    return w[0] * v[s0] + w[1] * v[s0 + 1] + w[2] * v[s0 + 2] + w[3] * v[s0 + 3]
+
+
 def ref_richardson(vals_h, vals_h2, start_idx):
     coarse = vals_h[start_idx:]
     fine = vals_h2[2 * start_idx :: 2]
@@ -456,12 +509,49 @@ class TestReferenceRoute:
         assert f.err_estimate == ref_richardson(ref_f, ref_f2, 3 * n1)
 
 
+class TestInterpReference:
+    # The array interpolation must give the one-float route's bits everywhere:
+    # at random points, on every grid node, and half a step either side of
+    # every window junction, where the stencil switches sides.
+    @pytest.mark.parametrize("which", ["buchstab", "F", "f"])
+    def test_interp_matches_scalar_reference(self, which):
+        table = {"buchstab": buchstab_table, "F": lambda: halfdim_tables()[0],
+                 "f": lambda: halfdim_tables()[1]}[which]()
+        h, n = table.h, len(table.values)
+        # F(0) = inf: F is read from its table only past 2, clear of the stencils that hold it
+        lo, hi = table.grid0 + (0 if np.isfinite(table.values[0]) else 4 * h), table.u_max
+        points = lo + (hi - lo) * np.random.default_rng(11).random(10**5)
+        nodes = table.grid0 + np.arange(n) * h
+        junctions = table.grid0 + np.arange(table.kink_start, n, table.kink_stride) * h
+        near = np.clip(np.concatenate([junctions - h / 2, junctions + h / 2]), lo, hi)
+        for us in (points, nodes[nodes >= lo], near):
+            got = table.interp(us)
+            assert got.tolist() == [ref_interp(table, u) for u in us.tolist()]
+
+
 class TestTabulation:
     def test_rows(self):
-        rows = tabulation_rows("buchstab", 1.0, 3.0, 0.5)
-        assert [r[1] for r in rows] == [1.0, 1.5, 2.0, 2.5, 3.0]
-        assert all(r[0] == "buchstab" for r in rows)
-        assert abs(rows[1][2] - 2.0 / 3.0) < 1e-12
+        table = tabulation_rows("buchstab", 1.0, 3.0, 0.5)
+        assert table.fields == ("kind", "s", "value")
+        kinds, ss, values = table.columns
+        assert ss.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert kinds.tolist() == ["buchstab"] * 5
+        assert abs(values[1] - 2.0 / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("lo, hi, step, rows", [
+        (0.0, 0.3, 0.1, 4),  # 0.1 * 3 rounds above 0.3, within the 1e-12 slack
+        (1.0, 1.0, 0.5, 1),
+        (1.0, 1.0, 4e-13, 3),  # the 1e-12 slack alone holds three rows
+        (0.5, 40.0, 0.005, 7901),
+    ])
+    def test_row_count_is_the_float_test(self, lo, hi, step, rows):
+        expected = []
+        while lo + len(expected) * step <= hi + 1e-12:
+            expected.append(lo + len(expected) * step)
+        assert len(expected) == rows
+        table = tabulation_rows("halfdim_f", lo, hi, step)
+        assert len(table) == rows
+        assert table.columns[1].tolist() == expected
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):
@@ -482,6 +572,13 @@ class TestTabulation:
     def test_row_budget(self, lo, hi, step):
         # refused from the row count alone, before the first row is computed
         with pytest.raises(ResourceError, match="rows exceed budget"):
+            tabulation_rows("buchstab", lo, hi, step)
+
+    @pytest.mark.parametrize("lo, hi, step", [(1e300, 1e300, 1.0), (1e17, 1e17 + 64, 1.0)])
+    def test_step_lost_to_rounding(self, lo, hi, step):
+        # s = lo + k*step rounds back onto lo (a row loop never ended at 1e300)
+        # or repeats values well past the division's bound (at 1e17, ulp 16)
+        with pytest.raises(DomainError, match="lost to rounding"):
             tabulation_rows("buchstab", lo, hi, step)
 
     def test_row_budget_boundary(self, monkeypatch):
