@@ -17,9 +17,10 @@ string columns %s (quoted in JSON).  %.10g spells finite floats exactly as
 `format_float` does, but not NaN and ±inf: a chunk whose float column holds
 one writes that column through `format_float` (NaN, Infinity, -Infinity).
 
-`to_json` and `to_csv` return the text as a list of strings, one per chunk,
-to be written in order.  The scratch memory is one chunk, but the text is held
-whole until written: bench/tracer.py counts the pieces with `len`.
+`to_json` and `to_csv` return the text as `Pieces`, to be written in order: a
+long list is held as its rows and the function that writes a chunk of them, so
+a chunk is formatted only when iteration reaches it.  The errors of the values
+are raised by the call, before a piece is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,15 +38,15 @@ from .errors import ResourceError
 # Rows any one table (a scan, a special-function tabulation, a `sieve` member
 # list) may hold.  A row's peak cost, the slope of CLI peak RSS between JSON
 # reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
-# scan-progressions at x = 10^7; the text is held until written), is about
-# 130 B for intervals, 130 B for residues, 145 B for progressions and 17 B per
+# scan-progressions at x = 10^7; each chunk formatted as it is written), is about
+# 57 B for intervals, 35 B for residues, 61 B for progressions and 13 B per
 # `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
 # Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per
-# row at peak; 2^12 is the knee for the seed-0 benchmark scan (150,664 rows):
-# CLI peak RSS 50.2 / 52.5 / 55.7 / 67.5 MB at 2^10 / 2^12 / 2^14 / 2^16,
-# at equal wall time.
+# row at peak; 2^12 is the knee for the seed-0 benchmark scan (150,664 rows),
+# each chunk formatted as it is written: CLI peak RSS 39.2 / 39.2 / 42.9 /
+# 60.9 MB at 2^10 / 2^12 / 2^14 / 2^16, at equal wall time.
 CHUNK_ROWS = 1 << 12
 
 
@@ -125,11 +127,31 @@ def _chunked(n: int, write: Callable[[slice], str], sep: str = "") -> Iterator[s
         yield (sep if i else "") + write(slice(i, i + CHUNK_ROWS))
 
 
-def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
+class Pieces:
+    """Text as strings and runs: a run, the arguments of `_chunked`, is iterated
+    a chunk at a time, so a chunk is formatted only when it is reached."""
+
+    def __init__(self, parts: list[str | tuple]) -> None:
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return sum(1 if isinstance(p, str) else -(-p[0] // CHUNK_ROWS) for p in self.parts)
+
+    def __iter__(self) -> Iterator[str]:
+        for p in self.parts:
+            if isinstance(p, str):
+                yield p
+            else:
+                yield from _chunked(*p)
+
+
+def _record_chunks(rec: Records, as_json: bool) -> tuple:
     """The rows of `rec`, a chunk to a string; JSON rows are separated by
     ", " (also between chunks), CSV rows end in a newline."""
     columns = [np.asarray(c) for c in rec.columns]
     keys = [_quote(f).replace("%", "%%") + ": " for f in rec.fields]
+    for c in columns if len(rec) else ():
+        _cells(c[:0], as_json)  # a column type no chunk can write is refused now
 
     def write(span: slice) -> str:
         specs, values = zip(*(_cells(c[span], as_json) for c in columns))
@@ -141,10 +163,10 @@ def _record_chunks(rec: Records, as_json: bool) -> Iterator[str]:
             return sep.join([template] * len(values[0])) % tuple(values[0])
         return sep.join([template % row for row in zip(*values)])
 
-    return _chunked(len(rec), write, ", " if as_json else "")
+    return len(rec), write, ", " if as_json else ""
 
 
-def _emit(obj: Any, out: list[str]) -> None:
+def _emit(obj: Any, out: list[str | tuple]) -> None:
     if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -153,6 +175,7 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         if len(obj) > CHUNK_ROWS:
+            _check(obj, lambda v: _emit(v, []))  # its values are written later
             out.extend(_long_list(obj))
             return
         out.append("[")
@@ -162,39 +185,58 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(v, out)
         out.append("]")
     elif isinstance(obj, Records):
-        out.extend(["[", *_record_chunks(obj, as_json=True), "]"])
+        out.extend(["[", _record_chunks(obj, as_json=True), "]"])
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
         out.extend(_long_list(obj))
     else:
         out.append(_scalar(obj))
 
 
-def _long_list(obj: Sequence | np.ndarray) -> list[str]:
+def _long_list(obj: Sequence | np.ndarray) -> list[str | tuple]:
     """A list longer than a chunk, or a 1-D integer array, as JSON pieces."""
 
     def write(span: slice) -> str:
         if isinstance(obj, np.ndarray):
             return ", ".join(map(str, obj[span].tolist()))
-        part: list[str] = []
+        part: list[str | tuple] = []
         _emit(obj[span], part)  # a chunk is short: written element by element
-        return "".join(part[1:-1])
+        return "".join(Pieces(part[1:-1]))
 
-    return ["[", *_chunked(len(obj), write, ", "), "]"]
+    return ["[", (len(obj), write, ", "), "]"]
 
 
-def to_json(obj: Any) -> list[str]:
+# `_scalar` and the CSV cells write these types without fail, and an int of at
+# most 2,048 bits: `str` refuses one of more digits than
+# sys.get_int_max_str_digits(), which is 0 (no limit) or at least 640.
+_PLAIN = {type(None), bool, float, str}
+
+
+def _check(values: Iterable, write: Callable[[Any], object]) -> None:
+    """Raise now what `write` would raise on one of `values`, reading into lists
+    and tuples and calling `write` only on the other values that can fail."""
+    for v in values:
+        kind = type(v)
+        if kind in _PLAIN or kind is int and v.bit_length() <= 2048:
+            continue
+        if kind in (list, tuple):
+            _check(v, write)
+        else:
+            write(v)
+
+
+def to_json(obj: Any) -> Pieces:
     """`obj` as JSON text, in pieces to be written in order."""
-    out: list[str] = []
+    out: list[str | tuple] = []
     _emit(obj, out)
     out.append("\n")
-    return out
+    return Pieces(out)
 
 
-def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None = None) -> list[str]:
+def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None = None) -> Pieces:
     """CSV text, in pieces to be written in order.  A `Records` table brings its
     own header (its fields); other rows are written value by value."""
     if isinstance(rows, Records):
-        return [",".join(rows.fields) + "\n", *_record_chunks(rows, as_json=False)]
+        return Pieces([",".join(rows.fields) + "\n", _record_chunks(rows, as_json=False)])
 
     def cell(v: Any) -> str:
         if isinstance(v, float):
@@ -206,5 +248,6 @@ def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None
     def write(span: slice) -> str:
         return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[span]])
 
+    _check(chain.from_iterable(rows), cell)  # a row that is not a sequence is refused too
     head = [] if header is None else [",".join(header) + "\n"]
-    return [*head, *_chunked(len(rows), write)]
+    return Pieces([*head, (len(rows), write, "")])

@@ -371,7 +371,8 @@ FUNCTIONS = {
 def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> Records:
     """Columns (kind, s, value) of one of the FUNCTIONS at s = lo + k*step,
     k = 0, 1, ... while s <= hi + 1e-12, evaluated in one call.  A division bounds
-    the rows for the budget, the float test picks them; a step lost to rounding is refused."""
+    the rows for the budget, the float test picks them; a step lost to rounding,
+    which repeats an s or never passes hi, is refused."""
     if kind not in FUNCTIONS:
         raise DomainError(f"tabulation_rows: unknown kind {kind!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
@@ -380,7 +381,7 @@ def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> Records:
     bound = math.floor(min((top - lo) / step, 2.0**63)) + 1
     check_rows("tabulation_rows", bound)
     s = lo + np.arange(bound + 2) * step  # rounding may keep one point past the bound
-    if not s[-1] > top:
+    s, last = s[: np.count_nonzero(~(s > top))], s[-1]  # s is non-decreasing: the rows are a prefix
+    if not (last > top and (s[1:] > s[:-1]).all()):
         raise DomainError(f"tabulation_rows: step {step} is lost to rounding between {lo} and {hi}")
-    s = s[: np.count_nonzero(~(s > top))]  # s is non-decreasing: the rows are a prefix
     return Records(("kind", "s", "value"), (np.broadcast_to(kind, s.shape), s, FUNCTIONS[kind](s)))

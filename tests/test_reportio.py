@@ -4,17 +4,21 @@
 `format_float`, `_quote` and the words true/false (JSON) or 1/0 (CSV); the
 `Records` writer must produce the same bytes on seeded random columns that
 span many CHUNK_ROWS-row chunks.  The bytes of every long list must not
-depend on the chunk size, and the writer's scratch memory must stay near
-one chunk whatever the length of the list.
+depend on the chunk size, and the writer's memory must stay near one chunk
+whatever the length of the list, while every piece is made in turn.
 """
 
 import json
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twosq import reportio
+from twosq.cli import dispatch
 from twosq.reportio import CHUNK_ROWS, Records, _quote, format_float, to_csv, to_json
 
 INT64_MAX = 2**63 - 1
@@ -104,8 +108,39 @@ def test_empty_table():
 
 
 def test_unsupported_column_rejected():
+    # raised by the call, before any piece is made: the CLI opens --out first
+    table = Records(("x", "y"), (np.arange(CHUNK_ROWS + 1), np.array([object()] * (CHUNK_ROWS + 1))))
+    for write in (to_json, to_csv):
+        with pytest.raises(TypeError):
+            write(table)
+
+
+def test_unsupported_value_rejected():
+    # a value of a long list or of a CSV row that cannot be written, or a CSV row
+    # that is not a sequence, raises at the call too; str refuses an int of more
+    # than 4,300 digits (the default limit)
+    long_list = [[d, d] for d in range(CHUNK_ROWS)]
     with pytest.raises(TypeError):
-        to_json(Records(("x",), (np.array([object()]),)))
+        to_json({"rows": long_list + [[0, object()]]})
+    with pytest.raises(TypeError):
+        to_csv([(1, 2), 3], header=["x", "y"])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for value in (10**4400, Fraction(1, 10**4400), {10**4400: 1}):
+            with pytest.raises(ValueError):
+                to_json(long_list + [[0, value]])
+            with pytest.raises(ValueError):
+                to_csv([(1, 2), (3, value)], header=["x", "y"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_pieces_iterate_again():
+    table = Records(FIELDS, random_columns(2 * CHUNK_ROWS + 5, seed=5))
+    for pieces in (to_json({"rows": table, "ints": np.arange(3 * CHUNK_ROWS)}), to_csv(table)):
+        first = list(pieces)
+        assert list(pieces) == first and len(pieces) == len(first)
 
 
 def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
@@ -144,15 +179,17 @@ def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
 
 
 def traced_excess(write, *args):
-    """The pieces `write(*args)` returns, and its traced peak memory less the
-    characters of those pieces (ASCII: a byte each)."""
+    """The pieces `write(*args)` returns, and the traced peak memory of the call
+    and of making every piece in turn, less the characters of the largest piece
+    (ASCII: a byte each)."""
     tracemalloc.start()
     try:
         pieces = write(*args)
+        largest = max(map(len, pieces), default=0)  # each piece is dropped before the next
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return pieces, peak - sum(map(len, pieces))
+    return pieces, peak - largest
 
 
 MIB = 1 << 20
@@ -181,3 +218,16 @@ def test_list_writer_memory_is_one_chunk(kind):
     pieces, excess = traced_excess(to_json, column)
     assert len(pieces) <= -(-(10**6) // CHUNK_ROWS) + 3
     assert excess <= 2 * MIB
+
+
+def test_cli_streams_report(tmp_path: Path):
+    # a scan of 10^5 windows: the CLI peaks below the bytes it writes
+    path = tmp_path / "scan.json"
+    assert dispatch(["scan-intervals", "--X", "1000", "--y", "22", "--out", str(path)]) == 0  # imports
+    tracemalloc.start()
+    try:
+        assert dispatch(["scan-intervals", "--X", "100000", "--y", "22", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

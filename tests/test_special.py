@@ -574,10 +574,13 @@ class TestTabulation:
         with pytest.raises(ResourceError, match="rows exceed budget"):
             tabulation_rows("buchstab", lo, hi, step)
 
-    @pytest.mark.parametrize("lo, hi, step", [(1e300, 1e300, 1.0), (1e17, 1e17 + 64, 1.0)])
+    @pytest.mark.parametrize("lo, hi, step", [
+        (1e300, 1e300, 1.0), (1e17, 1e17 + 64, 1.0), (1e16, 1e16 + 64, 1.0), (1e16, 1e16, 1.0),
+    ])
     def test_step_lost_to_rounding(self, lo, hi, step):
-        # s = lo + k*step rounds back onto lo (a row loop never ended at 1e300)
-        # or repeats values well past the division's bound (at 1e17, ulp 16)
+        # s = lo + k*step rounds back onto lo (a row loop never ended at 1e300),
+        # repeats values well past the division's bound (at 1e17, ulp 16), or
+        # repeats rows within it (at 1e16, ulp 2: once 66 rows, 33 of them repeats)
         with pytest.raises(DomainError, match="lost to rounding"):
             tabulation_rows("buchstab", lo, hi, step)
 
