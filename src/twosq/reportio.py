@@ -26,6 +26,7 @@ are raised by the call, before a piece is written.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -39,7 +40,7 @@ from .errors import ResourceError
 # list) may hold.  A row's peak cost, the slope of CLI peak RSS between JSON
 # reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
 # scan-progressions at x = 10^7; each chunk formatted as it is written), is about
-# 57 B for intervals, 35 B for residues, 61 B for progressions and 13 B per
+# 34 B for intervals, 35 B for residues, 61 B for progressions and 13 B per
 # `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
@@ -58,8 +59,16 @@ def format_float(v: float) -> str:
     return f"{v:.10g}"
 
 
+def format_int(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:  # str refuses more digits than sys.get_int_max_str_digits()
+        raise ResourceError(f"report writer: an integer of {v.bit_length()} bits has more digits than the limit "
+                            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}") from None
+
+
 def format_fraction(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    return f"{format_int(v.numerator)}/{format_int(v.denominator)}" if v.denominator != 1 else format_int(v.numerator)
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def _scalar(obj: Any) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj)
+        return format_int(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
@@ -170,7 +179,7 @@ def _emit(obj: Any, out: list[str | tuple]) -> None:
     if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
-            out.append((", " if i else "") + _quote(str(k)) + ": ")
+            out.append((", " if i else "") + _quote(format_int(k) if isinstance(k, int) else str(k)) + ": ")
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -243,7 +252,7 @@ def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None
             return format_float(v)
         if isinstance(v, Fraction):
             return format_fraction(v)
-        return str(v)
+        return format_int(v) if isinstance(v, int) else str(v)
 
     def write(span: slice) -> str:
         return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[span]])

@@ -20,9 +20,8 @@ import numpy as np
 from .arith import landau_constant, phi_S, phi_S_floats
 from .errors import DomainError, ResourceError
 from .primes import INT64_MAX, p3_primes
-from .reportio import Records, check_rows
+from .reportio import CHUNK_ROWS, Records, check_rows
 from .sieve import is_two_square, iter_segments
-from .special import halfdim_F
 
 # Euler-product truncation of the Landau-Ramanujan constant in predictions.
 LANDAU_TRUNCATION = 10**6
@@ -129,15 +128,26 @@ class ScanReport:
     def argmax_key(self) -> int:
         return int(self.keys[np.argmax(self.counts)])
 
+    def _chunks(self):  # row slices for the two statistics below: their masks stay chunk-sized
+        return (slice(i, i + CHUNK_ROWS) for i in range(0, self.n_windows, CHUNK_ROWS))
+
     @property
     def records(self) -> tuple[int, ...]:
-        return tuple(self.keys[self.applicable & (self.counts >= RECORD_THRESHOLD * self.predicted)].tolist())
+        out: list[int] = []
+        for s in self._chunks():
+            out += self.keys[s][self.applicable[s] & (self.counts[s] >= RECORD_THRESHOLD * self.predicted[s])].tolist()
+        return tuple(out)
 
     @property
     def mean_ratio_valid(self) -> float | None:
-        ratios = self.ratio[self.applicable & (self.predicted > 0)]
-        # cumsum adds left to right in row order; np.sum's pairwise sum changes last digits.
-        return float(np.cumsum(ratios)[-1]) / ratios.size if ratios.size else None
+        # in row order, each chunk's cumsum from the running total: np.sum's pairwise sum changes last digits
+        total, size = 0.0, 0
+        for s in self._chunks():
+            ratios = self.ratio[s][self.applicable[s] & (self.predicted[s] > 0)]
+            if ratios.size:
+                ratios[0] += total
+                total, size = float(np.cumsum(ratios)[-1]), size + ratios.size
+        return total / size if size else None
 
     @property
     def csv_header(self) -> tuple[str, ...]:
@@ -179,33 +189,38 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
         raise DomainError(f"scan_intervals: need 1 <= y <= X, got y={y}")
     if stride < 1:
         raise DomainError(f"scan_intervals: stride must be >= 1, got {stride}")
-    check_rows("scan_intervals", X // stride + 1)
-    xs = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
+    n = X // stride + 1
+    check_rows("scan_intervals", n)
 
-    # Members in (X, t] at t = x and t = x + y for every window x; each sorted
-    # column meets a segment in one run.  Prefix counts within a segment fit
-    # int32; base joins after the store, as base + an int32 array stays int32.
-    at_start = np.zeros(xs.size, dtype=np.int64)
-    at_end = np.zeros(xs.size, dtype=np.int64)
-    ends = xs + y
+    # Members in (X, t] at t = x and t = x + y, x = X + i * stride: each column
+    # meets a segment in one strided slice of its int32 prefix counts, base joins
+    # after the store (base + int32 stays int32).  Keys come after, the rest in place.
+    at_start = np.zeros(n, dtype=np.int64)
+    at_end = np.zeros(n, dtype=np.int64)
     base = 0
     for seg in iter_segments(X + 1, 2 * X + y):
         cum = np.cumsum(seg.bits, dtype=np.int32)
-        for at, pts in ((at_start, xs), (at_end, ends)):
-            i, j = np.searchsorted(pts, (seg.lo - 1, seg.hi), side="right")
-            at[i:j] = cum[pts[i:j] - seg.lo]
-            at[i:j] += base
+        for at, t0 in ((at_start, X), (at_end, X + y)):
+            i = max(0, -((t0 - seg.lo) // stride))  # the first t0 + i * stride >= seg.lo
+            j = min(n, (seg.hi - t0) // stride + 1)
+            if i < j:
+                at[i:j] = cum[t0 + i * stride - seg.lo :: stride][: j - i]
+                at[i:j] += base
         base += int(cum[-1])
         del cum, seg  # freed before the next segment is sieved
+    at_end -= at_start
+    del at_start
 
-    S = _landau()
+    keys = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
+    predicted = np.log(keys, dtype=np.float64)
+    np.divide(_landau() * y, np.sqrt(predicted, out=predicted), out=predicted)
     return ScanReport(
         kind="intervals",
         params={"X": X, "y": y, "stride": stride},
-        keys=xs,
-        counts=at_end - at_start,
-        predicted=S * y / np.sqrt(np.log(xs.astype(np.float64))),
-        applicable=np.ones(xs.size, dtype=bool),
+        keys=keys,
+        counts=at_end,
+        predicted=predicted,
+        applicable=np.ones(n, dtype=bool),
     )
 
 
@@ -367,6 +382,7 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     because every exponent in P is odd.  One sieve pass flags the
     u = 1 + 4i < 4x/Q + 1 (so i < x/Q) coprime to P; each d counts a prefix.
     """
+    from .special import halfdim_F  # only here: the scans need no special functions
     exps = config.P_exponents()
     # The d with d^2 | P have exponent of p at most (alpha_p - 1)/2; each is a
     # report row, charged before any of them is listed.

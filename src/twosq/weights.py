@@ -39,14 +39,15 @@ from .admissible import AdmissibleSystem
 from .arith import nu as nu_of, p3_squarefree_factored, roots_mod
 from .errors import DomainError, ResourceError
 from .primes import sieve_primes, squarefree_products
-from .sieve import sieve_segment
+from .sieve import MAX_SEGMENT, SegmentTable, sieve_segment
 
 # Direct double sums are O(|support|^2); refuse beyond this many pairs.
 MAX_SUPPORT_PAIRS = 4_000_000
 
 # Class members per chunk of a weighted experiment.  Only one chunk's n, hit
-# counts, form values, member index lists and divisor sums are held at once,
-# so the experiment's memory does not grow with the class.
+# counts, form values, member index lists and divisor sums (squared one Python
+# int at a time) are held at once, so the experiment's memory does not grow
+# with the class beyond one membership table per run of forms.
 CLASS_CHUNK = 1 << 14
 
 
@@ -365,6 +366,23 @@ def _chunk_divisor_sums(
     return totals
 
 
+def _membership_tables(forms: Sequence, X_lo: int, X_hi: int) -> list[SegmentTable]:
+    """A membership table per form over its values on (X_lo, X_hi].  A run of
+    forms of one leading coefficient whose windows overlap shares one, closed
+    before its span would pass MAX_SEGMENT; sieve_segment refuses a value past
+    2^63 - 1 or a longer window."""
+    runs: list[list] = [[]]
+    for form in sorted(set(forms), key=lambda f: (f.a, f.b)):  # in a run, the last form reaches furthest
+        run, lo, hi = runs[-1], form(X_lo + 1), form(X_hi)
+        if run and (form.a != run[0].a or lo > run[-1](X_hi) or hi - run[0](X_lo + 1) >= MAX_SEGMENT):
+            runs.append(run := [])
+        run.append(form)
+    tables = {}
+    for run in runs:
+        tables.update(dict.fromkeys(run, sieve_segment(run[0](X_lo + 1), run[-1](X_hi))))
+    return [tables[form] for form in forms]
+
+
 def weighted_experiment(
     ws: WeightSystem,
     X_lo: int,
@@ -374,27 +392,26 @@ def weighted_experiment(
 
     Computes sum w_n, sum hits(n) w_n over the class n = v0 (mod W), the
     weighted average of hits, the unweighted average over the same class,
-    and the unweighted average over all n in range.  The class is processed
-    serially in chunks of CLASS_CHUNK members.  In each chunk one pass over
-    the support, in order of largest prime, finds the members each d divides
-    and adds the integer lambda_d * D (D the common lambda denominator) to
-    their totals t_n; then sum w_n = sum t_n^2 / D^2.  Every sum is in Python
-    integers, so the results are exact and do not depend on the chunking.
+    and the unweighted average over all n in range, reading hits from one
+    membership table per run of forms.  The class is processed serially in
+    chunks of CLASS_CHUNK members.  In each chunk one pass over the support,
+    in order of largest prime, finds the members each d divides and adds the
+    integer lambda_d * D (D the common lambda denominator) to their totals
+    t_n; then sum w_n = sum t_n^2 / D^2.  Every sum is in Python integers, so
+    the results are exact and do not depend on the chunking.
     """
     if X_hi <= X_lo:
         raise DomainError(f"weighted_experiment: need X_hi > X_lo, got ({X_lo}, {X_hi}]")
     sysm = ws.system
     W, v0, k = sysm.W, sysm.v0, sysm.k
 
-    # one membership table per form over its values on (X_lo, X_hi];
-    # sieve_segment refuses a value past 2^63 - 1 or a span over its budget
-    tables = [sieve_segment(form(X_lo + 1), form(X_hi)) for form in sysm.forms]
+    tables = _membership_tables(sysm.forms, X_lo, X_hi)
 
     # Unweighted average over every n in range: one progression count per form.
     total_hits_all = 0
     for form, table in zip(sysm.forms, tables):
-        # table.lo = form(X_lo + 1), so the form's image is every a-th bit
-        total_hits_all += int(np.count_nonzero(table.bits[:: form.a]))
+        # the form's image is every a-th bit from its value at X_lo + 1
+        total_hits_all += int(np.count_nonzero(table.bits[form(X_lo + 1) - table.lo :: form.a][: X_hi - X_lo]))
 
     # with no class member the chunk loop below runs zero times
     first_n = X_lo + 1 + ((v0 - (X_lo + 1)) % W)
@@ -414,11 +431,10 @@ def weighted_experiment(
             hits += table.bits[form.a * ns + form.b - table.lo]
         hit_total += int(hits.sum())
         t = _chunk_divisor_sums(chunk_lo, ns.size, W, by_top, roots, ws.lam_scaled)
-        w = t * t
-        # builtin sum, not ndarray.sum: it adds totals that fit a C long
-        # without allocating, and costs about the same on big ones
-        sum_w_scaled += sum(w.tolist())
-        sum_hw_scaled += sum((w * hits).tolist())
+        for v, h in zip(t.tolist(), hits.tolist()):
+            sq = v * v
+            sum_w_scaled += sq
+            sum_hw_scaled += h * sq
 
     d2 = ws.lam_denom**2
     return WeightedScanReport(

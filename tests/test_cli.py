@@ -173,6 +173,25 @@ class TestCliBehavior:
         assert err.startswith("error:") and "No such file or directory" in err
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("argv", [["weights", "--R", "35000"], ["weights", "--R", "100000", "--format", "csv"]],
+                             ids=["json", "csv"])
+    def test_number_past_digit_limit_is_error_line(self, argv, capsys, tmp_path):
+        # at R = 35000 the denominator of Q_nu-1 has 4,331 digits, and at
+        # R = 100000 lambda's too: str refuses them, and the writer says so
+        # before --out is opened (R = 35000 in CSV, with no Q_nu-1, is golden)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path = tmp_path / "report"
+            code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys.get_int_max_str_digits() = 4300" in err
+        assert not path.exists()
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(["count", "--x", "-5"], capsys)
         assert code == 1
@@ -392,7 +411,9 @@ class TestLazyImports:
          ("twosq.weights", "twosq.scans", "twosq.admissible", "twosq.special")),
         (["special", "--fn", "buchstab", "--at", "1.5"], "0.6666666667",
          ("twosq.weights", "twosq.scans", "twosq.admissible", "twosq.sieve")),
-    ], ids=["count", "constants", "special"])
+        (["scan-intervals", "--X", "16", "--y", "2"], '"n_windows": 17',
+         ("twosq.weights", "twosq.special", "twosq.admissible")),
+    ], ids=["count", "constants", "special", "scan-intervals"])
     def test_subcommand_loads_only_its_modules(self, argv, stdout, absent):
         # python -v logs every module as it is loaded, by import statement or importlib
         env = subprocess_env()

@@ -11,7 +11,9 @@ were recorded before every report came to be written by `dispatch` alone;
 the 12,460-member sieve of [1, 50000] (four 2^12-row chunks) was recorded
 while member lists were still Python lists written element by element; the
 7,901-row tabulations of each special function (two chunks) were recorded
-while tables were still evaluated one row at a time.  Any
+while tables were still evaluated one row at a time; the CSV weights at
+R = 35000, whose JSON holds a number past the default digit limit, were
+recorded while that JSON still ended in a traceback.  Any
 change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
@@ -43,6 +45,10 @@ CASES = {
     "weights_csv": (
         ["weights", "--k", "3", "--R", "500", "--W", "1", "--format", "csv"],
         "b844d844ab8cab4fb9c19ca76683298e5672ffb54f6557a0bf534c962c09a705",
+    ),
+    "weights_R35000_csv": (
+        ["weights", "--R", "35000", "--format", "csv"],
+        "f42100ce656ce902cb6f035cc468f788bb5a451a5712bf3a35c529d40b1bd65a",
     ),
     "verify": (
         ["verify", "--threads", "1"],

@@ -19,6 +19,7 @@ import pytest
 
 from twosq import reportio
 from twosq.cli import dispatch
+from twosq.errors import ResourceError
 from twosq.reportio import CHUNK_ROWS, Records, _quote, format_float, to_csv, to_json
 
 INT64_MAX = 2**63 - 1
@@ -118,7 +119,8 @@ def test_unsupported_column_rejected():
 def test_unsupported_value_rejected():
     # a value of a long list or of a CSV row that cannot be written, or a CSV row
     # that is not a sequence, raises at the call too; str refuses an int of more
-    # than 4,300 digits (the default limit)
+    # than 4,300 digits (the default limit), which the writer reports as a
+    # ResourceError naming that limit
     long_list = [[d, d] for d in range(CHUNK_ROWS)]
     with pytest.raises(TypeError):
         to_json({"rows": long_list + [[0, object()]]})
@@ -128,10 +130,13 @@ def test_unsupported_value_rejected():
     sys.set_int_max_str_digits(4300)
     try:
         for value in (10**4400, Fraction(1, 10**4400), {10**4400: 1}):
-            with pytest.raises(ValueError):
+            with pytest.raises(ResourceError, match=r"sys.get_int_max_str_digits\(\) = 4300"):
                 to_json(long_list + [[0, value]])
-            with pytest.raises(ValueError):
+        for value in (10**4400, Fraction(1, 10**4400)):
+            with pytest.raises(ResourceError, match=r"sys.get_int_max_str_digits\(\) = 4300"):
                 to_csv([(1, 2), (3, value)], header=["x", "y"])
+        with pytest.raises(ValueError):  # a CSV cell of a dict is its str, not a number the writer spells
+            to_csv([(1, 2), (3, {10**4400: 1})], header=["x", "y"])
     finally:
         sys.set_int_max_str_digits(limit)
 

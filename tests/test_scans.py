@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twosq.errors import DomainError
+from twosq.reportio import CHUNK_ROWS
 from twosq.scans import (
     MaierConfig,
     ScanReport,
@@ -81,6 +82,21 @@ class TestScanIntervals:
             tracemalloc.stop()
         assert peak < 22 << 20  # 26 MiB while a segment was held as the next was sieved
         assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
+
+    def test_bench_scan_memory(self):
+        # the 150,664 windows of a bench scan: each boundary column is a strided
+        # slice of the prefix counts, and counts and predictions are made in
+        # place (8.05 MiB traced with window-start and window-end columns, their
+        # searchsorted gathers and out-of-place arithmetic)
+        _landau()  # cached, so the peak is the scan's own
+        tracemalloc.start()
+        try:
+            rep = scan_intervals(150_663, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_windows == 150_664
+        assert peak <= 5 << 20
 
     def test_records_at_scale(self):
         # count variance guarantees record windows at this size
@@ -254,8 +270,9 @@ class TestSummaryOracle:
             lambda: scan_intervals(5000, 40, stride=7),
             lambda: scan_progressions(20000, 30, 2),
             lambda: scan_residues(10000, 12),
+            lambda: scan_intervals(10000, 12, stride=1),
         ],
-        ids=["intervals-stride1", "intervals-stride7", "progressions-a2", "residues"],
+        ids=["intervals-stride1", "intervals-stride7", "progressions-a2", "residues", "intervals-chunks"],
     )
     def test_fields_match_plain_python(self, make):
         rep = make()
@@ -305,6 +322,24 @@ class TestSummaryOracle:
         assert rep.records and rep.n_windows == n
         with pytest.raises(TypeError):
             ScanReport("progressions", {}, **columns, total_count=0)
+
+    def test_statistics_read_a_chunk_at_a_time(self):
+        # records and the mean ratio walk the columns CHUNK_ROWS rows at a time;
+        # the second chunk has no valid ratio, the last is short, and the sum
+        # runs on from chunk to chunk in row order
+        rng = np.random.default_rng(29)
+        n = 3 * CHUNK_ROWS + 777
+        predicted = rng.uniform(0.5, 6.0, n)
+        predicted[rng.choice(n, 300, replace=False)] = 0.0
+        applicable = rng.random(n) < 0.7
+        applicable[CHUNK_ROWS : 2 * CHUNK_ROWS] = False
+        rep = ScanReport("progressions", {}, keys=np.arange(n), counts=rng.integers(0, 12, n),
+                         predicted=predicted, applicable=applicable)
+        expect = summary_oracle(rep)
+        assert (rep.records, rep.mean_ratio_valid) == (expect["records"], expect["mean_ratio_valid"])
+        whole = rep.ratio[applicable & (predicted > 0)]
+        assert rep.mean_ratio_valid == float(np.cumsum(whole)[-1]) / whole.size
+        assert min(rep.records) < CHUNK_ROWS and max(rep.records) >= 3 * CHUNK_ROWS
 
 
 def maier_lhs_oracle(cfg: MaierConfig) -> int:

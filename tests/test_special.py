@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from twosq.errors import DomainError, ResourceError
+from twosq.errors import ConvergenceError, DomainError, ResourceError
 from twosq.reportio import MAX_SCAN_ROWS
 from twosq.special import (
     HALFDIM_SMAX,
     OMEGA_UMAX,
     TABLE_H,
+    TABLE_TOL,
     E_GAMMA,
     G_ENVELOPE_EPS,
     G_RESOLUTION_FLOOR,
@@ -27,6 +29,7 @@ from twosq.special import (
     halfdim_tables,
     tabulation_rows,
     _build_buchstab,
+    _checked_tables,
     _lagrange,
     _stencil_start,
     _build_halfdim,
@@ -66,6 +69,48 @@ class TestBuchstab:
 
     def test_table_error_estimate(self):
         assert buchstab_table().err_estimate < 1e-9
+
+    def test_table_build_memory(self):
+        # the Richardson estimate reads one unit window at a time, so no
+        # difference array spans the table (a 7.6 MiB traced peak with two)
+        buchstab_table.cache_clear()
+        tracemalloc.start()
+        try:
+            buchstab_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20
+
+    def test_error_estimates_match_whole_tables(self):
+        # the windowed estimate is the same float as one difference over the
+        # marched region
+        n1 = round(1.0 / TABLE_H)
+        for table, half, marched in [
+            (buchstab_table(), _build_buchstab(TABLE_H / 2)[0], n1),
+            (halfdim_tables()[0], _build_halfdim(TABLE_H / 2)[0], 2 * n1),
+            (halfdim_tables()[1], _build_halfdim(TABLE_H / 2)[1], 3 * n1),
+        ]:
+            whole = float(np.max(np.abs(table.values[marched:] - half[2 * marched :: 2])))
+            assert table.err_estimate == whole > 0
+
+    @pytest.mark.parametrize("change", [1e-10, 2e-9])
+    def test_error_estimate_reads_the_last_point(self, change):
+        # two builds of a zero table over [0, 3] that differ only at its last
+        # point, which the last unit window holds alone
+        n1 = round(1.0 / TABLE_H)
+
+        def build(h):
+            vals = np.zeros(round(3.0 / h) + 1)
+            vals[-1] = change if h == TABLE_H else 0.0
+            return (vals,)
+
+        layout = ("test", 0.0, 3, n1, n1, n1)
+        if change > TABLE_TOL:
+            with pytest.raises(ConvergenceError):
+                _checked_tables(build, layout)
+        else:
+            assert _checked_tables(build, layout)[0].err_estimate == change
 
     def test_de_residual(self):
         # (u omega(u))' = omega(u-1), central differences off the junctions

@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set
+from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set, compute_W
 from twosq.arith import roots_mod
 from twosq.errors import DomainError, ResourceError
 from twosq.primes import squarefree_products
 from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
     CLASS_CHUNK,
+    WeightedScanReport,
+    _chunk_divisor_sums,
     build_weights,
     gamma_p3_indicator,
     check_weight_mass,
@@ -323,6 +325,102 @@ class TestWeightW:
             assert report.sum_w == sum_w
             assert report.sum_hits_w == sum_hits_w
         assert report.class_size > CLASS_CHUNK
+
+
+def table_per_form_experiment(ws, X_lo, X_hi):
+    """Reference: the weighted experiment with one membership table per form,
+    the whole class in one chunk, and the sums taken over object arrays."""
+    sysm = ws.system
+    tables = [sieve_segment(form(X_lo + 1), form(X_hi)) for form in sysm.forms]
+    total_hits_all = sum(int(np.count_nonzero(t.bits[:: f.a])) for f, t in zip(sysm.forms, tables))
+    first_n = X_lo + 1 + ((sysm.v0 - (X_lo + 1)) % sysm.W)
+    ns = np.arange(first_n, X_hi + 1, sysm.W, dtype=np.int64)
+    hits = np.zeros(ns.size, dtype=np.int64)
+    for form, table in zip(sysm.forms, tables):
+        hits += table.bits[form.a * ns + form.b - table.lo]
+    by_top = {}
+    for d in ws.support[1:]:
+        by_top.setdefault(ws.support_factors[d][-1], []).append(d)
+    roots = {p: roots_mod(p, sysm.forms) for p in by_top}
+    w = _chunk_divisor_sums(first_n, ns.size, sysm.W, by_top, roots, ws.lam_scaled) ** 2
+    d2 = ws.lam_denom**2
+    return WeightedScanReport(
+        X_lo=X_lo, X_hi=X_hi, R=ws.R, k=sysm.k, W=sysm.W, v0=sysm.v0,
+        class_size=ns.size,
+        class_hits=int(hits.sum()),
+        sum_w=Fraction(int(w.sum()), d2),
+        sum_hits_w=Fraction(int((w * hits).sum()), d2),
+        overall_unweighted_avg=Fraction(total_hits_all, X_hi - X_lo),
+    )
+
+
+def counted_tables(monkeypatch):
+    """The membership tables weighted_experiment sieves, recorded as it runs."""
+    import twosq.weights as wmod
+
+    made = []
+    monkeypatch.setattr(wmod, "sieve_segment", lambda lo, hi: made.append(sieve_segment(lo, hi)) or made[-1])
+    return made
+
+
+# (forms, W, R, X, membership tables); at these X the CLI takes W = compute_W(X) = 3
+RUN_CASES = {
+    "bench": ([(1, 37), (1, 89), (1, 137), (1, 197)], 3, 1000, 206_582, 1),
+    "k4": ([(1, 1), (1, 5), (1, 13), (1, 17)], 3, 1000, 100_000, 1),
+    "slope_1000": ([(1, 1), (1000, 1)], 1, 100, 5_000, 2),
+    "slope_3": ([(1, 1), (3, 2), (1, 5)], 1, 120, 20_000, 2),
+    "disjoint": ([(1, 1), (1, 50_001)], 1, 100, 10_000, 2),
+    "slopes_overlap": ([(1, 5), (2, 1)], 1, 100, 10_000, 2),
+}
+
+
+class TestMembershipRuns:
+    """Forms of one leading coefficient whose windows overlap share a table."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_matches_table_per_form(self, name, monkeypatch):
+        forms, W, R, X, n_tables = RUN_CASES[name]
+        ws = build_weights(AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W), R)
+        made = counted_tables(monkeypatch)
+        assert weighted_experiment(ws, X, 2 * X) == table_per_form_experiment(ws, X, 2 * X)
+        assert len(made) == n_tables
+        if name in ("bench", "k4"):
+            assert compute_W(X) == W
+            assert made[0].hi - made[0].lo + 1 == X + forms[-1][1] - forms[0][1]
+
+    @pytest.mark.parametrize("budget, spans", [
+        (10_004, [(10_002, 20_005), (11_002, 21_001)]),
+        (10_003, [(10_002, 20_001), (10_006, 20_005), (11_002, 21_001)]),
+    ])
+    def test_run_closes_at_segment_budget(self, budget, spans, monkeypatch):
+        # over (10^4, 2 * 10^4] one table spans 10,004 values for n + 1 and
+        # n + 5, and 11,000 with n + 1001: a run closes before it would pass
+        # the budget, and every form still runs with the same sums
+        import twosq.weights as wmod
+
+        system = AdmissibleSystem.build([LinearForm(1, 1001), LinearForm(1, 5), LinearForm(1, 1)], W=1)
+        ws = build_weights(system, 100)
+        X = 10_000
+        whole = weighted_experiment(ws, X, 2 * X)
+        monkeypatch.setattr(wmod, "MAX_SEGMENT", budget)
+        made = counted_tables(monkeypatch)
+        assert weighted_experiment(ws, X, 2 * X) == whole == table_per_form_experiment(ws, X, 2 * X)
+        assert [(t.lo, t.hi) for t in made] == spans
+
+    def test_bench_system_memory(self):
+        # the bench system's 68,861 class members: one shared table, and chunk
+        # sums over Python ints with no object arrays of t^2 and hits * t^2
+        # (a 6.6 MiB traced peak with four tables and those arrays)
+        forms, W, R, X, _ = RUN_CASES["bench"]
+        ws = build_weights(AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W), R)
+        tracemalloc.start()
+        try:
+            report = weighted_experiment(ws, X, 2 * X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.class_size == 68_861
+        assert peak <= 5 << 20
 
 
 class TestWeightedExperiment:
