@@ -5,9 +5,9 @@ float formatting is fixed at 10 significant digits and rationals print as
 "num/den"; identical report objects therefore serialize to identical bytes
 regardless of how they were computed.
 
-Every long list is written CHUNK_ROWS (2^12) rows at a time, straight from
-its column: a 1-D integer array (a `sieve` report's members) or a list longer
-than a chunk becomes one ", "-joined string per chunk.  Row tables (`Records`:
+Only numpy columns are formatted as they are written, CHUNK_ROWS (2^12) rows
+at a time: a 1-D integer array (a `sieve` report's members, a scan's record
+keys) becomes one ", "-joined string per chunk, and row tables (`Records`:
 scan rows, special-function tabulations) turn each chunk of their columns into
 Python lists with `.tolist()` and format every row by one `%`-template, e.g.
 '{"key": %d, "count": %d, "predicted": %.10g, "ratio": %.10g, "applicable": %s}'
@@ -18,9 +18,12 @@ string columns %s (quoted in JSON).  %.10g spells finite floats exactly as
 one writes that column through `format_float` (NaN, Infinity, -Infinity).
 
 `to_json` and `to_csv` return the text as `Pieces`, to be written in order: a
-long list is held as its rows and the function that writes a chunk of them, so
-a chunk is formatted only when iteration reaches it.  The errors of the values
-are raised by the call, before a piece is written.
+column is held as its rows and the function that writes a chunk of them, so a
+chunk is formatted only when iteration reaches it.  Python lists (JSON) and the
+value-by-value rows of `to_csv` are formatted by the call, one string per
+chunk of a long list, so the errors of their values come from the formatter
+itself before a piece is written; a column of a type no chunk can write is
+refused by the call too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -183,9 +185,8 @@ def _emit(obj: Any, out: list[str | tuple]) -> None:
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        if len(obj) > CHUNK_ROWS:
-            _check(obj, lambda v: _emit(v, []))  # its values are written later
-            out.extend(_long_list(obj))
+        if len(obj) > CHUNK_ROWS:  # formatted now, one string per chunk: its JSON less "[" and "]\n"
+            out.extend(["[", *_chunked(len(obj), lambda span: "".join(to_json(obj[span]))[1:-2], ", "), "]"])
             return
         out.append("[")
         for i, v in enumerate(obj):
@@ -196,41 +197,9 @@ def _emit(obj: Any, out: list[str | tuple]) -> None:
     elif isinstance(obj, Records):
         out.extend(["[", _record_chunks(obj, as_json=True), "]"])
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        out.extend(_long_list(obj))
+        out.extend(["[", (len(obj), lambda span: ", ".join(map(str, obj[span].tolist())), ", "), "]"])
     else:
         out.append(_scalar(obj))
-
-
-def _long_list(obj: Sequence | np.ndarray) -> list[str | tuple]:
-    """A list longer than a chunk, or a 1-D integer array, as JSON pieces."""
-
-    def write(span: slice) -> str:
-        if isinstance(obj, np.ndarray):
-            return ", ".join(map(str, obj[span].tolist()))
-        part: list[str | tuple] = []
-        _emit(obj[span], part)  # a chunk is short: written element by element
-        return "".join(Pieces(part[1:-1]))
-
-    return ["[", (len(obj), write, ", "), "]"]
-
-
-# `_scalar` and the CSV cells write these types without fail, and an int of at
-# most 2,048 bits: `str` refuses one of more digits than
-# sys.get_int_max_str_digits(), which is 0 (no limit) or at least 640.
-_PLAIN = {type(None), bool, float, str}
-
-
-def _check(values: Iterable, write: Callable[[Any], object]) -> None:
-    """Raise now what `write` would raise on one of `values`, reading into lists
-    and tuples and calling `write` only on the other values that can fail."""
-    for v in values:
-        kind = type(v)
-        if kind in _PLAIN or kind is int and v.bit_length() <= 2048:
-            continue
-        if kind in (list, tuple):
-            _check(v, write)
-        else:
-            write(v)
 
 
 def to_json(obj: Any) -> Pieces:
@@ -257,6 +226,5 @@ def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None
     def write(span: slice) -> str:
         return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[span]])
 
-    _check(chain.from_iterable(rows), cell)  # a row that is not a sequence is refused too
     head = [] if header is None else [",".join(header) + "\n"]
-    return Pieces([*head, (len(rows), write, "")])
+    return Pieces([*head, *_chunked(len(rows), write)])

@@ -131,12 +131,15 @@ class ScanReport:
     def _chunks(self):  # row slices for the two statistics below: their masks stay chunk-sized
         return (slice(i, i + CHUNK_ROWS) for i in range(0, self.n_windows, CHUNK_ROWS))
 
+    def _record_keys(self) -> np.ndarray:
+        """The keys of the record rows, an int64 column cut from `keys`."""
+        cuts = (self.keys[s][self.applicable[s] & (self.counts[s] >= RECORD_THRESHOLD * self.predicted[s])]
+                for s in self._chunks())
+        return np.concatenate([self.keys[:0], *cuts])
+
     @property
     def records(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for s in self._chunks():
-            out += self.keys[s][self.applicable[s] & (self.counts[s] >= RECORD_THRESHOLD * self.predicted[s])].tolist()
-        return tuple(out)
+        return tuple(self._record_keys().tolist())
 
     @property
     def mean_ratio_valid(self) -> float | None:
@@ -169,7 +172,7 @@ class ScanReport:
             "variance": self.variance,
             "max_count": self.max_count,
             "argmax_key": self.argmax_key,
-            "records": self.records,
+            "records": self._record_keys(),
             "histogram": self.histogram,
             "mean_ratio_valid": self.mean_ratio_valid,
             "rows": Records(ROW_FIELDS, self.columns),
@@ -364,7 +367,7 @@ class MaierReport:
             "delta": self.config.delta,
             "P_exponents": {str(p): e for p, e in sorted(self.P_exponents.items())},
             "P": self.P,
-            "d_terms": [[d, c] for d, c in self.d_terms],
+            "d_terms": self.d_terms,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "ratio": self.ratio,
@@ -397,8 +400,9 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     for p, e in exps.items():
         ds = [d * p**c for d in ds for c in range(e // 2 + 1)]
     ds.sort()
-    # u = 1 + 4i < u_limit / d^2 exactly when i < (u_limit / d^2 - 1) / 4
-    ends = [max(0, math.ceil((config.u_limit / (d * d) - 1) / 4)) for d in ds]
+    # u = 1 + 4i < u_limit / d^2 exactly when i < (u_limit / d^2 - 1) / 4 = (4x + Q - Q d^2) / (4 Q d^2)
+    x, Q = config.x, config.Q
+    ends = [max(0, -((Q * d * d - 4 * x - Q) // (4 * Q * d * d))) for d in ds]
     d_terms = tuple((d, int(np.count_nonzero(keep[:end]))) for d, end in zip(ds, ends))
 
     density = math.prod((p / (p + 1.0) for p in exps), start=1.0)

@@ -13,7 +13,10 @@ while member lists were still Python lists written element by element; the
 7,901-row tabulations of each special function (two chunks) were recorded
 while tables were still evaluated one row at a time; the CSV weights at
 R = 35000, whose JSON holds a number past the default digit limit, were
-recorded while that JSON still ended in a traceback.  Any
+recorded while that JSON still ended in a traceback; the 12,600 Maier
+d-terms (JSON and CSV) and the 11,568 records of a y = 1 scan (three chunks
+each) were recorded while long Python lists were still checked value by
+value and formatted a chunk at a time as they were written.  Any
 change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
@@ -246,6 +249,18 @@ CASES = {
     "special_g_chunks_json": (
         ["special", "--fn", "g", "--from", "0.5", "--to", "40", "--step", "0.005", "--format", "json"],
         "fbc5d23bb9fada207f2705b739d3ed21736d3b51ce3ae0526e2d52e20f1e7acb",
+    ),
+    "maier_demo_chunks_json": (
+        ["maier-demo", "--z", "23", "--a", "1000001", "--x", "1000000", "--Q", "100"],
+        "2f1e1d010e081f3d994215a04b4d86df5c882093716be55f1c1bfd1f05bd9ce9",
+    ),
+    "maier_demo_chunks_csv": (
+        ["maier-demo", "--z", "23", "--a", "1000001", "--x", "1000000", "--Q", "100", "--format", "csv"],
+        "af7518020f3f1f25cab87b895ef79ffe983858c42a143a1471730b03137762cc",
+    ),
+    "scan_intervals_records_json": (
+        ["scan-intervals", "--X", "50000", "--y", "1", "--threads", "1"],
+        "7fcb5c620d231839295dc2a62f3a794ed2a5a0c5d59cdd0f905b23186a5935d3",
     ),
 }
 

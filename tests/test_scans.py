@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -402,6 +403,22 @@ class TestMaier:
         # sieve holds only ceil(x / Q) flags
         cfg = MaierConfig(z=z, a=a, x=x, Q=Q)
         assert maier_demo(cfg).lhs == maier_lhs_oracle(cfg)
+
+    @pytest.mark.parametrize("Q,xs", [(1, range(2, 200)), (3, range(6, 200)), (100, range(200, 4000, 100))])
+    def test_prefix_ends_match_u_limit(self, Q, xs):
+        # each d counts u = 1 + 4i coprime to P for i < ceil((u_limit / d^2 - 1) / 4),
+        # computed here on the u_limit Fraction; the grid meets d > 1 where that
+        # quotient is an exact integer (x = 2 mod 9 at Q = 1 and d = 3, for one)
+        exact = 0
+        for z, a, x in itertools.product((3, 7, 11), (1, 5), xs):
+            cfg = MaierConfig(z=z, a=a, x=x, Q=Q)
+            rad = math.prod(cfg.P_exponents())
+            for d, count in maier_demo(cfg).d_terms:
+                quotient = (cfg.u_limit / (d * d) - 1) / 4
+                exact += d > 1 and quotient.denominator == 1
+                end = max(0, math.ceil(quotient))
+                assert count == sum(math.gcd(1 + 4 * i, rad) == 1 for i in range(end)), (cfg, d)
+        assert exact > 0
 
     def test_odd_minimal_exponents(self):
         cfg = MaierConfig(z=11, a=5, x=20_000, Q=100)
