@@ -111,7 +111,7 @@ def _cmd_sieve(args):
     check_rows("sieve", table.count_range(args.lo, args.hi))  # a row per member
     members = table.members()
     doc = {"lo": args.lo, "hi": args.hi, "count": len(members), "members": members}
-    return doc, Records(("member",), (members,))
+    return doc, Records.held(("member",), (members,))
 
 
 def _cmd_count(args):
@@ -133,7 +133,7 @@ def _cmd_count(args):
 
 
 def _scan_report(report):
-    return report.to_json_dict(), Records(report.csv_header, report.columns)
+    return report.to_json_dict(), Records(report.csv_header, report.n_windows, report.rows)
 
 
 def _cmd_scan_intervals(args):

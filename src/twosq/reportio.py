@@ -7,9 +7,11 @@ regardless of how they were computed.
 
 Only numpy columns are formatted as they are written, CHUNK_ROWS (2^12) rows
 at a time: a 1-D integer array (a `sieve` report's members, a scan's record
-keys) becomes one ", "-joined string per chunk, and row tables (`Records`:
-scan rows, special-function tabulations) turn each chunk of their columns into
-Python lists with `.tolist()` and format every row by one `%`-template, e.g.
+keys) becomes one ", "-joined string per chunk, and a row table (`Records`:
+scan rows, special-function tabulations, `sieve` members in CSV) asks its row
+function for each chunk's columns, turns them into Python lists with
+`.tolist()`, interleaves them row by row and formats the chunk by one `%` call
+on a row template repeated, e.g.
 '{"key": %d, "count": %d, "predicted": %.10g, "ratio": %.10g, "applicable": %s}'
 in JSON or '%d,%d,%.10g,%.10g,%s' in CSV.  Integer columns take %d, float
 columns %.10g, flags the pre-mapped words true/false (JSON) or 1/0 (CSV), and
@@ -41,9 +43,10 @@ from .errors import ResourceError
 # Rows any one table (a scan, a special-function tabulation, a `sieve` member
 # list) may hold.  A row's peak cost, the slope of CLI peak RSS between JSON
 # reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
-# scan-progressions at x = 10^7; each chunk formatted as it is written), is about
-# 34 B for intervals, 35 B for residues, 61 B for progressions and 13 B per
-# `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
+# scan-progressions at x = 10^7; a scan holds its counts and derives its other
+# columns a chunk at a time as it is written), is about 16 B for intervals,
+# 16 B for residues, 15 B for progressions and 13 B per `sieve` member; 512 B
+# per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
 # Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per
@@ -75,15 +78,28 @@ def format_fraction(v: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Records:
-    """A table of rows held as equal-length columns (numpy arrays or sequences
-    of ints, floats, bools or strings) named by `fields`.  JSON writes a list
-    of objects keyed by `fields`; CSV writes `fields` as its header line."""
+    """A table of n_rows rows named by `fields`; rows(i, j) gives its columns
+    over rows [i, j) as numpy arrays of ints, floats, bools or strings, so a
+    table may be derived a chunk at a time.  JSON writes a list of objects
+    keyed by `fields`; CSV writes `fields` as its header line."""
 
     fields: tuple[str, ...]
-    columns: tuple[Sequence, ...]
+    n_rows: int
+    rows: Callable[[int, int], Sequence[np.ndarray]]
+
+    @classmethod
+    def held(cls, fields: tuple[str, ...], columns: Sequence[Sequence]) -> Records:
+        """A table of equal-length columns already held (arrays or sequences)."""
+        arrays = [np.asarray(c) for c in columns]
+        return cls(fields, len(arrays[0]), lambda i, j: [c[i:j] for c in arrays])
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return self.n_rows
+
+    @property
+    def columns(self) -> Sequence[np.ndarray]:
+        """Every row's columns, built on access."""
+        return self.rows(0, self.n_rows)
 
 
 def check_rows(who: str, n_rows: int) -> None:
@@ -131,11 +147,11 @@ def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
     raise TypeError(f"cannot serialize a column of dtype {col.dtype}")
 
 
-def _chunked(n: int, write: Callable[[slice], str], sep: str = "") -> Iterator[str]:
-    """`write` of each CHUNK_ROWS-row slice of n rows, one string per chunk;
-    `sep` leads every chunk but the first."""
+def _chunked(n: int, write: Callable[[int, int], str], sep: str = "") -> Iterator[str]:
+    """write(i, j) of each CHUNK_ROWS-row span [i, j) of n rows, one string per
+    chunk; `sep` leads every chunk but the first."""
     for i in range(0, n, CHUNK_ROWS):
-        yield (sep if i else "") + write(slice(i, i + CHUNK_ROWS))
+        yield (sep if i else "") + write(i, min(i + CHUNK_ROWS, n))
 
 
 class Pieces:
@@ -159,20 +175,20 @@ class Pieces:
 def _record_chunks(rec: Records, as_json: bool) -> tuple:
     """The rows of `rec`, a chunk to a string; JSON rows are separated by
     ", " (also between chunks), CSV rows end in a newline."""
-    columns = [np.asarray(c) for c in rec.columns]
     keys = [_quote(f).replace("%", "%%") + ": " for f in rec.fields]
-    for c in columns if len(rec) else ():
-        _cells(c[:0], as_json)  # a column type no chunk can write is refused now
+    for c in rec.rows(0, 1) if len(rec) else ():
+        _cells(c, as_json)  # a column type no chunk can write is refused now
 
-    def write(span: slice) -> str:
-        specs, values = zip(*(_cells(c[span], as_json) for c in columns))
+    def write(i: int, j: int) -> str:
+        specs, values = zip(*(_cells(c, as_json) for c in rec.rows(i, j)))
         if as_json:
             template, sep = "{" + ", ".join(k + s for k, s in zip(keys, specs)) + "}", ", "
         else:
             template, sep = ",".join(specs) + "\n", ""
-        if len(values) == 1:  # one column: the chunk in one format call, no 1-tuple per row
-            return sep.join([template] * len(values[0])) % tuple(values[0])
-        return sep.join([template % row for row in zip(*values)])
+        cells = [None] * (len(values) * (j - i))  # row by row, the whole chunk in one format call
+        for k, col in enumerate(values):
+            cells[k :: len(values)] = col
+        return sep.join([template] * (j - i)) % tuple(cells)
 
     return len(rec), write, ", " if as_json else ""
 
@@ -186,7 +202,7 @@ def _emit(obj: Any, out: list[str | tuple]) -> None:
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         if len(obj) > CHUNK_ROWS:  # formatted now, one string per chunk: its JSON less "[" and "]\n"
-            out.extend(["[", *_chunked(len(obj), lambda span: "".join(to_json(obj[span]))[1:-2], ", "), "]"])
+            out.extend(["[", *_chunked(len(obj), lambda i, j: "".join(to_json(obj[i:j]))[1:-2], ", "), "]"])
             return
         out.append("[")
         for i, v in enumerate(obj):
@@ -197,7 +213,7 @@ def _emit(obj: Any, out: list[str | tuple]) -> None:
     elif isinstance(obj, Records):
         out.extend(["[", _record_chunks(obj, as_json=True), "]"])
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        out.extend(["[", (len(obj), lambda span: ", ".join(map(str, obj[span].tolist())), ", "), "]"])
+        out.extend(["[", (len(obj), lambda i, j: ", ".join(map(str, obj[i:j].tolist())), ", "), "]"])
     else:
         out.append(_scalar(obj))
 
@@ -223,8 +239,8 @@ def to_csv(rows: Records | Sequence[Sequence[Any]], header: Iterable[str] | None
             return format_fraction(v)
         return format_int(v) if isinstance(v, int) else str(v)
 
-    def write(span: slice) -> str:
-        return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[span]])
+    def write(i: int, j: int) -> str:
+        return "".join([",".join([cell(v) for v in row]) + "\n" for row in rows[i:j]])
 
     head = [] if header is None else [",".join(header) + "\n"]
     return Pieces([*head, *_chunked(len(rows), write)])

@@ -3,9 +3,10 @@ grids, and the Maier-matrix double-sum comparison.
 
 Counts are exact integers throughout; only final ratios and predictions are
 floats.  The interval convention everywhere is (x, x+y], i.e. the window
-count is count_upto(x+y) - count_upto(x).  A scan's rows are numpy columns
-from the sieve to the report writer, and every scan checks its row count
-against one budget, `reportio.MAX_SCAN_ROWS`, before it allocates them.
+count is count_upto(x+y) - count_upto(x).  A scan holds its counts, one
+int64 column, and derives its other columns from its parameters a chunk of
+rows at a time; every scan checks its row count against one budget,
+`reportio.MAX_SCAN_ROWS`, before it allocates the counts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -80,26 +82,49 @@ _KEY_NAMES = {"intervals": "x", "progressions": "q", "residues": "a"}
 
 @dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Rows held as columns, a row's key being the window start x, the modulus q
-    or the residue a; every summary statistic is derived from the columns."""
+    """A scan's rows, a row's key being the window start x, the modulus q or
+    the residue a.  Only the counts are held: derive(i, j) gives the keys,
+    predicted and applicable columns of rows [i, j) from the scan's parameters,
+    and the ratio column and every summary statistic are derived from these a
+    CHUNK_ROWS chunk at a time."""
 
     kind: str
     params: dict
-    keys: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    predicted: np.ndarray = field(repr=False)
-    applicable: np.ndarray = field(repr=False)
+    derive: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
     def n_windows(self) -> int:
-        return len(self.keys)
+        return len(self.counts)
 
-    @cached_property
+    def rows(self, i: int, j: int) -> tuple[np.ndarray, ...]:
+        """The columns of rows [i, j) in ROW_FIELDS order; the ratio is
+        count / predicted, inf where the prediction is not positive."""
+        keys, predicted, applicable = self.derive(i, j)
+        counts = self.counts[i:j]
+        ratio = np.divide(counts, predicted, out=np.full(counts.shape, math.inf), where=predicted > 0)
+        return keys, counts, predicted, ratio, applicable
+
+    # Whole columns, built on access from the same row function.
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.rows(0, self.n_windows)
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.derive(0, self.n_windows)[0]
+
+    @property
+    def predicted(self) -> np.ndarray:
+        return self.derive(0, self.n_windows)[1]
+
+    @property
+    def applicable(self) -> np.ndarray:
+        return self.derive(0, self.n_windows)[2]
+
+    @property
     def ratio(self) -> np.ndarray:
-        """count / predicted, inf where the prediction is not positive; computed
-        once, as the JSON and CSV rows share it."""
-        out = np.full(self.counts.shape, math.inf)
-        return np.divide(self.counts, self.predicted, out=out, where=self.predicted > 0)
+        return self.columns[3]
 
     @cached_property
     def histogram(self) -> dict[int, int]:
@@ -126,43 +151,39 @@ class ScanReport:
 
     @property
     def argmax_key(self) -> int:
-        return int(self.keys[np.argmax(self.counts)])
+        i = int(np.argmax(self.counts))
+        return int(self.derive(i, i + 1)[0][0])
 
-    def _chunks(self):  # row slices for the two statistics below: their masks stay chunk-sized
-        return (slice(i, i + CHUNK_ROWS) for i in range(0, self.n_windows, CHUNK_ROWS))
-
-    def _record_keys(self) -> np.ndarray:
-        """The keys of the record rows, an int64 column cut from `keys`."""
-        cuts = (self.keys[s][self.applicable[s] & (self.counts[s] >= RECORD_THRESHOLD * self.predicted[s])]
-                for s in self._chunks())
-        return np.concatenate([self.keys[:0], *cuts])
-
-    @property
-    def records(self) -> tuple[int, ...]:
-        return tuple(self._record_keys().tolist())
-
-    @property
-    def mean_ratio_valid(self) -> float | None:
-        # in row order, each chunk's cumsum from the running total: np.sum's pairwise sum changes last digits
-        total, size = 0.0, 0
-        for s in self._chunks():
-            ratios = self.ratio[s][self.applicable[s] & (self.predicted[s] > 0)]
+    @cached_property
+    def _chunk_stats(self) -> tuple[np.ndarray, float | None]:
+        """The record keys (an int64 column) and the mean ratio over valid
+        rows, from one walk over the rows a CHUNK_ROWS chunk at a time."""
+        cuts, total, size = [], 0.0, 0
+        for i in range(0, self.n_windows, CHUNK_ROWS):
+            keys, counts, predicted, ratio, applicable = self.rows(i, min(i + CHUNK_ROWS, self.n_windows))
+            cuts.append(keys[applicable & (counts >= RECORD_THRESHOLD * predicted)])
+            # in row order, each chunk's cumsum from the running total: np.sum's pairwise sum changes last digits
+            ratios = ratio[applicable & (predicted > 0)]
             if ratios.size:
                 ratios[0] += total
                 total, size = float(np.cumsum(ratios)[-1]), size + ratios.size
-        return total / size if size else None
+        return np.concatenate(cuts), (total / size if size else None)
+
+    @property
+    def records(self) -> tuple[int, ...]:
+        return tuple(self._chunk_stats[0].tolist())
+
+    @property
+    def mean_ratio_valid(self) -> float | None:
+        return self._chunk_stats[1]
 
     @property
     def csv_header(self) -> tuple[str, ...]:
         return (_KEY_NAMES[self.kind],) + ROW_FIELDS[1:]
 
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The row columns in ROW_FIELDS order."""
-        return (self.keys, self.counts, self.predicted, self.ratio, self.applicable)
-
     def to_json_dict(self) -> dict:
-        """The report as a document; its rows are read once, when it is written."""
+        """The report as a document; its rows are derived once more, a chunk at
+        a time, when it is written."""
         return {
             "kind": self.kind,
             "params": self.params,
@@ -172,10 +193,10 @@ class ScanReport:
             "variance": self.variance,
             "max_count": self.max_count,
             "argmax_key": self.argmax_key,
-            "records": self._record_keys(),
+            "records": self._chunk_stats[0],
             "histogram": self.histogram,
             "mean_ratio_valid": self.mean_ratio_valid,
-            "rows": Records(ROW_FIELDS, self.columns),
+            "rows": Records(ROW_FIELDS, self.n_windows, self.rows),
         }
 
 
@@ -195,36 +216,32 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
     n = X // stride + 1
     check_rows("scan_intervals", n)
 
-    # Members in (X, t] at t = x and t = x + y, x = X + i * stride: each column
-    # meets a segment in one strided slice of its int32 prefix counts, base joins
-    # after the store (base + int32 stays int32).  Keys come after, the rest in place.
-    at_start = np.zeros(n, dtype=np.int64)
-    at_end = np.zeros(n, dtype=np.int64)
+    # Members in (X, t] at t = x + y less those at t = x, x = X + i * stride:
+    # each boundary meets a segment in one strided slice of its int32 prefix
+    # counts, added (or subtracted) in place with base, the members before it.
+    counts = np.zeros(n, dtype=np.int64)
     base = 0
     for seg in iter_segments(X + 1, 2 * X + y):
         cum = np.cumsum(seg.bits, dtype=np.int32)
-        for at, t0 in ((at_start, X), (at_end, X + y)):
+        for add, t0 in ((np.subtract, X), (np.add, X + y)):
             i = max(0, -((t0 - seg.lo) // stride))  # the first t0 + i * stride >= seg.lo
             j = min(n, (seg.hi - t0) // stride + 1)
             if i < j:
-                at[i:j] = cum[t0 + i * stride - seg.lo :: stride][: j - i]
-                at[i:j] += base
+                part = counts[i:j]
+                add(part, cum[t0 + i * stride - seg.lo :: stride][: j - i], out=part)
+                add(part, base, out=part)
         base += int(cum[-1])
         del cum, seg  # freed before the next segment is sieved
-    at_end -= at_start
-    del at_start
 
-    keys = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
-    predicted = np.log(keys, dtype=np.float64)
-    np.divide(_landau() * y, np.sqrt(predicted, out=predicted), out=predicted)
-    return ScanReport(
-        kind="intervals",
-        params={"X": X, "y": y, "stride": stride},
-        keys=keys,
-        counts=at_end,
-        predicted=predicted,
-        applicable=np.ones(n, dtype=bool),
-    )
+    scale = _landau() * y
+
+    def derive(i: int, j: int):
+        keys = np.arange(X + i * stride, X + j * stride, stride, dtype=np.int64)
+        predicted = np.log(keys, dtype=np.float64)
+        np.divide(scale, np.sqrt(predicted, out=predicted), out=predicted)
+        return keys, predicted, np.ones(j - i, dtype=bool)
+
+    return ScanReport(kind="intervals", params={"X": X, "y": y, "stride": stride}, counts=counts, derive=derive)
 
 
 def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
@@ -240,17 +257,15 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
         del seg  # freed before the next segment is sieved
-    S = _landau()
-    phis = phi_S_floats(Q, 2 * Q)
-    keys = np.arange(Q, 2 * Q + 1, dtype=np.int64)
-    return ScanReport(
-        kind="progressions",
-        params={"x": x, "Q": Q, "a": a},
-        keys=keys,
-        counts=counts,
-        predicted=S * x / (phis * math.sqrt(math.log(x))),
-        applicable=_progression_applicable(a, keys),
-    )
+    scale = _landau() * x
+
+    def derive(i: int, j: int):
+        # each phi_S float is an exact ratio, the same bits over any q range
+        keys = np.arange(Q + i, Q + j, dtype=np.int64)
+        predicted = scale / (phi_S_floats(Q + i, Q + j - 1) * math.sqrt(math.log(x)))
+        return keys, predicted, _progression_applicable(a, keys)
+
+    return ScanReport(kind="progressions", params={"x": x, "Q": Q, "a": a}, counts=counts, derive=derive)
 
 
 def scan_residues(x: int, q: int) -> ScanReport:
@@ -266,15 +281,12 @@ def scan_residues(x: int, q: int) -> ScanReport:
         if members.size:
             counts += np.bincount(members % q, minlength=q)
     pred_q = predicted_average("progression", x=x, q=q, a=1).value
-    keys = np.arange(q, dtype=np.int64)
-    return ScanReport(
-        kind="residues",
-        params={"x": x, "q": q},
-        keys=keys,
-        counts=counts,
-        predicted=np.full(q, pred_q),
-        applicable=_progression_applicable(keys, q),
-    )
+
+    def derive(i: int, j: int):
+        keys = np.arange(i, j, dtype=np.int64)
+        return keys, np.full(j - i, pred_q), _progression_applicable(keys, q)
+
+    return ScanReport(kind="residues", params={"x": x, "q": q}, counts=counts, derive=derive)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,7 @@ def maier_demo(config: MaierConfig) -> MaierReport:
     # u = 1 + 4i < u_limit / d^2 exactly when i < (u_limit / d^2 - 1) / 4 = (4x + Q - Q d^2) / (4 Q d^2)
     x, Q = config.x, config.Q
     ends = [max(0, -((Q * d * d - 4 * x - Q) // (4 * Q * d * d))) for d in ds]
-    d_terms = tuple((d, int(np.count_nonzero(keep[:end]))) for d, end in zip(ds, ends))
+    d_terms = tuple((d, int(np.count_nonzero(keep[:end])) if end else 0) for d, end in zip(ds, ends))
 
     density = math.prod((p / (p + 1.0) for p in exps), start=1.0)
     ratio_xq = config.x / config.Q

@@ -27,8 +27,11 @@ f(s-1) ~ C sqrt(s-2) at the left edge, so each step is integrated by
 Gauss-Legendre after the substitution t = 2 + v^2, which removes the corner
 exactly.
 
-Each table is rebuilt at half the step to estimate its error (Richardson);
-a table whose estimate exceeds 1e-9 is refused.
+The builders march through a rolling buffer of a few unit windows and hand
+on each finished piece.  Each table is built again at half the step to
+estimate its error (Richardson): that twin is compared with the table a piece
+at a time as it is marched, and never held whole.  A table whose estimate
+exceeds 1e-9 is refused.
 
 Every evaluator takes a float or an array and returns its shape (a numpy
 float for a float); a table is built only if some value lies past the
@@ -150,8 +153,14 @@ class DelayTable:
         """
         vals = self.values
         n = len(vals)
-        env = np.abs(E_GAMMA * vals - 1.0) >= G_ENVELOPE_EPS
-        last = int(np.max(np.flatnonzero(env))) if np.any(env) else 0
+        n1 = round(1.0 / self.h)
+        last = 0
+        for hi in range(n, 0, -n1):  # a unit window at a time from the end: the first hit is the last
+            lo = max(0, hi - n1)
+            hits = np.flatnonzero(np.abs(E_GAMMA * vals[lo:hi] - 1.0) >= G_ENVELOPE_EPS)
+            if hits.size:
+                last = lo + int(hits[-1])
+                break
         cap_idx = int(min((G_SEARCH_CAP - self.grid0) / self.h, n - 1))
         w = vals[: min(last + 2, n - 1, cap_idx) + 1]
         # The first argmax of w[i:] is the first j >= i with w[j] >= every later value.
@@ -179,18 +188,27 @@ def _march(dst, src, j0: int, j1: int, h: float, grid0: float, kernel, scale, st
     return prod[-1]
 
 
-def _build_buchstab(h: float) -> tuple[np.ndarray]:
-    """Tabulate omega on [1, OMEGA_UMAX]; returns (omega values,)."""
+def _build_buchstab(h: float):
+    """Tabulate omega on [1, OMEGA_UMAX] a unit window at a time.
+
+    Yields (first index, (values,)) for consecutive finished pieces of the
+    table; each piece is a view of a rolling buffer of two unit windows, valid
+    until the next piece is asked for.
+    """
     n1 = round(1.0 / h)
-    om = np.empty(n1 * (OMEGA_UMAX - 1) + 1)
+    om = np.empty(2 * n1 + 1)  # omega at grid indices off, ..., off + 2 n1
     om[: n1 + 1] = omega_closed(1.0 + np.arange(n1 + 1) * h)
-    prod = 1.0  # u*omega(u) at u = 2
+    prod, off = 1.0, 0  # u*omega(u) at u = 2
     for j0 in range(n1, (OMEGA_UMAX - 1) * n1, n1):
+        if j0 > n1:  # the older window is final: hand it on, then shift by it
+            yield off, (om[:n1],)
+            om[: n1 + 1] = om[n1:]
+            off += n1
         # on (2, 3] the delayed omega(u - 1) = 1/(u - 1) is closed-form at
         # the step midpoints too
         mids = omega_closed(1.0 + (np.arange(n1) + 0.5) * h) if j0 == n1 else None
-        prod = _march(om, om, j0, j0 + n1, h, 1.0, lambda u: 1.0, lambda u: u, prod, (n1, n1), mids)
-    return (om,)
+        prod = _march(om, om, n1, 2 * n1, h, 1.0 + off * h, lambda u: 1.0, lambda u: u, prod, (n1 - off, n1), mids)
+    yield off, (om,)
 
 
 def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
@@ -215,58 +233,81 @@ def _march_F_first_window(Fv: np.ndarray, n1: int, h: float) -> None:
     Fv[j0 + 1 : j1 + 1] = prod / np.sqrt(s1)
 
 
-def _build_halfdim(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate F and f on [0, HALFDIM_SMAX]; returns (F values, f values)."""
+def _build_halfdim(h: float):
+    """Tabulate F and f on [0, HALFDIM_SMAX] two unit windows at a time.
+
+    Yields (first index, (F values, f values)) for consecutive finished pieces
+    of both tables; each piece is a view of a rolling buffer of six unit
+    windows, valid until the next piece is asked for.
+    """
     n1 = round(1.0 / h)
     total = n1 * HALFDIM_SMAX + 1
-    Fv = np.empty(total)
-    fv = np.empty(total)
+    Fv = np.empty(6 * n1 + 1)  # F and f at grid indices off, ..., off + 6 n1
+    fv = np.empty(6 * n1 + 1)
 
-    ss = np.arange(total) * h
+    ss = np.arange(3 * n1 + 1) * h
     Fv[0] = np.inf
     Fv[1 : 2 * n1 + 1] = halfdim_F_closed(ss[1 : 2 * n1 + 1])
     fv[: n1 + 1] = 0.0
-    top = min(3 * n1, total - 1)
-    fv[n1 + 1 : top + 1] = (
-        _HALFDIM_A * np.arcsinh(np.sqrt(ss[n1 + 1 : top + 1] - 1.0)) / np.sqrt(ss[n1 + 1 : top + 1])
-    )
+    fv[n1 + 1 : 3 * n1 + 1] = _HALFDIM_A * np.arcsinh(np.sqrt(ss[n1 + 1 :] - 1.0)) / np.sqrt(ss[n1 + 1 :])
 
     _march_F_first_window(Fv, n1, h)
+    off = 0
 
     def march(dst, src, j0, src_kinks):
         # two unit windows at most, from the tabulated sqrt(s) * dst(s) at j0
-        start = math.sqrt(j0 * h) * dst[j0]
-        j1 = min(j0 + 2 * n1, total - 1)
-        _march(dst, src, j0, j1, h, 0.0, lambda s: 0.5 / np.sqrt(s), np.sqrt, start, src_kinks)
+        start = math.sqrt((off + j0) * h) * dst[j0]
+        j1 = min(j0 + 2 * n1, total - 1 - off)
+        _march(dst, src, j0, j1, h, off * h, lambda s: 0.5 / np.sqrt(s), np.sqrt, start, src_kinks)
 
     for w in range(4, HALFDIM_SMAX + 1, 2):
-        march(fv, Fv, (w - 1) * n1, (2 * n1, 2 * n1))  # f over (w - 1, w + 1]
+        if w > 4:  # the oldest two windows are final: hand them on, then shift by them
+            yield off, (Fv[: 2 * n1], fv[: 2 * n1])
+            Fv[: 4 * n1 + 1] = Fv[2 * n1 :]
+            fv[: 4 * n1 + 1] = fv[2 * n1 :]
+            off += 2 * n1
+        # the buffer starts at s = w - 4
+        march(fv, Fv, 3 * n1, (2 * n1 - off, 2 * n1))  # f over (w - 1, w + 1]
         if w < HALFDIM_SMAX:
-            march(Fv, fv, w * n1, (n1, 2 * n1))  # F over (w, w + 2]
-    return Fv, fv
+            march(Fv, fv, 4 * n1, (n1 - off, 2 * n1))  # F over (w, w + 2]
+    yield off, (Fv[: total - off], fv[: total - off])
+
+
+def _whole(build, h: float, sizes) -> list[np.ndarray]:
+    """The tables of build(h), of the given lengths, written piece by piece."""
+    tables = [np.empty(size) for size in sizes]
+    for lo, pieces in build(h):
+        for vals, piece in zip(tables, pieces):
+            vals[lo : lo + len(piece)] = piece
+    return tables
 
 
 def _checked_tables(build, *layouts) -> tuple[DelayTable, ...]:
-    """One DelayTable per array of build(TABLE_H), after a Richardson check.
+    """One DelayTable per table of build(TABLE_H), after a Richardson check.
 
-    Each array's error estimate is its largest change over the marched
-    region when rebuilt at half the step, one unit window at a time (no
-    difference array spans the table; the max is the same float, NaN too); an
+    Each table's error estimate is its largest change over the marched region
+    when built again at half the step.  That twin is never held: each piece
+    is compared with the table as build(TABLE_H / 2) hands it on, then dropped
+    (the max is the same float as over one difference array, NaN too).  An
     estimate above TABLE_TOL is refused.  A layout is (name, grid0, u_max,
     first marched index, kink_start, kink_stride), indices in steps of TABLE_H.
     """
-    n1 = round(1.0 / TABLE_H)
-    tables = []
-    for vals, vals2, (name, grid0, u_max, marched, kink_start, kink_stride) in zip(
-        build(TABLE_H), build(TABLE_H / 2.0), layouts
-    ):
-        err = float(np.max([np.max(np.abs(vals[i : i + n1] - vals2[2 * i : 2 * (i + n1) : 2]))
-                            for i in range(marched, len(vals), n1)]))
+    tables = _whole(build, TABLE_H, [round((u_max - grid0) / TABLE_H) + 1 for _, grid0, u_max, *_ in layouts])
+    worst = [[] for _ in layouts]
+    for lo, pieces in build(TABLE_H / 2.0):
+        for vals, piece, maxima, (_, _, _, marched, _, _) in zip(tables, pieces, worst, layouts):
+            i = max(-(-lo // 2), marched)  # the first marched table index the piece holds
+            fine = piece[2 * i - lo :: 2]
+            if fine.size:
+                maxima.append(np.max(np.abs(vals[i : i + fine.size] - fine)))
+    out = []
+    for vals, maxima, (name, grid0, u_max, _, kink_start, kink_stride) in zip(tables, worst, layouts):
+        err = float(np.max(maxima))
         if err > TABLE_TOL:
             raise ConvergenceError(f"{name} table error estimate {err:.3e} exceeds {TABLE_TOL}")
-        tables.append(DelayTable(grid0=grid0, h=TABLE_H, u_max=float(u_max), values=vals,
-                                 kink_start=kink_start, kink_stride=kink_stride, err_estimate=err))
-    return tuple(tables)
+        out.append(DelayTable(grid0=grid0, h=TABLE_H, u_max=float(u_max), values=vals,
+                              kink_start=kink_start, kink_stride=kink_stride, err_estimate=err))
+    return tuple(out)
 
 
 @cache
@@ -387,4 +428,4 @@ def tabulation_rows(kind: str, lo: float, hi: float, step: float) -> Records:
     s, last = s[: np.count_nonzero(~(s > top))], s[-1]  # s is non-decreasing: the rows are a prefix
     if not (last > top and (s[1:] > s[:-1]).all()):
         raise DomainError(f"tabulation_rows: step {step} is lost to rounding between {lo} and {hi}")
-    return Records(("kind", "s", "value"), (np.broadcast_to(kind, s.shape), s, FUNCTIONS[kind](s)))
+    return Records.held(("kind", "s", "value"), (np.broadcast_to(kind, s.shape), s, FUNCTIONS[kind](s)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,69 @@ def reference_landau_constant(T: int) -> tuple[float, float]:
             log_parts.append(float(np.sum(np.log1p(-x))))
     value = math.exp(-0.5 * math.fsum(log_parts)) / math.sqrt(2.0)
     return value, value * math.expm1((50.0 / 99.0) / (T - 1))
+
+
+# The Landau-Ramanujan constant K, OEIS A064533, to 40 digits (the identity
+# below evaluated once at 50 digits with mpmath's zeta and Dirichlet beta).
+LANDAU_RAMANUJAN_40 = "0.7642236535892206629906987312500923281168"
+
+
+def landau_ramanujan_oracle(digits: int = 50) -> Decimal:
+    """K = 2^(-1/2) P3(2)^(1/2), P3(s) = prod_{p = 3 (mod 4)} (1 - p^-s)^-1, by
+    Shanks's iteration of zeta(s) (1 - 2^-s) / beta(s) = P3(s)^2 / P3(2s):
+    K = 2^(-1/2) prod_{k=1..6} (zeta(2^k) (1 - 2^-2^k) / beta(2^k))^(2^-(k+1)),
+    the omitted P3(128)^(1/128) being 1 + O(3^-128).  zeta(2n) comes from exact
+    Bernoulli numbers and Machin's pi, beta(2^k) from the Cohen-Villegas-Zagier
+    acceleration of its alternating series; no sieve is involved."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        scale = 10 ** (digits + 10)
+
+        def atan_inv(x):  # scale * atan(1/x), by its Taylor series in integers
+            total = term = scale // x
+            n = 1
+            while term:
+                term //= -x * x
+                n += 2
+                total += term // n if term > 0 else -(-term // n)
+            return total
+
+        pi = Decimal(16 * atan_inv(5) - 4 * atan_inv(239)) / scale
+        bern = [Fraction(1)]
+        for m in range(1, 65):
+            bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+        n_terms = digits + 20  # error below 2 (3 + sqrt 8)^-n
+        d = (3 + Decimal(8).sqrt()) ** n_terms
+        d = (d + 1 / d) / 2
+        K = 1 / Decimal(2).sqrt()
+        for k in range(1, 7):
+            s = 2**k
+            B = abs(bern[s])
+            zeta = Decimal(B.numerator) / B.denominator * (2 * pi) ** s / (2 * math.factorial(s))
+            b, c, beta = Decimal(-1), -d, Decimal(0)
+            for j in range(n_terms):
+                c = b - c
+                beta += c / Decimal(2 * j + 1) ** s
+                b = b * (j + n_terms) * (j - n_terms) * 2 / ((2 * j + 1) * (j + 1))
+            beta /= d
+            factor = zeta * (1 - Decimal(2) ** -s) / beta
+            for _ in range(k + 1):
+                factor = factor.sqrt()
+            K *= factor
+        return +K
+
+
+class TestLandauRamanujanOracle:
+    def test_matches_published_digits(self):
+        K = landau_ramanujan_oracle()
+        assert abs(K - Decimal(LANDAU_RAMANUJAN_40)) < Decimal("1e-40")
+        assert abs(float(K) - float(LANDAU_RAMANUJAN_40)) <= math.ulp(float(LANDAU_RAMANUJAN_40))
+
+    @pytest.mark.parametrize("T", [10**e for e in range(1, 8)])
+    def test_inside_truncated_product_interval(self, T):
+        K = float(landau_ramanujan_oracle())
+        value, tail_bound = landau_constant(T)
+        assert value <= K <= value + tail_bound
 
 
 class TestPhiS:

@@ -87,31 +87,31 @@ def test_records_match_reference():
     assert all(isinstance(v, bool) for v in plain[4]) and any(plain[4]) and not all(plain[4])
     assert np.isfinite(columns[3][:CHUNK_ROWS]).all() and not np.isfinite(columns[2][:CHUNK_ROWS]).all()
 
-    rec = Records(FIELDS, columns)
+    rec = Records.held(FIELDS, columns)
     json_text = "".join(to_json({"n": len(plain[0]), "rows": rec}))
     assert_same_text(json_text, '{"n": %d, "rows": %s}\n' % (len(plain[0]), reference_json(FIELDS, plain)))
     assert_same_text("".join(to_csv(rec)), reference_csv(FIELDS, plain))
     # Python sequences (a tabulation's columns) write the same bytes as numpy columns.
-    as_tuples = Records(FIELDS, tuple(map(tuple, plain)))
+    as_tuples = Records.held(FIELDS, tuple(map(tuple, plain)))
     assert_same_text("".join(to_json({"n": len(plain[0]), "rows": as_tuples})), json_text)
 
 
 def test_chunks_split_rows_not_text():
     columns = random_columns(2 * CHUNK_ROWS + 1, 2)
-    pieces = to_csv(Records(FIELDS, columns))
+    pieces = to_csv(Records.held(FIELDS, columns))
     assert len(pieces) == 4  # the header and three chunks
     assert [p.count("\n") for p in pieces] == [1, CHUNK_ROWS, CHUNK_ROWS, 1]
 
 
 def test_empty_table():
-    rec = Records(("x", "y"), (np.zeros(0, dtype=np.int64), np.zeros(0)))
+    rec = Records.held(("x", "y"), (np.zeros(0, dtype=np.int64), np.zeros(0)))
     assert "".join(to_json({"rows": rec})) == '{"rows": []}\n'
     assert "".join(to_csv(rec)) == "x,y\n"
 
 
 def test_unsupported_column_rejected():
     # raised by the call, before any piece is made: the CLI opens --out first
-    table = Records(("x", "y"), (np.arange(CHUNK_ROWS + 1), np.array([object()] * (CHUNK_ROWS + 1))))
+    table = Records.held(("x", "y"), (np.arange(CHUNK_ROWS + 1), np.array([object()] * (CHUNK_ROWS + 1))))
     for write in (to_json, to_csv):
         with pytest.raises(TypeError):
             write(table)
@@ -143,14 +143,14 @@ def test_unsupported_value_rejected():
 
 
 def test_pieces_iterate_again():
-    table = Records(FIELDS, random_columns(2 * CHUNK_ROWS + 5, seed=5))
+    table = Records.held(FIELDS, random_columns(2 * CHUNK_ROWS + 5, seed=5))
     for pieces in (to_json({"rows": table, "ints": np.arange(3 * CHUNK_ROWS)}), to_csv(table)):
         first = list(pieces)
         assert list(pieces) == first and len(pieces) == len(first)
 
 
 def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
-    table = Records(FIELDS, random_columns(CHUNK_ROWS + 1000, seed=3))  # ratio: non-finite in one chunk only
+    table = Records.held(FIELDS, random_columns(CHUNK_ROWS + 1000, seed=3))  # ratio: non-finite in one chunk only
     ints = np.array([-(2**63), INT64_MAX, 0, -1, 20] * 999, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     pairs = [[d, (d * d) % 97] for d in range(1, 10**4 + 1)]
@@ -160,9 +160,9 @@ def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
             "records_json": "".join(to_json(table)),
             "records_csv": "".join(to_csv(table)),
             "ints_json": "".join(to_json(ints)),
-            "ints_csv": "".join(to_csv(Records(("member",), (ints,)))),
+            "ints_csv": "".join(to_csv(Records.held(("member",), (ints,)))),
             "empty_json": "".join(to_json(empty)),
-            "empty_csv": "".join(to_csv(Records(("member",), (empty,)))),
+            "empty_csv": "".join(to_csv(Records.held(("member",), (empty,)))),
             "pairs_json": "".join(to_json(pairs)),
             "pairs_csv": "".join(to_csv(pairs, header=["d", "count"])),
         }
@@ -207,7 +207,7 @@ def test_records_writer_memory_is_one_chunk(write):
     rng = np.random.default_rng(4)
     counts = rng.integers(0, 30, size=n, dtype=np.int64)
     predicted = np.full(n, 7.25)
-    rec = Records(
+    rec = Records.held(
         ("x", "count", "predicted", "ratio", "applicable"),
         (np.arange(10**6, 10**6 + n, dtype=np.int64), counts, predicted, counts / predicted, counts > 7),
     )

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from twosq.errors import DomainError
-from twosq.reportio import CHUNK_ROWS
+from twosq.reportio import CHUNK_ROWS, to_json
 from twosq.scans import (
+    ROW_FIELDS,
     MaierConfig,
     ScanReport,
     _landau,
@@ -85,19 +86,23 @@ class TestScanIntervals:
         assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
 
     def test_bench_scan_memory(self):
-        # the 150,664 windows of a bench scan: each boundary column is a strided
-        # slice of the prefix counts, and counts and predictions are made in
-        # place (8.05 MiB traced with window-start and window-end columns, their
-        # searchsorted gathers and out-of-place arithmetic)
+        # the 150,664 windows of a bench scan, scanned and written: the scan
+        # holds one count column, each segment adding its window-end prefixes
+        # and subtracting its window-start ones in place, and the other columns
+        # are derived a chunk at a time as the report is written (3.03 MiB
+        # traced; 6.58 MiB with every column held, 8.05 MiB for the scan alone
+        # with searchsorted gathers and out-of-place arithmetic)
         _landau()  # cached, so the peak is the scan's own
         tracemalloc.start()
         try:
             rep = scan_intervals(150_663, 22)
+            for _ in to_json(rep.to_json_dict()):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.n_windows == 150_664
-        assert peak <= 5 << 20
+        assert peak <= 3.5 * 2**20
 
     def test_records_at_scale(self):
         # count variance guarantees record windows at this size
@@ -142,6 +147,38 @@ class TestSegmentEdges:
     def test_scan_residues(self, oracle_marks_100k, q):
         rep = scan_residues(100_000, q)
         assert rep.counts.tolist() == [np.count_nonzero(oracle_marks_100k[a::q]) for a in range(q)]
+
+    def test_derived_columns_match_by_chunk(self):
+        # the writer and the statistics derive the columns a chunk at a time;
+        # every chunk must give the whole range's bits, and those the formulas
+        # the scans once held as whole columns
+        n = 3 * CHUNK_ROWS + 777
+        S = _landau()
+        X, y, stride = 3 * (n - 1), 30, 3
+        keys = np.arange(X, 2 * X + 1, stride, dtype=np.int64)
+        x, Q = 5000, n - 1
+        qs = np.arange(Q, 2 * Q + 1, dtype=np.int64)
+        residues = np.arange(n, dtype=np.int64)
+        expect = {
+            "intervals": (scan_intervals(X, y, stride), keys, S * y / np.sqrt(np.log(keys)), np.ones(n, dtype=bool)),
+            "progressions": (scan_progressions(x, Q, 1), qs,
+                             np.array([predicted_average("progression", x=x, q=q, a=1).value for q in qs.tolist()]),
+                             _progression_applicable(1, qs)),
+            "residues": (scan_residues(x, n), residues, np.full(n, predicted_average("progression", x=x, q=n, a=1).value),
+                         _progression_applicable(residues, n)),
+        }
+        bounds = sorted({*range(0, n, CHUNK_ROWS), 1, 777, n - 1, n})
+        for kind, (rep, *columns) in expect.items():
+            assert rep.n_windows == n
+            whole = rep.columns
+            chunked = [np.concatenate(parts) for parts in zip(*(rep.rows(i, j) for i, j in zip(bounds, bounds[1:])))]
+            columns.insert(1, rep.counts)
+            columns.insert(3, np.divide(rep.counts, columns[2]))
+            for name, got, full, want in zip(ROW_FIELDS, chunked, whole, columns):
+                bits = np.int64 if got.dtype.kind == "f" else got.dtype
+                assert got.dtype == full.dtype == want.dtype, (kind, name)
+                assert np.array_equal(got.view(bits), full.view(bits)), (kind, name)
+                assert np.array_equal(full.view(bits), want.view(bits)), (kind, name)
 
 
 class TestScanProgressions:
@@ -226,6 +263,12 @@ def test_reports_compare_by_identity(make):
     assert len({report, report, equal}) == 2
 
 
+def held_report(kind, params, keys, counts, predicted, applicable, **fields):
+    """A ScanReport over the given columns: its row function slices them."""
+    return ScanReport(kind, params, counts=counts,
+                      derive=lambda i, j: (keys[i:j], predicted[i:j], applicable[i:j]), **fields)
+
+
 def summary_oracle(rep, record_threshold=2.0):
     """The summary fields recomputed in plain Python from the report's rows."""
     rows = list(zip(*(c.tolist() for c in rep.columns)))
@@ -291,7 +334,7 @@ class TestSummaryOracle:
     def test_variance_exact_past_int64_squares(self):
         counts = np.array([3_037_000_500, 3_100_000_000, 2_999_999_999, 3_100_000_000], dtype=np.int64)
         assert int((counts * counts).sum()) != sum(c * c for c in counts.tolist())  # int64 wraps
-        rep = ScanReport(
+        rep = held_report(
             "intervals",
             {},
             keys=np.arange(4, dtype=np.int64),
@@ -317,12 +360,12 @@ class TestSummaryOracle:
         columns = dict(keys=np.arange(7, 7 + 3 * n, 3), counts=counts, predicted=predicted, applicable=applicable)
         assert np.count_nonzero(counts == counts.max()) > 1
         assert np.count_nonzero(applicable & (predicted == 0)) and not applicable.all()
-        rep = ScanReport("progressions", {}, **columns)
+        rep = held_report("progressions", {}, **columns)
         expect = summary_oracle(rep)
         assert {name: getattr(rep, name) for name in expect} == expect
         assert rep.records and rep.n_windows == n
         with pytest.raises(TypeError):
-            ScanReport("progressions", {}, **columns, total_count=0)
+            held_report("progressions", {}, **columns, total_count=0)
 
     def test_statistics_read_a_chunk_at_a_time(self):
         # records and the mean ratio walk the columns CHUNK_ROWS rows at a time;
@@ -334,8 +377,8 @@ class TestSummaryOracle:
         predicted[rng.choice(n, 300, replace=False)] = 0.0
         applicable = rng.random(n) < 0.7
         applicable[CHUNK_ROWS : 2 * CHUNK_ROWS] = False
-        rep = ScanReport("progressions", {}, keys=np.arange(n), counts=rng.integers(0, 12, n),
-                         predicted=predicted, applicable=applicable)
+        rep = held_report("progressions", {}, keys=np.arange(n), counts=rng.integers(0, 12, n),
+                          predicted=predicted, applicable=applicable)
         expect = summary_oracle(rep)
         assert (rep.records, rep.mean_ratio_valid) == (expect["records"], expect["mean_ratio_valid"])
         whole = rep.ratio[applicable & (predicted > 0)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ from twosq.special import (
     _stencil_start,
     _build_halfdim,
     _march_F_first_window,
+    _whole,
 )
 
 A_CONST = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
@@ -71,8 +73,10 @@ class TestBuchstab:
         assert buchstab_table().err_estimate < 1e-9
 
     def test_table_build_memory(self):
-        # the Richardson estimate reads one unit window at a time, so no
-        # difference array spans the table (a 7.6 MiB traced peak with two)
+        # both builds march through a rolling buffer and the half-step twin is
+        # compared a piece at a time, so only the 1.5 MiB table spans the grid
+        # (2.41 MiB traced; 5.35 MiB with the whole twin held, 7.6 MiB with two
+        # difference arrays)
         buchstab_table.cache_clear()
         tracemalloc.start()
         try:
@@ -80,16 +84,30 @@ class TestBuchstab:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * 2**20
+        assert peak <= 3 * 2**20
+
+    def test_envelope_search_memory(self):
+        # the last index off the envelope is found a unit window at a time from
+        # the end (0.66 MiB traced; 3.06 MiB with three table-sized temporaries)
+        table = dataclasses.replace(buchstab_table())  # no cached search index
+        tracemalloc.start()
+        try:
+            table.envelope_argmax
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * 2**20
 
     def test_error_estimates_match_whole_tables(self):
         # the windowed estimate is the same float as one difference over the
         # marched region
         n1 = round(1.0 / TABLE_H)
+        (om2,) = _whole(_build_buchstab, TABLE_H / 2, [2 * len(buchstab_table().values) - 1])
+        F2, f2 = _whole(_build_halfdim, TABLE_H / 2, [2 * len(halfdim_tables()[0].values) - 1] * 2)
         for table, half, marched in [
-            (buchstab_table(), _build_buchstab(TABLE_H / 2)[0], n1),
-            (halfdim_tables()[0], _build_halfdim(TABLE_H / 2)[0], 2 * n1),
-            (halfdim_tables()[1], _build_halfdim(TABLE_H / 2)[1], 3 * n1),
+            (buchstab_table(), om2, n1),
+            (halfdim_tables()[0], F2, 2 * n1),
+            (halfdim_tables()[1], f2, 3 * n1),
         ]:
             whole = float(np.max(np.abs(table.values[marched:] - half[2 * marched :: 2])))
             assert table.err_estimate == whole > 0
@@ -103,7 +121,7 @@ class TestBuchstab:
         def build(h):
             vals = np.zeros(round(3.0 / h) + 1)
             vals[-1] = change if h == TABLE_H else 0.0
-            return (vals,)
+            yield 0, (vals,)
 
         layout = ("test", 0.0, 3, n1, n1, n1)
         if change > TABLE_TOL:
@@ -544,8 +562,8 @@ class TestReferenceRoute:
         F, f = halfdim_tables()
         ref_om, ref_om2 = ref_build_buchstab(TABLE_H), ref_build_buchstab(TABLE_H / 2.0)
         (ref_F, ref_f), (ref_F2, ref_f2) = ref_build_halfdim(TABLE_H), ref_build_halfdim(TABLE_H / 2.0)
-        (om2,) = _build_buchstab(TABLE_H / 2.0)
-        F2, f2 = _build_halfdim(TABLE_H / 2.0)
+        (om2,) = _whole(_build_buchstab, TABLE_H / 2.0, [len(ref_om2)])
+        F2, f2 = _whole(_build_halfdim, TABLE_H / 2.0, [len(ref_F2), len(ref_f2)])
         for table, ref in ((omega.values, ref_om), (om2, ref_om2), (F.values, ref_F), (F2, ref_F2),
                            (f.values, ref_f), (f2, ref_f2)):
             assert np.array_equal(table, ref)
