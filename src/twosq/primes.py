@@ -26,8 +26,13 @@ INT64_MAX = 2**63 - 1
 # time taken, both of which grow with the limit (a segment's flags do not).
 MAX_SIEVE_LIMIT = 1 << 30
 
-# Segment length (in integers) for streaming prime enumeration.
-PRIME_SEGMENT = 1 << 22
+# Segment length (in integers) for streaming prime enumeration.  It sets the
+# size of a block's flags and int64 primes, which a streamed sieve_segment
+# holds, and the knee is here: on a 2-vCPU host (in-process, min of 7)
+# 2^22 / 2^21 / 2^20 took 9.6 / 9.2 / 10.4 ms for p3_primes(1e7),
+# 36.0 / 37.7 / 40.3 ms for landau_constant(3e7) and 0.40 / 0.48 / 0.56 s
+# for p3_primes(3.2e8), where each block loops over more base primes.
+PRIME_SEGMENT = 1 << 21
 
 # factorize trial-divides by f < TRIAL_BOUND before splitting the cofactor.
 TRIAL_BOUND = 1 << 10
@@ -65,12 +70,17 @@ def iter_prime_blocks(limit: int, p3: bool = False) -> Iterator[np.ndarray]:
     n = 3 (mod 4)), so memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base
     primes come from sieve_primes(sqrt(limit)), itself built from these
     blocks, so the recursion ends after a few levels.  Limits above
-    MAX_SIEVE_LIMIT are refused before anything is allocated.
+    MAX_SIEVE_LIMIT are refused at the call, before any block is sieved.
     """
-    if limit < 2:
-        return
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError(f"iter_prime_blocks: sieve to {limit} exceeds the prime-sieve budget (limit 2^30)")
+    return _prime_blocks(limit, p3)
+
+
+def _prime_blocks(limit: int, p3: bool) -> Iterator[np.ndarray]:
+    """The blocks of iter_prime_blocks, for a limit within the budget."""
+    if limit < 2:
+        return
     base_limit = isqrt(limit)
     base = sieve_primes(base_limit)
     yield base[base % 4 == 3] if p3 else base
@@ -78,18 +88,21 @@ def iter_prime_blocks(limit: int, p3: bool = False) -> Iterator[np.ndarray]:
     # n = -1 (mod step): the odd numbers, or those = 3 (mod 4)
     step = 4 if p3 else 2
     buffer = np.empty((min(PRIME_SEGMENT, limit) - 1) // step + 1, dtype=bool)
-    odd_base = base[1:].tolist()  # base[0] is 2, which has no flags here
+    odd_base = base[1:]  # base[0] is 2, which has no flags here
+    odd_list = odd_base.tolist()
     lo = base_limit + 1
     while lo <= limit:
         hi = min(lo + PRIME_SEGMENT - 1, limit)
         first = lo + (-1 - lo) % step
         flags = buffer[: (hi - first) // step + 1]
         flags[:] = True
-        for p in odd_base:
-            # k * p = first (mod step) iff k = first * p (mod step), as p * p = 1
-            k = -(-lo // p)
-            k += (first * p - k) % step
-            flags[(k * p - first) // step :: p] = False
+        # only primes up to sqrt(hi) strike this range.  k * p = first (mod step)
+        # iff k = first * p (mod step), as p * p = 1; in int64, as first * p < 2^46
+        ps = odd_base[: np.searchsorted(odd_base, isqrt(hi), side="right")]
+        k = -(-lo // ps)
+        k += (first * ps - k) % step
+        for i, p in zip(((k * ps - first) // step).tolist(), odd_list):
+            flags[i::p] = False
         block = np.flatnonzero(flags).astype(np.int64, copy=False)
         block *= step
         block += first
@@ -123,17 +136,35 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _rho_factor(m: int) -> int:
-    """A factor 1 < d < m of the odd composite m (Pollard rho, Floyd cycles)."""
+    """A factor 1 < d < m of the odd composite m (Pollard rho with Brent's
+    cycle finding, Brent 1980).
+
+    The differences x - y are multiplied mod m a batch of 128 at a time and
+    take one gcd per batch; when a batch's gcd hits m, the batch is walked
+    again one step at a time from its start, ys.
+    """
     for c in range(1, m):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % m
-            y = (y * y + c) % m
-            y = (y * y + c) % m
-            d = gcd(x - y, m)
-        if d != m:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y  # held while y walks on to r + 1, ..., 2r steps ahead of it
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
     raise AssertionError(f"_rho_factor: {m} is prime")
 
 

@@ -6,16 +6,22 @@ tracks only those parities, for p <= sqrt(hi).  Where all are even, n has at
 most one other prime factor = 3 (mod 4), to the first power, so n is a
 member exactly when its odd part is 1 (mod 4).
 
-A segment of n integers splits its base primes in two regimes.  Primes up
-to n / 64 have many multiples each and take one Python iteration each: a
-small array over the multiples of p holds the parity of v_p, toggled along
-the multiples of p^2, p^3, ... with strided slices, and is ORed into the
-segment with one strided store; nothing is divided.
+A segment of n integers holds one byte of marks per integer, and its base
+primes split in two regimes.  Primes up to n / 64 have many multiples each
+and take one Python iteration each: they count v_p's parity in the marks,
+adding 1 along the multiples of p, subtracting 1 along those of p^2, adding
+1 along p^3, ..., one strided in-place op per power, so a byte gains v_p
+mod 2 from p; nothing is divided and nothing is allocated per prime.
 Primes above n / 64 hit at most 65 positions each (only one or none when
 p > n, the common case in short windows far out); a chunk of them walks
 the segment together, one multiple of each per numpy round, and v_p's
 parity there is found by exact int64 division.  The membership bits are
 the marks inverted in place: a segment's memory is n bytes plus scratch.
+
+A one-segment range streams its base primes = 3 (mod 4) up to sqrt(hi) a
+block at a time from the residue-class prime sieve, so a short window far
+out never holds them all; a range of several segments holds the list once
+and hands it to every segment as a single block.
 
 Counts and scans stream segments through iter_segments on one thread: the
 per-prime loop runs Python under the GIL, so a thread pool saved no time on
@@ -34,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import INT64_MAX, factorize, p3_primes
+from .primes import INT64_MAX, factorize, iter_prime_blocks, p3_primes
 
 # Default segment length for streaming scans (integers per segment).
 DEFAULT_SEGMENT = 1 << 21
@@ -91,8 +97,10 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
     """Parity sieve for membership over [lo, hi] (1 <= lo <= hi < 2^63).
 
     base_primes, if given, must hold the primes = 3 (mod 4) up to at least
-    sqrt(hi) in ascending order (by default p3_primes(sqrt(hi)));
-    iter_segments passes one list to every segment.
+    sqrt(hi) in ascending order, and is marked as one block; by default
+    they are streamed from iter_prime_blocks(sqrt(hi), p3=True) a block at a
+    time and never held whole.  iter_segments passes one list to every
+    segment of a longer range.
     """
     if not 1 <= lo <= hi <= INT64_MAX:
         raise DomainError(f"sieve_segment: need 1 <= lo <= hi < 2^63, got [{lo}, {hi}]")
@@ -102,47 +110,55 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
             f"sieve_segment: segment of {n} integers exceeds budget {MAX_SEGMENT}; "
             "stream smaller segments instead"
         )
+    root = isqrt(hi)
     if base_primes is None:
-        base_primes = p3_primes(isqrt(hi))
+        blocks = iter_prime_blocks(root, p3=True)  # refuses root > 2^30 before marks exist
+    else:
+        blocks = (base_primes[: np.searchsorted(base_primes, root, side="right")],)
+
+    # marks[i] != 0 iff lo + i is ruled out.  The 2-adic marks and the large
+    # primes store 1, between whole primes; a small prime p adds +1, -1, +1, ...
+    # along p, p^2, p^3, ..., so its partial sums stay in {0, 1} and its net is
+    # v_p mod 2.  At most 12 distinct primes = 3 (mod 4) divide any n < 2^63
+    # (3 * 7 * ... * 79 = 1.40e17; times 83 it passes 2^63), so a byte never
+    # exceeds 13 and the uint8 never wraps.
+    marks = np.zeros(n, dtype=np.uint8)
 
     # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
     # are capped at n (which hits the same one position) to stay below 2^63.
-    bad = np.zeros(n, dtype=bool)
     k = 0
     while 3 << k <= hi:
-        bad[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = True
+        marks[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = 1
         k += 1
 
-    # Base primes above n // LARGE_PRIME_DIVISOR hit few positions each and go
-    # through one vectorized pass, which reads nothing of the loop below.
-    base_primes = base_primes[: np.searchsorted(base_primes, isqrt(hi), side="right")]
-    split = int(np.searchsorted(base_primes, n // LARGE_PRIME_DIVISOR, side="right"))
-    _mark_odd_valuations(bad, lo, base_primes[split:])
+    # Each block's primes above n // LARGE_PRIME_DIVISOR hit few positions each
+    # and go through one vectorized pass, the rest through the counter.  Marking
+    # goes prime by prime, so blocks and passes may come in any order.  The
+    # counter adds uint8 scalars (255 subtracts 1 mod 256), faster than ints.
+    plus, minus = np.uint8(1), np.uint8(255)
+    for block in blocks:
+        split = int(np.searchsorted(block, n // LARGE_PRIME_DIVISOR, side="right"))
+        _mark_odd_valuations(marks, lo, block[split:])
+        for p in block[:split].tolist():
+            q, d, e = p, plus, minus
+            while q <= hi:
+                if (start := -lo % q) < n:  # a power past n hits one position or none
+                    view = marks[start::q]
+                    np.add(view, d, out=view)
+                q, d, e = q * p, e, d
 
-    # Valuation parity on the multiples of p alone: odd[j] is v_p of the j-th
-    # multiple mod 2 (the first, at start < p <= n, is in the segment), the
-    # multiples of p^2, p^3, ... lying every p, p^2, ... entries apart; one
-    # strided OR then carries it into bad.
-    for p in base_primes[:split].tolist():
-        start = -lo % p
-        odd = np.ones((n - 1 - start) // p + 1, dtype=bool)
-        q = p * p
-        while q <= hi:
-            odd[(-lo % q - start) // p :: q // p] ^= True
-            q *= p
-        bad[start::p] |= odd
-
-    return SegmentTable(lo=lo, hi=hi, bits=np.logical_not(bad, out=bad))
+    # a byte holding 2 or more is read as uint8 here, never as bool
+    return SegmentTable(lo=lo, hi=hi, bits=np.logical_not(marks, out=marks.view(bool)))
 
 
-def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Set bad[i] where v_p(lo + i) is odd for some p in primes.
+def _mark_odd_valuations(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Set marks[i] = 1 where v_p(lo + i) is odd for some p in primes.
 
     Primes come LARGE_PRIME_CHUNK at a time and walk the segment together,
     one multiple of each still inside it per round; v_p's parity there is
     found by exact int64 division (lo + i < 2^63).
     """
-    n = bad.size
+    n = marks.size
     for c in range(0, primes.size, LARGE_PRIME_CHUNK):
         p = primes[c : c + LARGE_PRIME_CHUNK]
         pos = -lo % p
@@ -156,13 +172,15 @@ def _mark_odd_valuations(bad: np.ndarray, lo: int, primes: np.ndarray) -> None:
                 at, pa = at[more], pa[more]
                 q = q[more] // pa
                 odd[at] ^= True
-            bad[pos[odd]] = True
+            marks[pos[odd]] = 1
             pos += p
 
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
     """Stream SegmentTables of DEFAULT_SEGMENT integers covering [lo, hi] in
-    order, all sieved against one list of base primes, p3_primes(sqrt(hi)).
+    order.  A range of more than one segment sieves every segment against
+    one held list of base primes, p3_primes(sqrt(hi)); a range of one
+    segment streams its base primes (see sieve_segment).
 
     threads is ignored; it stays only because the benchmark probes pass it.
     """
@@ -170,7 +188,7 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
         return
     if lo < 1 or hi > INT64_MAX:
         raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
-    base = p3_primes(isqrt(hi))
+    base = p3_primes(isqrt(hi)) if hi - lo >= DEFAULT_SEGMENT else None
     for a in range(lo, hi + 1, DEFAULT_SEGMENT):
         yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 

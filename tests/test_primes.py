@@ -1,13 +1,13 @@
 import random
 from bisect import bisect_left, bisect_right
 from functools import cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import MAX_SIEVE_LIMIT, factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes
+from twosq.primes import MAX_SIEVE_LIMIT, TRIAL_BOUND, factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -183,6 +183,20 @@ class TestFactorize:
             fac = factorize(n)
             assert prod(p**e for p, e in fac.items()) == n
             assert all(is_prime(p) for p in fac)
+
+    def test_semiprimes_below_int64_max(self):
+        # the integers ending at 2^63 - 1 with no factor below TRIAL_BOUND reach
+        # rho whole; 79 of them are semiprimes p * q, the rest hold 3 or more
+        # primes and are split more than once
+        small = prod(primes_upto(TRIAL_BOUND))
+        rough = [n for n in range(2**63 - 2000, 2**63) if gcd(n, small) == 1 and not is_prime(n)]
+        semiprimes = 0
+        for n in rough:
+            fac = factorize(n)
+            assert prod(p**e for p, e in fac.items()) == n
+            assert all(p > TRIAL_BOUND and is_prime(p) for p in fac)
+            semiprimes += sum(fac.values()) == 2
+        assert semiprimes == 79
 
     def test_domain(self):
         for n in (0, -5, 2**63):

@@ -193,14 +193,22 @@ class TestLargePrimePass:
                 assert seg.bits.tolist() == expect[lo - start : lo - start + n], (lo, n)
 
     def test_window_at_1e17(self):
+        # the 8.5e6 base primes up to sqrt(hi) ~ 3.2e8 (65 MiB as one list)
+        # reach the window a block at a time: 1.72 MiB traced
         lo, hi = 10**17, 10**17 + 199
-        seg = sieve_segment(lo, hi)
+        tracemalloc.start()
+        try:
+            seg = sieve_segment(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
 
     def test_base_primes_streamed(self):
-        # the base primes up to sqrt(hi) ~ 3.2e7 are streamed in blocks and
-        # filtered to p = 3 (mod 4), so neither a flag array over [1, sqrt(hi)]
-        # nor the list of every prime below it (about 15 MiB each) is held
+        # the base primes up to sqrt(hi) ~ 3.2e7 are streamed one block of
+        # PRIME_SEGMENT integers at a time and never held whole (7.4 MiB as one
+        # list): one block's flags and primes and a chunk's scratch, 1.67 MiB
         lo, hi = 10**15, 10**15 + 1999
         tracemalloc.start()
         try:
@@ -208,9 +216,34 @@ class TestLargePrimePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 << 20
+        assert peak < 2 << 20
         sample = range(lo, hi + 1, 97)
         assert [bool(seg.bits[n - lo]) for n in sample] == [is_two_square(n) for n in sample]
+
+    def test_long_window_holds_no_base_list(self):
+        # one segment of 2^20 integers at 1e14 streams its 332,398 base primes
+        # rather than holding them (2.5 MiB): the 1 MiB of marks, one block and
+        # a chunk's scratch, 2.81 MiB traced
+        lo, hi = 10**14 + 1, 10**14 + (1 << 20)
+        tracemalloc.start()
+        try:
+            count = count_interval(lo - 1, hi - lo + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * (1 << 20)
+        assert count == int(np.count_nonzero(sieve_segment(lo, hi, p3_primes(isqrt(hi))).bits))
+
+    @given(
+        lo=st.integers(min_value=1, max_value=10**14),
+        span=st.integers(min_value=0, max_value=3 * 10**4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_streamed_equals_held(self, lo, span):
+        # the streamed blocks of base primes mark what the one held list marks
+        hi = lo + span
+        held = sieve_segment(lo, hi, p3_primes(isqrt(hi)))
+        assert np.array_equal(sieve_segment(lo, hi).bits, held.bits)
 
     def test_short_window_allocates_chunks(self):
         # the 332,398 given base primes reach the vectorized pass
@@ -263,6 +296,27 @@ class TestLargePrimePass:
                 assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (chunk, a, b)
 
 
+class TestParityCounter:
+    """A byte of marks counts one unit per prime = 3 (mod 4) with an odd
+    valuation, so it must not wrap where the most such primes meet."""
+
+    # 3 * 7 * ... * 71 (11 primes = 3 (mod 4)) and 3 * 7 * ... * 79 (12, the
+    # most any n < 2^63 has: times 83 it passes 2^63)
+    @pytest.mark.parametrize("x", [1_775_033_636_579_511, 140_227_657_289_781_369])
+    def test_headroom(self, monkeypatch, x):
+        # in 2^13 integers every prime up to 79 < 2^13 / LARGE_PRIME_DIVISOR is
+        # counted; divisor 2^30 sends every prime through the vectorized pass,
+        # which stores 1 and counts nothing
+        lo, hi = x - 4000, x + 4191
+        assert 79 <= (hi - lo + 1) // LARGE_PRIME_DIVISOR
+        counted = sieve_segment(lo, hi).bits
+        monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", 1 << 30)
+        assert np.array_equal(sieve_segment(lo, hi).bits, counted)
+        assert counted[x - lo] == is_two_square(x)
+        sample = range(lo, hi + 1, 61)
+        assert [bool(counted[n - lo]) for n in sample] == [is_two_square(n) for n in sample]
+
+
 class TestCounts:
     def test_count_upto_examples(self):
         assert count_upto(0) == 0
@@ -287,17 +341,23 @@ class TestCounts:
             count_progression(-1, 4, 1)
 
     def test_count_holds_one_segment(self):
-        # a segment is freed before the next is sieved, and its membership
-        # bits are the sieve's array inverted in place: one segment's bytes
-        # and the per-prime scratch, not two segments (6 MiB)
+        # a segment is freed before the next is sieved, its membership bits
+        # are its marks inverted in place, and no prime allocates scratch: one
+        # segment's bytes and little else (1.005 segments traced)
         tracemalloc.start()
         try:
             count = count_upto(3 * DEFAULT_SEGMENT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * DEFAULT_SEGMENT
+        assert peak < 1.25 * DEFAULT_SEGMENT
         assert count == 1269406
+
+    @pytest.mark.parametrize("y", [DEFAULT_SEGMENT - 1, DEFAULT_SEGMENT, DEFAULT_SEGMENT + 1])
+    def test_segment_boundary(self, oracle_marks_6m, y):
+        # up to one segment streams its base primes, past it they are held
+        x = 1_234_567
+        assert count_interval(x, y) == int(np.count_nonzero(oracle_marks_6m[x + 1 : x + y + 1]))
 
     @given(
         x=st.integers(min_value=0, max_value=3000),
