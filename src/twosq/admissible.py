@@ -164,6 +164,8 @@ class AdmissibleSystem:
             if X is None:
                 raise DomainError("AdmissibleSystem: provide W or X")
             W = compute_W(X, p0)
+        elif W < 1:
+            raise DomainError(f"AdmissibleSystem: W must be >= 1, got {W}")
         else:
             for p, e in factorize(W).items():
                 if e > 1 or p % 4 != 3:

@@ -161,6 +161,9 @@ class TestAdmissibleSystem:
             AdmissibleSystem.build([LinearForm(1, 1)], W=5)  # 5 = 1 (mod 4)
         with pytest.raises(DomainError):
             AdmissibleSystem.build([LinearForm(1, 1)], p0=3, W=21)  # p0 | W
+        for W in (0, -21):  # refused before W is factorized
+            with pytest.raises(DomainError, match=rf"AdmissibleSystem: W must be >= 1, got {W}$"):
+                AdmissibleSystem.build([LinearForm(1, 1)], W=W)
 
     def test_p0_coefficient_constraint(self):
         with pytest.raises(DomainError):

@@ -203,6 +203,21 @@ class TestCliBehavior:
         assert code == 1
         assert "2^63" in err and "budget" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["admissible", "--W", "0"],
+            ["admissible", "--W", "-21"],
+            ["weights", "--W", "0", "--R", "10"],
+            ["gpy-demo", "--W", "0"],
+        ],
+        ids=["admissible-0", "admissible-neg", "weights", "gpy-demo"],
+    )
+    def test_nonpositive_W_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: AdmissibleSystem: W must be >= 1, got {argv[2]}\n"
+
     def test_form_coefficient_past_int64_rejected(self, capsys):
         code, _, err = run_cli(["admissible", "--forms", "[[99999999999999999999999,1]]", "--W", "1"], capsys)
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -148,6 +149,29 @@ def assert_matches_reference_route(ws, X_lo, X_hi):
     return report
 
 
+def seeded_pair_sum_cases(seed=33, count=8):
+    """(forms, W, R) for `count` admissible systems: the one-element support
+    of {n+1} at W = 21, R = 10 (3 and 7 divide W), then random forms a*n + b
+    with a <= 5, b <= 30, W in {1, 3, 7, 21, 33} and R <= 200, drawn with a
+    fixed seed.  The draw is checked to hold a general slope and a support
+    prime with nu(p) = 1, where the (nu-1)/(p-1) factor vanishes."""
+    rng = random.Random(seed)
+    cases = [((LinearForm(1, 1),), 21, 10)]
+    while len(cases) < count:
+        forms = tuple(dict.fromkeys(LinearForm(rng.randint(1, 5), rng.randint(1, 30)) for _ in range(rng.randint(1, 3))))
+        W, R = rng.choice((1, 3, 7, 21, 33)), rng.randint(20, 200)
+        try:
+            AdmissibleSystem.build(forms, W=W)
+        except DomainError:
+            continue
+        cases.append((forms, W, R))
+    weights = [build_weights(AdmissibleSystem.build(forms, W=W), R) for forms, W, R in cases]
+    assert weights[0].support == (1,)
+    assert any(form.a > 1 for forms, _, _ in cases for form in forms)
+    assert any(ws.nu_table[p] == 1 for ws in weights for d in ws.support for p in ws.support_factors[d])
+    return cases
+
+
 @pytest.fixture(scope="module")
 def k1_system():
     return AdmissibleSystem.build([LinearForm(1, 1)], W=1)
@@ -241,6 +265,10 @@ class TestQuadraticForms:
         ws = build_weights(system, 1000)
         assert quadratic_forms(ws).identities_hold
         assert_matches_reference(ws)
+
+    @pytest.mark.parametrize("forms, W, R", seeded_pair_sum_cases())
+    def test_seeded_systems_match_reference(self, forms, W, R):
+        assert_matches_reference(build_weights(AdmissibleSystem.build(forms, W=W), R))
 
     def test_identities_large_support(self):
         ws = build_weights(AdmissibleSystem.build(build_default_set(3), W=21), 3000)
