@@ -44,9 +44,9 @@ from .errors import ResourceError
 # list) may hold.  A row's peak cost, the slope of CLI peak RSS between JSON
 # reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
 # scan-progressions at x = 10^7; a scan holds its counts and derives its other
-# columns a chunk at a time as it is written), is about 16 B for intervals,
-# 16 B for residues, 15 B for progressions and 13 B per `sieve` member; 512 B
-# per row in a 2 GiB budget gives 2^22 rows.
+# columns a chunk at a time as it is written), is about 2.5 B for intervals
+# (one-byte counts), 17 B for residues, 16 B for progressions and 13 B per
+# `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
 # Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per

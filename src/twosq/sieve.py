@@ -201,8 +201,8 @@ def _count(lo: int, hi: int, q: int = 1, a: int = 0) -> int:
 
 def count_upto(x: int) -> int:
     """Number of sums of two squares in [1, x]."""
-    if x < 0:
-        raise DomainError(f"count_upto: x must be >= 0, got {x}")
+    if not 0 <= x <= INT64_MAX:
+        raise DomainError(f"count_upto: need 0 <= x <= 2^63 - 1, got x={x}")
     return _count(1, x)
 
 
@@ -212,6 +212,8 @@ def count_interval(x: int, y: int) -> int:
         raise DomainError(f"count_interval: x must be >= 0, got {x}")
     if y < 1:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
+    if x + y > INT64_MAX:
+        raise DomainError(f"count_interval: need x + y <= 2^63 - 1, got x={x}, y={y}")
     return _count(x + 1, x + y)
 
 
@@ -221,6 +223,6 @@ def count_progression(x: int, q: int, a: int) -> int:
         raise DomainError(f"count_progression: q must be >= 1, got {q}")
     if not 0 <= a < q:
         raise DomainError(f"count_progression: need 0 <= a < q, got a={a}, q={q}")
-    if x < 0:
-        raise DomainError(f"count_progression: x must be >= 0, got {x}")
+    if not 0 <= x <= INT64_MAX:
+        raise DomainError(f"count_progression: need 0 <= x <= 2^63 - 1, got x={x}")
     return _count(1, x, q, a)

@@ -49,8 +49,12 @@ MAX_SUPPORT_PAIRS = 4_000_000
 # Class members per chunk of a weighted experiment.  Only one chunk's n, hit
 # counts, form values, member index lists and divisor sums (squared one Python
 # int at a time) are held at once, so the experiment's memory does not grow
-# with the class beyond one membership table per run of forms.
-CLASS_CHUNK = 1 << 14
+# with the class beyond one membership table per run of forms.  On the seed-0
+# bench gpy-demo (68,861 members, support 119) the traced peak is 3.70 MiB at
+# 2^14 and 1.97 MiB at 2^13, at equal run time on a 2-vCPU host (in-process,
+# min of 5: 69-97 ms against 68-93 ms, alternating); 2^12 gives 1.11 MiB but
+# takes 81 ms.
+CLASS_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,23 @@ class TestCliBehavior:
         assert "2^63" in err and "budget" not in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--x", "10000000000000000000"], "count_upto: need 0 <= x <= 2^63 - 1, got x=10000000000000000000"),
+            (["--x", "9223372036854775808"], "count_upto: need 0 <= x <= 2^63 - 1, got x=9223372036854775808"),
+            (["--x", "9223372036854775807", "--y", "1"],
+             "count_interval: need x + y <= 2^63 - 1, got x=9223372036854775807, y=1"),
+            (["--x", "10000000000000000000", "--q", "3", "--a", "1"],
+             "count_progression: need 0 <= x <= 2^63 - 1, got x=10000000000000000000"),
+        ],
+        ids=["upto", "upto-2^63", "interval", "progression"],
+    )
+    def test_count_past_int64_names_the_function(self, argv, message, capsys):
+        code, out, err = run_cli(["count", *argv], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["admissible", "--W", "0"],

@@ -23,6 +23,25 @@ from twosq.scans import (
 from twosq.sieve import DEFAULT_SEGMENT, count_interval, count_progression, count_upto, is_two_square, sieve_segment
 from twosq.special import DelayTable
 
+from .conftest import two_square_marks
+
+
+def assert_window_counts(counts, marks, X, y, stride):
+    """counts equal the windows (x, x+y], x = X, X + stride, ..., 2X, read
+    from int64 prefix sums of marks taken 2^20 integers at a time."""
+    assert counts.size == X // stride + 1
+    step = 1 << 20
+    for lo in range(X, 2 * X + 1, step):
+        i, j = -(-(lo - X) // stride), min(counts.size, -(-(lo + step - X) // stride))
+        offsets = np.arange(X + i * stride, X + j * stride, stride) - lo
+        cum = np.cumsum(marks[lo : lo + step + y], dtype=np.int64)  # cum[k]: members in [lo, lo + k]
+        assert np.array_equal(counts[i:j], cum[offsets + y] - cum[offsets]), (lo, i, j)
+
+
+@pytest.fixture(scope="module")
+def multi_segment_marks():
+    return two_square_marks(6 * DEFAULT_SEGMENT + 300)
+
 
 class TestScanIntervals:
     def test_two_window_example(self):
@@ -72,9 +91,10 @@ class TestScanIntervals:
             scan_intervals(100, 200)
 
     def test_prefix_counts_held_per_segment(self):
-        # each segment's prefix counts are int32 and read only at the window
-        # boundaries inside it; whole-segment int64 sums and boolean masks over
-        # the columns peaked at 50 MiB here
+        # each segment's prefix counts are one byte each at y = 30 and read
+        # only at the window boundaries inside it (6.0 MiB traced); int32
+        # prefixes peaked at 18 MiB, and whole-segment int64 sums and boolean
+        # masks over the columns at 50 MiB
         _landau()  # cached, so the peak is the scan's own
         tracemalloc.start()
         try:
@@ -82,16 +102,17 @@ class TestScanIntervals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 22 << 20  # 26 MiB while a segment was held as the next was sieved
+        assert peak < 8 << 20
         assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
 
     def test_bench_scan_memory(self):
         # the 150,664 windows of a bench scan, scanned and written: the scan
-        # holds one count column, each segment adding its window-end prefixes
-        # and subtracting its window-start ones in place, and the other columns
-        # are derived a chunk at a time as the report is written (3.03 MiB
-        # traced; 6.58 MiB with every column held, 8.05 MiB for the scan alone
-        # with searchsorted gathers and out-of-place arithmetic)
+        # holds one uint8 count column, each segment adding its window-end
+        # prefixes and subtracting its window-start ones in place, and the other
+        # columns are derived a chunk at a time as the report is written (2.02
+        # MiB traced; 3.03 MiB with int64 counts and int32 prefixes, 6.58 MiB
+        # with every column held, 8.05 MiB for the scan alone with searchsorted
+        # gathers and out-of-place arithmetic)
         _landau()  # cached, so the peak is the scan's own
         tracemalloc.start()
         try:
@@ -102,7 +123,27 @@ class TestScanIntervals:
         finally:
             tracemalloc.stop()
         assert rep.n_windows == 150_664
-        assert peak <= 3.5 * 2**20
+        assert peak <= 2.5 * 2**20
+
+    @pytest.mark.parametrize("y, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
+    def test_counts_at_dtype_edges(self, y, dtype):
+        # a window of y integers holds up to y members: at y = 2^8 - 1 and
+        # 2^16 - 1 the prefixes wrap in the narrower dtype, one step past in the wider
+        X = 65_536
+        rep = scan_intervals(X, y)
+        assert rep.counts.dtype == dtype
+        assert_window_counts(rep.counts, two_square_marks(2 * X + y), X, y, 1)
+
+    @pytest.mark.parametrize("y", [30, 300])
+    @pytest.mark.parametrize("X, stride", [(2 * DEFAULT_SEGMENT - 1, 1), (3 * DEFAULT_SEGMENT, 7),
+                                           (3 * DEFAULT_SEGMENT, 10**5)])
+    def test_counts_across_segments(self, multi_segment_marks, X, y, stride):
+        # three or four segments of some 4e5 members each: the running base
+        # wraps modulo 2^8 (y = 30) and 2^16 (y = 300) at every segment; at
+        # stride 1, 2^22 windows are all the row budget allows
+        rep = scan_intervals(X, y, stride)
+        assert rep.counts.dtype == {30: np.uint8, 300: np.uint16}[y]
+        assert_window_counts(rep.counts, multi_segment_marks, X, y, stride)
 
     def test_records_at_scale(self):
         # count variance guarantees record windows at this size
@@ -142,6 +183,17 @@ class TestSegmentEdges:
     def test_scan_progressions(self, oracle_marks_100k):
         rep = scan_progressions(100_000, 50, 1)
         assert rep.counts.tolist() == [np.count_nonzero(oracle_marks_100k[1 % q :: q]) for q in range(50, 101)]
+
+    @pytest.mark.parametrize("share", [0.4, 0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("a", [0, 1, 2**63 - 1])
+    def test_scan_progressions_long_moduli(self, oracle_marks_100k, segment, share, a):
+        # q in [Q, 2Q] below, across and above the segment length, where a
+        # segment holds at most one member of each progression; the last
+        # segment of [1, 99,500] is shorter than the others
+        Q, x = int(share * segment), 99_500
+        rep = scan_progressions(x, Q, a)
+        marks = oracle_marks_100k[1 : x + 1]  # marks[i] <-> n = i + 1
+        assert rep.counts.tolist() == [np.count_nonzero(marks[(a - 1) % q :: q]) for q in range(Q, 2 * Q + 1)]
 
     @pytest.mark.parametrize("q", [12, 4097])
     def test_scan_residues(self, oracle_marks_100k, q):
