@@ -21,8 +21,9 @@ _EXPORTS = {
         "compute_W",
         "find_v0",
         "is_p3_admissible",
+        "size_conditions",
     ),
-    "arith": ("EULER_GAMMA", "landau_constant", "nu", "p1_numbers", "p3_squarefree_upto", "phi_S"),
+    "arith": ("EULER_GAMMA", "E_GAMMA", "E_NEG_GAMMA", "landau_constant", "nu", "p1_numbers", "phi_S"),
     "errors": ("AdmissibilityError", "ConvergenceError", "DomainError", "ResourceError"),
     "scans": (
         "MaierConfig",
@@ -42,7 +43,7 @@ _EXPORTS = {
         "is_two_square",
         "sieve_segment",
     ),
-    "special": ("DelayTable", "buchstab_omega", "g", "halfdim_F", "halfdim_f"),
+    "special": ("DelayTable", "FUNCTIONS", "buchstab_omega", "g", "halfdim_F", "halfdim_f", "tabulation_rows"),
     "weights": (
         "QuadFormReport",
         "WeightSystem",
@@ -53,6 +54,7 @@ _EXPORTS = {
         "verify_sieve_summation",
         "weight_w",
         "weighted_experiment",
+        "ystar_from_lambda",
     ),
 }
 

@@ -26,7 +26,6 @@ __all__ = [
     "nu",
     "p1_numbers",
     "p3_squarefree_factored",
-    "p3_squarefree_upto",
     "roots_mod",
 ]
 
@@ -70,8 +69,8 @@ def phi_S_floats(lo: int, hi: int) -> np.ndarray:
         raise DomainError(f"phi_S_floats: need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi >= 1 << 26:
         raise ResourceError(f"phi_S_floats: hi = {hi} must be below 2^26 for exact float64 ratios")
-    q = np.arange(lo, hi + 1, dtype=np.int64)
-    rest, num, den = q.copy(), q.copy(), np.ones_like(q)
+    rest = np.arange(lo, hi + 1, dtype=np.int64)
+    num, den = rest.copy(), np.ones_like(rest)
     for p in sieve_primes(math.isqrt(hi)).tolist():
         power = p
         while power <= hi:
@@ -83,7 +82,7 @@ def phi_S_floats(lo: int, hi: int) -> np.ndarray:
     big = rest % 4 == 3
     num[big] *= rest[big]
     den[big] *= rest[big] + 1
-    num[q % 4 == 0] //= 2
+    num[-lo % 4 :: 4] //= 2  # 4 | q
     return num / den
 
 
@@ -177,7 +176,3 @@ def p3_squarefree_factored(R: int, coprime_to: int = 1) -> list[tuple[int, tuple
     primes = [p for p in p3_primes(R - 1).tolist() if math.gcd(p, coprime_to) == 1]
     return sorted(squarefree_products(primes, R))
 
-
-def p3_squarefree_upto(R: int, coprime_to: int = 1) -> list[int]:
-    """The r of p3_squarefree_factored, ascending."""
-    return [r for r, _ in p3_squarefree_factored(R, coprime_to)]

@@ -18,8 +18,9 @@ in a 0.2 s `count --x 12500000`.
 
 Only the error types and the report writer are imported with this module.
 Every other library name the handlers use is loaded from its home module
-on first use, so a run loads only the modules its subcommand needs (the
-parser itself imports nothing).  Handlers read those names through `_cli`,
+on first use, the home read from the package's own table (`twosq._EXPORTS`),
+so a run loads only the modules its subcommand needs (the parser itself
+imports nothing).  Handlers read those names through `_cli`,
 a view of this module's globals, which keeps each of them reachable as
 `twosq.cli.<name>`; a name rebound there (by a tracer, say) is the one that runs.
 
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING
 # below), and starts its worker pool then; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import _lazy_getattr
+from . import _EXPORTS, _lazy_getattr
 from .errors import AdmissibilityError, ConvergenceError, DomainError, ResourceError
 from .reportio import Records, check_rows, to_csv, to_json
 
@@ -50,26 +51,8 @@ if TYPE_CHECKING:
     from .admissible import AdmissibleSystem, LinearForm
     from .weights import WeightSystem
 
-# The library names the handlers call, by home module; see the module
-# docstring.
-_LIBRARY = {
-    "admissible": ("AdmissibleSystem", "LinearForm", "build_default_set", "size_conditions"),
-    "arith": ("E_GAMMA", "E_NEG_GAMMA", "EULER_GAMMA", "landau_constant"),
-    "scans": ("MaierConfig", "maier_demo", "scan_intervals", "scan_progressions", "scan_residues"),
-    "sieve": ("count_interval", "count_progression", "count_upto", "sieve_segment"),
-    "special": ("FUNCTIONS", "tabulation_rows"),
-    "weights": (
-        "WeightSystem",
-        "build_weights",
-        "check_weight_mass",
-        "gamma_p3_indicator",
-        "quadratic_forms",
-        "verify_sieve_summation",
-        "weighted_experiment",
-        "ystar_from_lambda",
-    ),
-}
-__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+# The library names the handlers call; see the module docstring.
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)
 
 
 class _Globals:

@@ -45,8 +45,9 @@ from .errors import ResourceError
 # reports of 10^5 and 10^6 rows (scan-intervals at y = 30, scan-residues and
 # scan-progressions at x = 10^7; a scan holds its counts and derives its other
 # columns a chunk at a time as it is written), is about 2.5 B for intervals
-# (one-byte counts), 17 B for residues, 16 B for progressions and 13 B per
-# `sieve` member; 512 B per row in a 2 GiB budget gives 2^22 rows.
+# (one-byte counts), 17 B for residues, 39 B for progressions (their phi_S
+# column, sieved whole once) and 13 B per `sieve` member; 512 B per row in a
+# 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
 # Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per
@@ -95,11 +96,6 @@ class Records:
 
     def __len__(self) -> int:
         return self.n_rows
-
-    @property
-    def columns(self) -> Sequence[np.ndarray]:
-        """Every row's columns, built on access."""
-        return self.rows(0, self.n_rows)
 
 
 def check_rows(who: str, n_rows: int) -> None:

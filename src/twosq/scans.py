@@ -6,8 +6,9 @@ floats.  The interval convention everywhere is (x, x+y], i.e. the window
 count is count_upto(x+y) - count_upto(x).  A scan holds its counts, one
 integer column (an interval scan's in the narrowest unsigned dtype that holds
 y, one byte per window for y < 256), and derives its other columns from its
-parameters a chunk of rows at a time; every scan checks its row count against
-one budget, `reportio.MAX_SCAN_ROWS`, before it allocates the counts.
+parameters a chunk of rows at a time (a progression scan slices its
+predictions from one held float column); every scan checks its row count
+against one budget, `reportio.MAX_SCAN_ROWS`, before it allocates the counts.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ _KEY_NAMES = {"intervals": "x", "progressions": "q", "residues": "a"}
 @dataclass(frozen=True, eq=False)
 class ScanReport:
     """A scan's rows, a row's key being the window start x, the modulus q or
-    the residue a.  Only the counts are held: derive(i, j) gives the keys,
+    the residue a.  The counts are held, and derive(i, j) gives the keys,
     predicted and applicable columns of rows [i, j) from the scan's parameters,
     and the ratio column and every summary statistic are derived from these a
     CHUNK_ROWS chunk at a time."""
@@ -105,27 +106,6 @@ class ScanReport:
         counts = self.counts[i:j]
         ratio = np.divide(counts, predicted, out=np.full(counts.shape, math.inf), where=predicted > 0)
         return keys, counts, predicted, ratio, applicable
-
-    # Whole columns, built on access from the same row function.
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return self.rows(0, self.n_windows)
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.derive(0, self.n_windows)[0]
-
-    @property
-    def predicted(self) -> np.ndarray:
-        return self.derive(0, self.n_windows)[1]
-
-    @property
-    def applicable(self) -> np.ndarray:
-        return self.derive(0, self.n_windows)[2]
-
-    @property
-    def ratio(self) -> np.ndarray:
-        return self.columns[3]
 
     @cached_property
     def histogram(self) -> dict[int, int]:
@@ -223,6 +203,8 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
         raise DomainError(f"scan_intervals: need 1 <= y <= X, got y={y}")
     if stride < 1:
         raise DomainError(f"scan_intervals: stride must be >= 1, got {stride}")
+    if 2 * X + y > INT64_MAX:
+        raise DomainError(f"scan_intervals: need 2X + y <= 2^63 - 1, got X={X}, y={y}")
     n = X // stride + 1
     check_rows("scan_intervals", n)
 
@@ -260,8 +242,8 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
 
 def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every q in [Q, 2Q]."""
-    if x < 3:
-        raise DomainError(f"scan_progressions: x must be >= 3, got {x}")
+    if not 3 <= x <= INT64_MAX:
+        raise DomainError(f"scan_progressions: need 3 <= x <= 2^63 - 1, got x={x}")
     if Q < 1 or not 0 <= a <= INT64_MAX:
         raise DomainError(f"scan_progressions: need Q >= 1 and 0 <= a <= 2^63 - 1, got Q={Q}, a={a}")
     check_rows("scan_progressions", Q + 1)
@@ -271,21 +253,20 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
         for i, q in enumerate(qs):
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
         del seg  # freed before the next segment is sieved
-    scale = _landau() * x
+    # one phi_S sieve over [Q, 2Q] serves every derived pass
+    predicted = _landau() * x / (phi_S_floats(Q, 2 * Q) * math.sqrt(math.log(x)))
 
     def derive(i: int, j: int):
-        # each phi_S float is an exact ratio, the same bits over any q range
         keys = np.arange(Q + i, Q + j, dtype=np.int64)
-        predicted = scale / (phi_S_floats(Q + i, Q + j - 1) * math.sqrt(math.log(x)))
-        return keys, predicted, _progression_applicable(a, keys)
+        return keys, predicted[i:j], _progression_applicable(a, keys)
 
     return ScanReport(kind="progressions", params={"x": x, "Q": Q, "a": a}, counts=counts, derive=derive)
 
 
 def scan_residues(x: int, q: int) -> ScanReport:
     """Counts of members n <= x, n = a (mod q), for every residue a in [0, q)."""
-    if x < 3:
-        raise DomainError(f"scan_residues: x must be >= 3, got {x}")
+    if not 3 <= x <= INT64_MAX:
+        raise DomainError(f"scan_residues: need 3 <= x <= 2^63 - 1, got x={x}")
     if q < 1:
         raise DomainError(f"scan_residues: q must be >= 1, got {q}")
     check_rows("scan_residues", q)

@@ -75,9 +75,6 @@ class SegmentTable:
     hi: int
     bits: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
     def count_range(self, a: int, b: int) -> int:
         """Number of members in [a, b] (must lie inside [lo, hi])."""
         if a > b:

@@ -206,9 +206,11 @@ class QuadFormReport:
         return self.Q_nu == self.diag_nu and self.Q_nu_minus1 == self.diag_nu_minus1
 
 
-def _pair_sum(ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fraction | int]) -> Fraction:
+def _pair_sum(who: str, ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fraction | int]) -> Fraction:
     """sum over support d, e with coeff_d coeff_e != 0 of coeff_d coeff_e F([d, e]),
-    for the multiplicative F with F(p) = f[p].
+    for the multiplicative F with F(p) = f[p]; a support of more than
+    MAX_SUPPORT_PAIRS pairs is refused first, in the name of `who`, the
+    public function that was called.
 
     The support is squarefree, so [d, e] = d * (e / gcd(d, e)) with coprime
     factors and F([d, e]) = F(d) F(e / gcd(d, e)); e / gcd(d, e) divides e,
@@ -225,6 +227,8 @@ def _pair_sum(ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fracti
     pairs; it uses none of the diagonalizing identities, so it stays an
     independent check of the diagonal route.
     """
+    if len(ws.support) ** 2 > MAX_SUPPORT_PAIRS:
+        raise ResourceError(f"{who}: |support|^2 = {len(ws.support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R")
     A = {d: math.prod(f[p].numerator for p in ws.support_factors[d]) for d in ws.support}
     B = {d: math.prod(f[p].denominator for p in ws.support_factors[d]) for d in ws.support}
     items = [(d, coeff[d]) for d in ws.support if coeff[d]]
@@ -246,15 +250,12 @@ def _pair_sum(ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[int, Fracti
 
 def quadratic_forms(ws: WeightSystem) -> QuadFormReport:
     """Both quadratic forms by the direct O(|support|^2) double sum."""
-    support = ws.support
-    if len(support) ** 2 > MAX_SUPPORT_PAIRS:
-        raise ResourceError(
-            f"quadratic_forms: |support|^2 = {len(support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R"
-        )
     nu_t = ws.nu_table
     d2 = ws.lam_denom**2
-    q_nu = Fraction(_pair_sum(ws, ws.lam_scaled, {p: Fraction(v, p) for p, v in nu_t.items()}), d2)
-    q_nu1 = Fraction(_pair_sum(ws, ws.lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2)
+    q_nu = Fraction(_pair_sum("quadratic_forms", ws, ws.lam_scaled, {p: Fraction(v, p) for p, v in nu_t.items()}), d2)
+    q_nu1 = Fraction(
+        _pair_sum("quadratic_forms", ws, ws.lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2
+    )
     return QuadFormReport(
         Q_nu=q_nu,
         Q_nu_minus1=q_nu1,
@@ -498,7 +499,7 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
         )
     main = Fraction(X, ws.system.W) * ws.Q_nu
     abs_scaled = {d: abs(v) for d, v in ws.lam_scaled.items()}
-    bound = Fraction(_pair_sum(ws, abs_scaled, ws.nu_table), ws.lam_denom**2)
+    bound = Fraction(_pair_sum("check_weight_mass", ws, abs_scaled, ws.nu_table), ws.lam_denom**2)
     return WeightMassReport(X=X, measured=report.sum_w, main_term=main, bound=bound)
 
 

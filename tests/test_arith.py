@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosq.admissible import LinearForm
-from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_upto, phi_S, phi_S_floats
+from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_factored, phi_S, phi_S_floats
 from twosq.errors import DomainError, ResourceError
 from twosq.primes import factorize, iter_prime_blocks, sieve_primes
 
@@ -34,47 +34,33 @@ LANDAU_RAMANUJAN_40 = "0.7642236535892206629906987312500923281168"
 
 def landau_ramanujan_oracle(digits: int = 50) -> Decimal:
     """K = 2^(-1/2) P3(2)^(1/2), P3(s) = prod_{p = 3 (mod 4)} (1 - p^-s)^-1, by
-    Shanks's iteration of zeta(s) (1 - 2^-s) / beta(s) = P3(s)^2 / P3(2s):
-    K = 2^(-1/2) prod_{k=1..6} (zeta(2^k) (1 - 2^-2^k) / beta(2^k))^(2^-(k+1)),
-    the omitted P3(128)^(1/128) being 1 + O(3^-128).  zeta(2n) comes from exact
-    Bernoulli numbers and Machin's pi, beta(2^k) from the Cohen-Villegas-Zagier
-    acceleration of its alternating series; no sieve is involved."""
+    Shanks's iteration of r(s) = zeta(s) (1 - 2^-s) / beta(s) = P3(s)^2 / P3(2s):
+    ln P3(2) = sum_{k=1..7} ln r(2^k) / 2^k, the omitted ln P3(256) / 128 being
+    O(3^-256).  eta(s) and beta(s) come from the Cohen-Villegas-Zagier
+    acceleration of their alternating series, and zeta(s) = eta(s) / (1 - 2^(1-s));
+    no sieve is involved."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        scale = 10 ** (digits + 10)
-
-        def atan_inv(x):  # scale * atan(1/x), by its Taylor series in integers
-            total = term = scale // x
-            n = 1
-            while term:
-                term //= -x * x
-                n += 2
-                total += term // n if term > 0 else -(-term // n)
-            return total
-
-        pi = Decimal(16 * atan_inv(5) - 4 * atan_inv(239)) / scale
-        bern = [Fraction(1)]
-        for m in range(1, 65):
-            bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
-        n_terms = digits + 20  # error below 2 (3 + sqrt 8)^-n
-        d = (3 + Decimal(8).sqrt()) ** n_terms
+        n = digits + 40  # error below 2 (3 + sqrt 8)^-n
+        d = (3 + Decimal(8).sqrt()) ** n
         d = (d + 1 / d) / 2
-        K = 1 / Decimal(2).sqrt()
-        for k in range(1, 7):
-            s = 2**k
-            B = abs(bern[s])
-            zeta = Decimal(B.numerator) / B.denominator * (2 * pi) ** s / (2 * math.factorial(s))
-            b, c, beta = Decimal(-1), -d, Decimal(0)
-            for j in range(n_terms):
+
+        def alternating(a):  # sum_{j >= 0} (-1)^j a(j)
+            b, c, total = Decimal(-1), -d, Decimal(0)
+            for j in range(n):
                 c = b - c
-                beta += c / Decimal(2 * j + 1) ** s
-                b = b * (j + n_terms) * (j - n_terms) * 2 / ((2 * j + 1) * (j + 1))
-            beta /= d
-            factor = zeta * (1 - Decimal(2) ** -s) / beta
-            for _ in range(k + 1):
-                factor = factor.sqrt()
-            K *= factor
-        return +K
+                total += c * a(j)
+                b = b * (j + n) * (j - n) * 2 / ((2 * j + 1) * (j + 1))
+            return total / d
+
+        log_p3 = Decimal(0)
+        for k in range(1, 8):
+            s = 2**k
+            eta = alternating(lambda j: 1 / Decimal(j + 1) ** s)
+            beta = alternating(lambda j: 1 / Decimal(2 * j + 1) ** s)
+            zeta = eta / (1 - Decimal(2) ** (1 - s))
+            log_p3 += ((1 - Decimal(2) ** -s) * zeta / beta).ln() / s
+        return +((log_p3 / 2).exp() / Decimal(2).sqrt())
 
 
 class TestLandauRamanujanOracle:
@@ -85,9 +71,14 @@ class TestLandauRamanujanOracle:
 
     @pytest.mark.parametrize("T", [10**e for e in range(1, 8)])
     def test_inside_truncated_product_interval(self, T):
-        K = float(landau_ramanujan_oracle())
+        K = landau_ramanujan_oracle()
         value, tail_bound = landau_constant(T)
-        assert value <= K <= value + tail_bound
+        assert Decimal(value) <= K <= Decimal(value) + Decimal(tail_bound)
+
+    def test_scan_truncation_gap(self):
+        # the scans predict with landau_constant(10^6), which sits this far below K
+        value, _ = landau_constant(10**6)
+        assert Decimal("1.294e-8") < landau_ramanujan_oracle() - Decimal(value) < Decimal("1.295e-8")
 
 
 class TestPhiS:
@@ -271,19 +262,20 @@ class TestP1Numbers:
 
 class TestP3Squarefree:
     def test_examples(self):
-        assert p3_squarefree_upto(10, 1) == [1, 3, 7]
-        assert p3_squarefree_upto(25, 3) == [1, 7, 11, 19, 23]
-        assert p3_squarefree_upto(2) == [1]
+        assert p3_squarefree_factored(10, 1) == [(1, ()), (3, (3,)), (7, (7,))]
+        assert [r for r, _ in p3_squarefree_factored(25, 3)] == [1, 7, 11, 19, 23]
+        assert p3_squarefree_factored(2) == [(1, ())]
 
     def test_structure(self):
-        for r in p3_squarefree_upto(500):
+        for r, primes in p3_squarefree_factored(500):
             fac = factorize(r)
+            assert sorted(primes) == sorted(fac)
             for p, e in fac.items():
                 assert e == 1
                 assert p % 4 == 3
             assert r % 4 in (1, 3)
 
     def test_coprimality(self):
-        for r in p3_squarefree_upto(200, 21):
+        for r, _ in p3_squarefree_factored(200, 21):
             assert math.gcd(r, 21) == 1
 

@@ -221,6 +221,35 @@ class TestCliBehavior:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan-progressions", "--x", "10000000000000000000", "--Q", "1", "--a", "1"],
+             "scan_progressions: need 3 <= x <= 2^63 - 1, got x=10000000000000000000"),
+            # refused before its 10^7 + 1 rows meet the row budget
+            (["scan-progressions", "--x", "10000000000000000000", "--Q", "10000000"],
+             "scan_progressions: need 3 <= x <= 2^63 - 1, got x=10000000000000000000"),
+            (["scan-residues", "--x", "10000000000000000000", "--q", "3"],
+             "scan_residues: need 3 <= x <= 2^63 - 1, got x=10000000000000000000"),
+            (["scan-intervals", "--X", "9223372036854775000", "--y", "10", "--stride", "1000000000000000000"],
+             "scan_intervals: need 2X + y <= 2^63 - 1, got X=9223372036854775000, y=10"),
+        ],
+        ids=["progressions", "progressions-before-budget", "residues", "intervals"],
+    )
+    def test_scan_past_int64_names_the_scan(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_mass_check_pair_budget_names_the_function(self, monkeypatch, capsys):
+        # the weight-mass bound is a direct pair sum, refused past the budget
+        # as quadratic_forms refuses its own (support 1, 3, 7: 9 pairs)
+        monkeypatch.setattr("twosq.weights.MAX_SUPPORT_PAIRS", 4)
+        argv = ["gpy-demo", "--k", "1", "--W", "1", "--X", "1000", "--R", "10", "--mass-check"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: check_weight_mass: |support|^2 = 9 exceeds 4; reduce R\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["admissible", "--W", "0"],
@@ -479,10 +508,22 @@ class TestLazyImports:
         (fn,) = [a for a in special._actions if a.dest == "fn"]
         assert tuple(fn.choices) == SPECIAL_FUNCTIONS
 
+    def test_cli_names_resolve_to_their_homes(self):
+        # the handlers' library names are read from the package's _EXPORTS; a
+        # name missing there would fail only when its subcommand runs
+        import twosq.cli as cli
+
+        names = set(re.findall(r"\b_cli\.(\w+)", Path(cli.__file__).read_text()))
+        home = {name: module for module, names in twosq._EXPORTS.items() for name in names}
+        assert len(names) > 20
+        for name in sorted(names):
+            assert name in home, name
+            assert getattr(cli._cli, name) is vars(import_module(f"twosq.{home[name]}"))[name], name
+
     def test_star_import_resolves_every_export(self):
         namespace = {}
         exec("from twosq import *", namespace)
-        assert len(set(twosq.__all__)) == len(twosq.__all__) == 44
+        assert len(set(twosq.__all__)) == len(twosq.__all__) == 49
         for module, names in twosq._EXPORTS.items():
             home = import_module(f"twosq.{module}")
             for name in names:

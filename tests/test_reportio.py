@@ -167,7 +167,7 @@ def test_bytes_do_not_depend_on_chunk_size(monkeypatch):
             "pairs_csv": "".join(to_csv(pairs, header=["d", "count"])),
         }
 
-    plain = [c.tolist() for c in table.columns]
+    plain = [c.tolist() for c in table.rows(0, table.n_rows)]
     want = {
         "records_json": reference_json(FIELDS, plain) + "\n",
         "records_csv": reference_csv(FIELDS, plain),

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twosq.arith import phi_S_floats
 from twosq.errors import DomainError
-from twosq.reportio import CHUNK_ROWS, to_json
+from twosq.reportio import CHUNK_ROWS, Records, to_csv, to_json
 from twosq.scans import (
     ROW_FIELDS,
     MaierConfig,
@@ -38,6 +39,11 @@ def assert_window_counts(counts, marks, X, y, stride):
         assert np.array_equal(counts[i:j], cum[offsets + y] - cum[offsets]), (lo, i, j)
 
 
+def columns(rep):
+    """Every row's columns by ROW_FIELDS name, read through rep.rows."""
+    return dict(zip(ROW_FIELDS, rep.rows(0, rep.n_windows)))
+
+
 @pytest.fixture(scope="module")
 def multi_segment_marks():
     return two_square_marks(6 * DEFAULT_SEGMENT + 300)
@@ -46,7 +52,7 @@ def multi_segment_marks():
 class TestScanIntervals:
     def test_two_window_example(self):
         rep = scan_intervals(100, 20, stride=100)
-        assert list(zip(rep.keys.tolist(), rep.counts.tolist())) == [(100, 7), (200, 5)]
+        assert list(zip(columns(rep)["key"].tolist(), rep.counts.tolist())) == [(100, 7), (200, 5)]
         # second window pinned by brute force: members of (200, 220]
         assert count_interval(200, 20) == 5
 
@@ -62,7 +68,7 @@ class TestScanIntervals:
     def test_sliding_consistency(self):
         X, y = 250, 12
         rep = scan_intervals(X, y, stride=1)
-        counts = dict(zip(rep.keys.tolist(), rep.counts.tolist()))
+        counts = dict(zip(columns(rep)["key"].tolist(), rep.counts.tolist()))
         for x in range(X, 2 * X):
             delta = int(is_two_square(x + y + 1)) - int(is_two_square(x + 1))
             assert counts[x + 1] == counts[x] + delta, x
@@ -79,7 +85,8 @@ class TestScanIntervals:
 
     def test_ratio_fields_recomputable(self):
         rep = scan_intervals(128, 16, stride=32)
-        for ratio, count, predicted in zip(rep.ratio, rep.counts, rep.predicted):
+        cols = columns(rep)
+        for ratio, count, predicted in zip(cols["ratio"], cols["count"], cols["predicted"]):
             assert abs(ratio - count / predicted) < 1e-12
 
     def test_domain(self):
@@ -103,7 +110,7 @@ class TestScanIntervals:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
-        assert rep.counts.tolist() == [count_interval(x, 30) for x in rep.keys.tolist()]
+        assert rep.counts.tolist() == [count_interval(x, 30) for x in columns(rep)["key"].tolist()]
 
     def test_bench_scan_memory(self):
         # the 150,664 windows of a bench scan, scanned and written: the scan
@@ -149,7 +156,7 @@ class TestScanIntervals:
         # count variance guarantees record windows at this size
         rep = scan_intervals(10**6, 30, stride=1)
         assert rep.max_count >= 2 * rep.mean
-        assert rep.argmax_key in rep.keys[rep.counts == rep.max_count].tolist()
+        assert rep.argmax_key in columns(rep)["key"][rep.counts == rep.max_count].tolist()
 
 
 @pytest.mark.parametrize("segment", [1000, 4097])
@@ -177,7 +184,7 @@ class TestSegmentEdges:
         cum = np.cumsum(oracle_marks_100k)
         rep = scan_intervals(X, y, stride)
         xs = np.arange(X, 2 * X + 1, stride)
-        assert rep.keys.tolist() == xs.tolist()
+        assert columns(rep)["key"].tolist() == xs.tolist()
         assert rep.counts.tolist() == (cum[xs + y] - cum[xs]).tolist()
 
     def test_scan_progressions(self, oracle_marks_100k):
@@ -222,7 +229,7 @@ class TestSegmentEdges:
         bounds = sorted({*range(0, n, CHUNK_ROWS), 1, 777, n - 1, n})
         for kind, (rep, *columns) in expect.items():
             assert rep.n_windows == n
-            whole = rep.columns
+            whole = rep.rows(0, n)
             chunked = [np.concatenate(parts) for parts in zip(*(rep.rows(i, j) for i, j in zip(bounds, bounds[1:])))]
             columns.insert(1, rep.counts)
             columns.insert(3, np.divide(rep.counts, columns[2]))
@@ -242,14 +249,31 @@ class TestScanProgressions:
         rep = scan_progressions(2000, 7, 1)
         from twosq.sieve import count_progression
 
-        for q, count in zip(rep.keys.tolist(), rep.counts.tolist()):
+        for q, count in zip(columns(rep)["key"].tolist(), rep.counts.tolist()):
             assert count == count_progression(2000, q, 1 % q)
 
     def test_predictions_use_exact_phi(self):
         # the phi_S column covers q in [2500, 5000]; each prediction matches the single-q route bit for bit
         rep = scan_progressions(100, 2500, 1)
         expect = [predicted_average("progression", x=100, q=q, a=1).value for q in range(2500, 5001)]
-        assert rep.predicted.tolist() == expect
+        assert columns(rep)["predicted"].tolist() == expect
+
+    def test_phi_S_sieved_once_per_report(self, monkeypatch):
+        # a written report derives its rows twice, a CHUNK_ROWS chunk at a time
+        # (the statistics walk and the writer), in JSON and in CSV; the phi_S
+        # column over [Q, 2Q] is sieved once, by the scan
+        calls = []
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return phi_S_floats(lo, hi)
+
+        monkeypatch.setattr("twosq.scans.phi_S_floats", counted)
+        Q = 2 * CHUNK_ROWS + 5
+        rep = scan_progressions(100, Q, 1)
+        assert "".join(to_json(rep.to_json_dict()))
+        assert "".join(to_csv(Records(rep.csv_header, rep.n_windows, rep.rows)))
+        assert calls == [(Q, 2 * Q)]
 
     def test_ratio_mean_at_scale(self):
         rep = scan_progressions(10**6, 10**3, 1)
@@ -259,10 +283,11 @@ class TestScanProgressions:
     def test_applicability_flags(self):
         a = 2
         rep = scan_progressions(1000, 4, a)
-        for q, applicable in zip(rep.keys.tolist(), rep.applicable.tolist()):
+        cols = columns(rep)
+        for q, applicable in zip(cols["key"].tolist(), cols["applicable"].tolist()):
             expect = math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q)
             assert applicable == expect
-        flags = dict(zip(rep.keys.tolist(), rep.applicable.tolist()))
+        flags = dict(zip(cols["key"].tolist(), cols["applicable"].tolist()))
         assert flags[4] is False  # a = 2 shares a factor with q = 4
         assert flags[5] is True  # gcd(2,5) = 1 and gcd(4,5) = 1 makes the congruence vacuous
         assert flags[6] is False  # 2 is even, so 2 != 1 (mod gcd(4,6) = 2)
@@ -274,10 +299,10 @@ class TestScanProgressions:
             expect = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for q in range(1, 301)]
             assert _progression_applicable(a, qs).tolist() == expect
             assert [bool(_progression_applicable(a, q)) for q in range(1, 301)] == expect
-            assert scan_progressions(100, 150, a).applicable.tolist() == expect[149:]
+            assert columns(scan_progressions(100, 150, a))["applicable"].tolist() == expect[149:]
         for q in (1, 2, 4, 12, 35, 100):
             expect = [math.gcd(a, q) == 1 and a % math.gcd(4, q) == 1 % math.gcd(4, q) for a in range(q)]
-            assert scan_residues(100, q).applicable.tolist() == expect
+            assert columns(scan_residues(100, q))["applicable"].tolist() == expect
 
     def test_residue_past_int64_is_domain_error(self):
         assert scan_progressions(100, 3, 2**63 - 1).n_windows == 4
@@ -288,7 +313,7 @@ class TestScanProgressions:
 class TestScanResidues:
     def test_mod_4_counts(self):
         rep = scan_residues(40, 4)
-        assert list(zip(rep.keys.tolist(), rep.counts.tolist())) == [(0, 7), (1, 8), (2, 5), (3, 0)]
+        assert list(zip(columns(rep)["key"].tolist(), rep.counts.tolist())) == [(0, 7), (1, 8), (2, 5), (3, 0)]
         assert rep.total_count == count_upto(40)
 
     def test_partition_property(self):
@@ -298,7 +323,7 @@ class TestScanResidues:
 
     def test_residue_3_never_applicable(self):
         rep = scan_residues(100, 4)
-        assert rep.applicable.tolist()[3] is False
+        assert columns(rep)["applicable"].tolist()[3] is False
         assert rep.counts[3] == 0
 
 
@@ -323,7 +348,7 @@ def held_report(kind, params, keys, counts, predicted, applicable, **fields):
 
 def summary_oracle(rep, record_threshold=2.0):
     """The summary fields recomputed in plain Python from the report's rows."""
-    rows = list(zip(*(c.tolist() for c in rep.columns)))
+    rows = list(zip(*(c.tolist() for c in rep.rows(0, rep.n_windows))))
     keys = [r[0] for r in rows]
     counts = [r[1] for r in rows]
     n = len(rows)
@@ -376,12 +401,12 @@ class TestSummaryOracle:
         got = {name: getattr(rep, name) for name in expect}
         assert got == expect
         assert list(got["histogram"]) == list(expect["histogram"])  # ascending keys
-        assert rep.n_windows == len(rep.keys) == len(rep.counts) == len(rep.predicted) == len(rep.applicable)
+        assert all(len(column) == rep.n_windows for column in columns(rep).values())
 
     def test_cases_are_not_degenerate(self):
         assert scan_intervals(3000, 12, stride=1).records
-        assert not scan_progressions(20000, 30, 2).applicable.all()
-        assert not scan_residues(10000, 12).applicable.all()
+        assert not columns(scan_progressions(20000, 30, 2))["applicable"].all()
+        assert not columns(scan_residues(10000, 12))["applicable"].all()
 
     def test_variance_exact_past_int64_squares(self):
         counts = np.array([3_037_000_500, 3_100_000_000, 2_999_999_999, 3_100_000_000], dtype=np.int64)
@@ -433,7 +458,7 @@ class TestSummaryOracle:
                           predicted=predicted, applicable=applicable)
         expect = summary_oracle(rep)
         assert (rep.records, rep.mean_ratio_valid) == (expect["records"], expect["mean_ratio_valid"])
-        whole = rep.ratio[applicable & (predicted > 0)]
+        whole = columns(rep)["ratio"][applicable & (predicted > 0)]
         assert rep.mean_ratio_valid == float(np.cumsum(whole)[-1]) / whole.size
         assert min(rep.records) < CHUNK_ROWS and max(rep.records) >= 3 * CHUNK_ROWS
 

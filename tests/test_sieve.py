@@ -126,7 +126,7 @@ class TestSieveSegment:
 
     def test_accessor_domains(self):
         seg = sieve_segment(10, 20)
-        assert len(seg) == 11
+        assert seg.bits.size == 11
         assert seg.bits[0] and not seg.bits[1]  # 10 = 3^2 + 1^2; 11 = 3 (mod 4)
         with pytest.raises(DomainError):
             seg.count_range(5, 15)

@@ -282,7 +282,8 @@ class TestEnvelopeSearchIndex:
     """`g` reads the table's search index; it must equal the full rescan exactly."""
 
     def test_bench_grid(self):
-        _, ts, values = tabulation_rows("g", 1.95, 20.95, 0.01).columns
+        table = tabulation_rows("g", 1.95, 20.95, 0.01)
+        _, ts, values = table.rows(0, table.n_rows)
         assert len(ts) == 1901
         expected = [g_rescan(t) for t in ts.tolist()]
         assert [g(t) for t in ts.tolist()] == expected
@@ -596,7 +597,7 @@ class TestTabulation:
     def test_rows(self):
         table = tabulation_rows("buchstab", 1.0, 3.0, 0.5)
         assert table.fields == ("kind", "s", "value")
-        kinds, ss, values = table.columns
+        kinds, ss, values = table.rows(0, table.n_rows)
         assert ss.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
         assert kinds.tolist() == ["buchstab"] * 5
         assert abs(values[1] - 2.0 / 3.0) < 1e-12
@@ -614,7 +615,7 @@ class TestTabulation:
         assert len(expected) == rows
         table = tabulation_rows("halfdim_f", lo, hi, step)
         assert len(table) == rows
-        assert table.columns[1].tolist() == expected
+        assert table.rows(0, table.n_rows)[1].tolist() == expected
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):

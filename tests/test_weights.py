@@ -276,12 +276,16 @@ class TestQuadraticForms:
         assert quadratic_forms(ws).identities_hold
 
     def test_pair_budget(self, k1_weights, monkeypatch):
+        # both direct pair sums refuse a support of 3^2 = 9 pairs, each in the
+        # name of the function that was called
         import twosq.weights as wmod
-        from twosq.errors import ResourceError
 
+        report = weighted_experiment(k1_weights, 1000, 2000)
         monkeypatch.setattr(wmod, "MAX_SUPPORT_PAIRS", 4)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match=r"^quadratic_forms: \|support\|\^2 = 9 exceeds 4; reduce R$"):
             quadratic_forms(k1_weights)
+        with pytest.raises(ResourceError, match=r"^check_weight_mass: \|support\|\^2 = 9 exceeds 4; reduce R$"):
+            check_weight_mass(k1_weights, report)
 
     def test_identities_with_nu_zero_prime(self):
         # {n+3}: the only root mod 3 is n = 0, so nu(3) = 0; the prime is
