@@ -16,19 +16,6 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .primes import factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes, squarefree_products
 
-__all__ = [
-    "EULER_GAMMA",
-    "E_GAMMA",
-    "E_NEG_GAMMA",
-    "phi_S",
-    "phi_S_floats",
-    "landau_constant",
-    "nu",
-    "p1_numbers",
-    "p3_squarefree_factored",
-    "roots_mod",
-]
-
 # Euler's constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
 

@@ -89,6 +89,12 @@ class WeightSystem:
     def lam_scaled(self) -> dict[int, int]:  # lambda_d * D as integers
         return {d: v.numerator * (self.lam_denom // v.denominator) for d, v in self.lam.items()}
 
+    def check_pair_budget(self, who: str) -> None:
+        """Refuse, in the name of `who`, a support of more than MAX_SUPPORT_PAIRS
+        pairs: the budget of every direct pair sum over it."""
+        if len(self.support) ** 2 > MAX_SUPPORT_PAIRS:
+            raise ResourceError(f"{who}: |support|^2 = {len(self.support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R")
+
     def to_json_dict(self) -> dict:
         return {
             "R": self.R,
@@ -227,8 +233,7 @@ def _pair_sum(who: str, ws: WeightSystem, coeff: Mapping[int, int], f: Mapping[i
     pairs; it uses none of the diagonalizing identities, so it stays an
     independent check of the diagonal route.
     """
-    if len(ws.support) ** 2 > MAX_SUPPORT_PAIRS:
-        raise ResourceError(f"{who}: |support|^2 = {len(ws.support) ** 2} exceeds {MAX_SUPPORT_PAIRS}; reduce R")
+    ws.check_pair_budget(who)
     A = {d: math.prod(f[p].numerator for p in ws.support_factors[d]) for d in ws.support}
     B = {d: math.prod(f[p].denominator for p in ws.support_factors[d]) for d in ws.support}
     items = [(d, coeff[d]) for d in ws.support if coeff[d]]

@@ -249,6 +249,18 @@ class TestCliBehavior:
         assert code == 1 and out == ""
         assert err == "error: check_weight_mass: |support|^2 = 9 exceeds 4; reduce R\n"
 
+    def test_mass_check_pair_budget_before_the_experiment(self, monkeypatch, capsys):
+        # 2,669 support elements at R = 20000: the budget is refused before the
+        # weighted experiment over 10^6 integers starts (it once ran 17.5 s first)
+        def reached(*args, **kwargs):
+            raise AssertionError("weighted_experiment ran before the pair budget was checked")
+
+        monkeypatch.setattr("twosq.cli.weighted_experiment", reached)
+        argv = ["gpy-demo", "--k", "1", "--W", "1", "--X", "1000000", "--R", "20000", "--mass-check"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: check_weight_mass: |support|^2 = 7123561 exceeds 4000000; reduce R\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

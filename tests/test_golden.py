@@ -16,7 +16,10 @@ R = 35000, whose JSON holds a number past the default digit limit, were
 recorded while that JSON still ended in a traceback; the 12,600 Maier
 d-terms (JSON and CSV) and the 11,568 records of a y = 1 scan (three chunks
 each) were recorded while long Python lists were still checked value by
-value and formatted a chunk at a time as they were written.  Any
+value and formatted a chunk at a time as they were written; the buchstab
+and `g` tabulations over [19, 50] (31,001 rows each) were recorded while
+omega was still tabulated to u = 50, before its table was cut at u = 20
+with the limit e^-gamma beyond.  Any
 change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
@@ -261,6 +264,14 @@ CASES = {
     "scan_intervals_records_json": (
         ["scan-intervals", "--X", "50000", "--y", "1", "--threads", "1"],
         "7fcb5c620d231839295dc2a62f3a794ed2a5a0c5d59cdd0f905b23186a5935d3",
+    ),
+    "special_buchstab_tail_csv": (
+        ["special", "--fn", "buchstab", "--from", "19", "--to", "50", "--step", "0.001"],
+        "1df1d0fa31d70f27b532a07a44306bbe5f8307df00c5f897d2dec0d625cff12f",
+    ),
+    "special_g_tail_csv": (
+        ["special", "--fn", "g", "--from", "19", "--to", "50", "--step", "0.001"],
+        "8cfa416a7b8b37abd74bee55f819212a1728e10f8fda4433812e2ed26d1eb29b",
     ),
 }
 

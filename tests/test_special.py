@@ -17,7 +17,6 @@ from twosq.special import (
     E_GAMMA,
     G_ENVELOPE_EPS,
     G_RESOLUTION_FLOOR,
-    G_SEARCH_CAP,
     E_NEG_GAMMA,
     EULER_GAMMA,
     buchstab_omega,
@@ -35,7 +34,6 @@ from twosq.special import (
     _stencil_start,
     _build_halfdim,
     _march_F_first_window,
-    _whole,
 )
 
 A_CONST = 2.0 * math.exp(EULER_GAMMA / 2.0) / math.sqrt(math.pi)
@@ -73,10 +71,9 @@ class TestBuchstab:
         assert buchstab_table().err_estimate < 1e-9
 
     def test_table_build_memory(self):
-        # both builds march through a rolling buffer and the half-step twin is
-        # compared a piece at a time, so only the 1.5 MiB table spans the grid
-        # (2.41 MiB traced; 5.35 MiB with the whole twin held, 7.6 MiB with two
-        # difference arrays)
+        # the 0.59 MiB table to u = 20 and its 0.30 MiB twin at twice the step,
+        # differenced in the twin's own array (1.08 MiB traced; a table to
+        # u = 50 checked against a half-step twin peaks at 2.41 MiB)
         buchstab_table.cache_clear()
         tracemalloc.start()
         try:
@@ -84,7 +81,7 @@ class TestBuchstab:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 2**20
+        assert peak <= 1.5 * 2**20
 
     def test_envelope_search_memory(self):
         # the last index off the envelope is found a unit window at a time from
@@ -98,33 +95,19 @@ class TestBuchstab:
             tracemalloc.stop()
         assert peak <= 0.8 * 2**20
 
-    def test_error_estimates_match_whole_tables(self):
-        # the windowed estimate is the same float as one difference over the
-        # marched region
-        n1 = round(1.0 / TABLE_H)
-        (om2,) = _whole(_build_buchstab, TABLE_H / 2, [2 * len(buchstab_table().values) - 1])
-        F2, f2 = _whole(_build_halfdim, TABLE_H / 2, [2 * len(halfdim_tables()[0].values) - 1] * 2)
-        for table, half, marched in [
-            (buchstab_table(), om2, n1),
-            (halfdim_tables()[0], F2, 2 * n1),
-            (halfdim_tables()[1], f2, 3 * n1),
-        ]:
-            whole = float(np.max(np.abs(table.values[marched:] - half[2 * marched :: 2])))
-            assert table.err_estimate == whole > 0
-
-    @pytest.mark.parametrize("change", [1e-10, 2e-9])
+    @pytest.mark.parametrize("change", [1e-10, 2e-9, math.nan])
     def test_error_estimate_reads_the_last_point(self, change):
         # two builds of a zero table over [0, 3] that differ only at its last
-        # point, which the last unit window holds alone
+        # point, a node of both; a NaN there is refused too
         n1 = round(1.0 / TABLE_H)
 
         def build(h):
             vals = np.zeros(round(3.0 / h) + 1)
             vals[-1] = change if h == TABLE_H else 0.0
-            yield 0, (vals,)
+            return (vals,)
 
         layout = ("test", 0.0, 3, n1, n1, n1)
-        if change > TABLE_TOL:
+        if not change <= TABLE_TOL:
             with pytest.raises(ConvergenceError):
                 _checked_tables(build, layout)
         else:
@@ -259,8 +242,6 @@ def g_rescan(t):
     env = np.abs(E_GAMMA * vals - 1.0) >= G_ENVELOPE_EPS
     last = int(np.max(np.flatnonzero(env))) if np.any(env) else 0
     hi_idx = min(max(last + 2, 0), n - 1)
-    cap_idx = int(min((G_SEARCH_CAP - table.grid0) / table.h, n - 1))
-    hi_idx = min(hi_idx, cap_idx)
     lo_u = max(t, 2.0)
     if lo_u <= table.u_max:
         best = max(best, E_GAMMA * table.interp(lo_u))
@@ -385,6 +366,19 @@ class TestHalfDim:
         assert Ft.err_estimate < 1e-9
         assert ft.err_estimate < 1e-9
 
+    def test_table_build_memory(self):
+        # the two 1.25 MiB tables, their twins at twice the step and F's first
+        # window of (2^14, 12) Gauss-Legendre arrays (6.66 MiB traced; checked
+        # against a half-step twin they peak at 11.57 MiB)
+        halfdim_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            halfdim_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
     def test_against_independent_quadrature(self):
         # F on (2, 4] from adaptive quadrature of the recurrence against the
         # closed form for f (t = 2 + v^2 removes the corner), then f on
@@ -467,15 +461,15 @@ def ref_window_mids(src, bases, kink_start, kink_stride):
     return out
 
 
-def ref_build_buchstab(h):
+def ref_build_buchstab(h, u_max=OMEGA_UMAX):
     n1 = round(1.0 / h)
-    total = n1 * (OMEGA_UMAX - 1) + 1
+    total = n1 * (u_max - 1) + 1
     om = np.empty(total)
     u_head = 1.0 + np.arange(n1 + 1) * h
     om[: n1 + 1] = 1.0 / u_head
 
     w_cur = 1.0  # u*omega(u) = 1 at u = 2
-    for m in range(2, OMEGA_UMAX):
+    for m in range(2, u_max):
         j0 = (m - 1) * n1
         j1 = j0 + n1
         f0 = om[j0 - n1 : j1 - n1]
@@ -547,10 +541,12 @@ def ref_interp(table, u):
     return w[0] * v[s0] + w[1] * v[s0 + 1] + w[2] * v[s0 + 2] + w[3] * v[s0 + 3]
 
 
-def ref_richardson(vals_h, vals_h2, start_idx):
-    coarse = vals_h[start_idx:]
-    fine = vals_h2[2 * start_idx :: 2]
-    return float(np.max(np.abs(coarse - fine))) if coarse.size else 0.0
+def ref_richardson(vals_h, vals_2h, start_idx):
+    """The largest difference over the marched region (from the even start_idx)
+    between a table and its twin at twice the step, on the twin's nodes."""
+    fine = vals_h[start_idx::2]
+    coarse = vals_2h[start_idx // 2 :]
+    return float(np.max(np.abs(fine - coarse)))
 
 
 class TestReferenceRoute:
@@ -561,16 +557,25 @@ class TestReferenceRoute:
         n1 = round(1.0 / TABLE_H)
         omega = buchstab_table()
         F, f = halfdim_tables()
-        ref_om, ref_om2 = ref_build_buchstab(TABLE_H), ref_build_buchstab(TABLE_H / 2.0)
-        (ref_F, ref_f), (ref_F2, ref_f2) = ref_build_halfdim(TABLE_H), ref_build_halfdim(TABLE_H / 2.0)
-        (om2,) = _whole(_build_buchstab, TABLE_H / 2.0, [len(ref_om2)])
-        F2, f2 = _whole(_build_halfdim, TABLE_H / 2.0, [len(ref_F2), len(ref_f2)])
+        ref_om, ref_om2 = ref_build_buchstab(TABLE_H), ref_build_buchstab(2.0 * TABLE_H)
+        (ref_F, ref_f), (ref_F2, ref_f2) = ref_build_halfdim(TABLE_H), ref_build_halfdim(2.0 * TABLE_H)
+        (om2,) = _build_buchstab(2.0 * TABLE_H)
+        F2, f2 = _build_halfdim(2.0 * TABLE_H)
         for table, ref in ((omega.values, ref_om), (om2, ref_om2), (F.values, ref_F), (F2, ref_F2),
                            (f.values, ref_f), (f2, ref_f2)):
             assert np.array_equal(table, ref)
         assert omega.err_estimate == ref_richardson(ref_om, ref_om2, n1)
         assert F.err_estimate == ref_richardson(ref_F, ref_F2, 2 * n1)
         assert f.err_estimate == ref_richardson(ref_f, ref_f2, 3 * n1)
+
+    def test_omega_past_the_table_end_is_its_limit(self):
+        # marched on to u = 50, the reference omega stays within 1e-13 of
+        # e^-gamma on [20, 50] (4.8e-14 at most), so returning the limit past
+        # the table end changes no printed digit
+        om = ref_build_buchstab(TABLE_H, u_max=50)
+        tail = om[round((OMEGA_UMAX - 1.0) / TABLE_H) :]
+        assert OMEGA_UMAX == 20 and len(tail) == 30 * round(1.0 / TABLE_H) + 1
+        assert np.max(np.abs(tail - E_NEG_GAMMA)) <= 1e-13
 
 
 class TestInterpReference:
