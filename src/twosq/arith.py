@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes, squarefree_products
+from .primes import check_sieve_limit, factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes, squarefree_products
 
 # Euler's constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -84,6 +84,7 @@ def landau_constant(truncation_limit: int) -> tuple[float, float]:
     """
     if truncation_limit < 10:
         raise DomainError(f"landau_constant: truncation_limit must be >= 10, got {truncation_limit}")
+    check_sieve_limit("landau_constant", truncation_limit)
     log_parts: list[float] = []
     for block in iter_prime_blocks(truncation_limit, p3=True):
         x = block.astype(np.float64)  # -1/p^2, then log1p of it, in place

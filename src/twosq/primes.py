@@ -5,6 +5,8 @@ keeps one flag per odd number (2 is added by hand) for the list of all
 primes, or one flag per n = 3 (mod 4) for the primes = 3 (mod 4) alone,
 which are all the membership sieve and the Landau-Ramanujan product need
 (the segmented sieve of one residue class, Bays and Hudson, BIT 17, 1977).
+Each range's flags are struck once and its primes go out in slices of a few
+thousand, so a caller holds the range's flags and one slice's int64 primes.
 Also the one factorization routine (trial division by small factors, then
 Pollard rho with deterministic Miller-Rabin, exact on [1, 2^63 - 1]) and the
 one enumeration of squarefree products over a prime list.
@@ -26,13 +28,22 @@ INT64_MAX = 2**63 - 1
 # time taken, both of which grow with the limit (a segment's flags do not).
 MAX_SIEVE_LIMIT = 1 << 30
 
-# Segment length (in integers) for streaming prime enumeration.  It sets the
-# size of a block's flags and int64 primes, which a streamed sieve_segment
-# holds, and the knee is here: on a 2-vCPU host (in-process, min of 7)
-# 2^22 / 2^21 / 2^20 took 9.6 / 9.2 / 10.4 ms for p3_primes(1e7),
-# 36.0 / 37.7 / 40.3 ms for landau_constant(3e7) and 0.40 / 0.48 / 0.56 s
-# for p3_primes(3.2e8), where each block loops over more base primes.
+# Range length (in integers) for streaming prime enumeration.  It sets the
+# size of a range's flags, which a streamed sieve_segment holds (512 KiB with
+# p3), and the knee is here: each range loops once over the base primes up to
+# its sqrt, so shorter ranges pay that loop more often.  On a 2-vCPU host
+# (in-process, min of 7) 2^22 / 2^21 / 2^20 took 9.6 / 9.2 / 10.4 ms for
+# p3_primes(1e7), 36.0 / 37.7 / 40.3 ms for landau_constant(3e7) and
+# 0.40 / 0.48 / 0.56 s for p3_primes(3.2e8); with the primes yielded in
+# slices, 0.33 / 0.33 / 0.40 s for landau_constant(3e8) (min of 3).
 PRIME_SEGMENT = 1 << 21
+
+# Integers per yielded block: a range's primes go out a slice of 2^16 flags at
+# a time with p3 (2^17 without), so a caller holds one slice's int64 primes,
+# not a whole range's (0.43 MB with p3 near 3e8).  A multiple of 4, so the
+# slices of both sieves cover the same integers, and blocks of all primes
+# filtered to p = 3 (mod 4) are the blocks of the p3 sieve.
+PRIME_SLICE = 1 << 18
 
 # factorize trial-divides by f < TRIAL_BOUND before splitting the cofactor.
 TRIAL_BOUND = 1 << 10
@@ -61,19 +72,26 @@ def _joined(blocks: Iterator[np.ndarray]) -> np.ndarray:
     return np.frombuffer(out, dtype=np.int64)
 
 
+def check_sieve_limit(caller: str, limit: int) -> None:
+    """Refuse a prime sieve to limit past MAX_SIEVE_LIMIT, naming caller, the
+    public function that would run it, before any of its work starts."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceError(f"{caller}: sieve to {limit} exceeds the prime-sieve budget (limit 2^30)")
+
+
 def iter_prime_blocks(limit: int, p3: bool = False) -> Iterator[np.ndarray]:
     """Yield primes <= limit, or with p3 those = 3 (mod 4), in ascending blocks.
 
     The first block is the primes up to sqrt(limit); each later block holds
-    the primes of one range of PRIME_SEGMENT integers, the last range cut at
-    limit, sieved in one buffer of flags (one per odd n, or with p3 per
-    n = 3 (mod 4)), so memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base
+    the primes of one slice of PRIME_SLICE integers of a range of
+    PRIME_SEGMENT integers, the last range cut at limit.  A range is sieved
+    in one buffer of flags (one per odd n, or with p3 per n = 3 (mod 4)), so
+    memory stays O(PRIME_SEGMENT + sqrt(limit)).  The base
     primes come from sieve_primes(sqrt(limit)), itself built from these
     blocks, so the recursion ends after a few levels.  Limits above
     MAX_SIEVE_LIMIT are refused at the call, before any block is sieved.
     """
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceError(f"iter_prime_blocks: sieve to {limit} exceeds the prime-sieve budget (limit 2^30)")
+    check_sieve_limit("iter_prime_blocks", limit)
     return _prime_blocks(limit, p3)
 
 
@@ -103,12 +121,15 @@ def _prime_blocks(limit: int, p3: bool) -> Iterator[np.ndarray]:
         k += (first * ps - k) % step
         for i, p in zip(((k * ps - first) // step).tolist(), odd_list):
             flags[i::p] = False
-        block = np.flatnonzero(flags).astype(np.int64, copy=False)
-        block *= step
-        block += first
-        # 2 is streamed (rather than in base) only when limit < 4
-        yield np.concatenate(([2], block)) if lo == 2 and not p3 else block
-        del block  # the caller has it; not held here while the next is sieved
+        # the range's primes go out PRIME_SLICE integers at a time; a slice
+        # starts on a multiple of step past lo, at flag j // step
+        for j in range(0, hi - lo + 1, PRIME_SLICE):
+            block = np.flatnonzero(flags[j // step : (j + PRIME_SLICE) // step]).astype(np.int64, copy=False)
+            block *= step
+            block += first + j
+            # 2 is streamed (rather than in base) only when limit < 4
+            yield np.concatenate(([2], block)) if lo == 2 and not p3 else block
+            del block  # the caller has it; not held here while the next is sieved
         lo = hi + 1
 
 

@@ -7,21 +7,28 @@ most one other prime factor = 3 (mod 4), to the first power, so n is a
 member exactly when its odd part is 1 (mod 4).
 
 A segment of n integers holds one byte of marks per integer, and its base
-primes split in two regimes.  Primes up to n / 64 have many multiples each
-and take one Python iteration each: they count v_p's parity in the marks,
+primes split in three regimes, each counting v_p's parity in the marks:
 adding 1 along the multiples of p, subtracting 1 along those of p^2, adding
-1 along p^3, ..., one strided in-place op per power, so a byte gains v_p
-mod 2 from p; nothing is divided and nothing is allocated per prime.
-Primes above n / 64 hit at most 65 positions each (only one or none when
-p > n, the common case in short windows far out); a chunk of them walks
-the segment together, one multiple of each per numpy round, and v_p's
-parity there is found by exact int64 division.  The membership bits are
-the marks inverted in place: a segment's memory is n bytes plus scratch.
+1 along p^3, ..., so a byte gains v_p mod 2 from p.
+- Primes up to n / 64 have many multiples each and take one Python
+  iteration each: one strided in-place add per power up to n.  A power past
+  n hits one position or none, the same one for every further power, so
+  that position is counted by hand, with no view and no numpy call.
+- Primes from n / 64 to n hit at most 65 positions each: a chunk of them has
+  every multiple in the segment listed at once (the bucket sieve of Oliveira
+  e Silva, Herzog and Pardi, Math. Comp. 83, 2014) and counted with one
+  unbuffered add, then the multiples of their squares, cubes, ... the same
+  way, each power dropping the primes whose multiples it missed.
+- Primes above n (the common case in short windows far out) hit one
+  position or none, found by one modulo per prime and counted the same way.
+The membership bits are the marks inverted in place: a segment's memory is
+n bytes plus a chunk's scratch.
 
-A one-segment range streams its base primes = 3 (mod 4) up to sqrt(hi) a
-block at a time from the residue-class prime sieve, so a short window far
-out never holds them all; a range of several segments holds the list once
-and hands it to every segment as a single block.
+A range whose base primes = 3 (mod 4) up to sqrt(hi), as one int64 list,
+would outweigh the marks of the whole range is sieved as one segment that
+streams them in short blocks from the residue-class prime sieve, so a window
+far out never holds them all; any other range of several segments holds the
+list once and hands it to every segment as a single block.
 
 Counts and scans stream segments through iter_segments on one thread: the
 per-prime loop runs Python under the GIL, so a thread pool saved no time on
@@ -34,16 +41,21 @@ rejected rather than silently overflowing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, log
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import INT64_MAX, factorize, iter_prime_blocks, p3_primes
+from .primes import INT64_MAX, check_sieve_limit, factorize, iter_prime_blocks, p3_primes
 
-# Default segment length for streaming scans (integers per segment).
-DEFAULT_SEGMENT = 1 << 21
+# Default segment length for streaming scans (integers per segment), one byte
+# of marks per integer.  Shorter segments hold less but run the per-prime loop
+# more often: on a 2-vCPU host (in-process, min of 5) 2^19 / 2^20 / 2^21 took
+# 0.27 / 0.22 / 0.21 s for count_upto(1e8) and 0.14 / 0.11 / 0.09 s for 2^24
+# integers at 1e12; `count --x 1e9` keeps its time at 2^20 (CLI, median of 7:
+# 3.33 s, 3.57 s with 2^21 segments walking their large primes).
+DEFAULT_SEGMENT = 1 << 20
 
 # Hard cap on a single allocation inside sieve_segment.
 MAX_SEGMENT = 1 << 26
@@ -52,8 +64,11 @@ MAX_SEGMENT = 1 << 26
 # most LARGE_PRIME_DIVISOR + 1 positions each and skip the per-prime loop.
 LARGE_PRIME_DIVISOR = 64
 
-# Large base primes walked at once (bounds that pass's memory).
-LARGE_PRIME_CHUNK = 1 << 14
+# Hits listed at once by the passes over primes above n // LARGE_PRIME_DIVISOR,
+# and primes checked at once above n: it bounds their scratch, a few int64
+# arrays of a chunk's hits.  On the same host 2^12 / 2^13 / 2^14 took
+# 28 / 27 / 24 ms for 2^20 integers at 1e14 (min of 7).
+LARGE_PRIME_CHUNK = 1 << 13
 
 
 def is_two_square(n: int) -> bool:
@@ -108,17 +123,18 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
             "stream smaller segments instead"
         )
     root = isqrt(hi)
+    check_sieve_limit("sieve_segment", root)  # before any marks exist
     if base_primes is None:
-        blocks = iter_prime_blocks(root, p3=True)  # refuses root > 2^30 before marks exist
+        blocks = iter_prime_blocks(root, p3=True)
     else:
         blocks = (base_primes[: np.searchsorted(base_primes, root, side="right")],)
 
-    # marks[i] != 0 iff lo + i is ruled out.  The 2-adic marks and the large
-    # primes store 1, between whole primes; a small prime p adds +1, -1, +1, ...
-    # along p, p^2, p^3, ..., so its partial sums stay in {0, 1} and its net is
-    # v_p mod 2.  At most 12 distinct primes = 3 (mod 4) divide any n < 2^63
-    # (3 * 7 * ... * 79 = 1.40e17; times 83 it passes 2^63), so a byte never
-    # exceeds 13 and the uint8 never wraps.
+    # marks[i] != 0 iff lo + i is ruled out.  The 2-adic marks store 1 before
+    # any prime is counted; a prime p adds +1, -1, +1, ... along p, p^2, p^3,
+    # ..., so its partial sums stay in {0, 1} and its net is v_p mod 2.  At most
+    # 12 distinct primes = 3 (mod 4) divide any n < 2^63 (3 * 7 * ... * 79 =
+    # 1.40e17; times 83 it passes 2^63), so a byte never exceeds 13 and the
+    # uint8 never wraps.
     marks = np.zeros(n, dtype=np.uint8)
 
     # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
@@ -128,56 +144,90 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
         marks[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = 1
         k += 1
 
-    # Each block's primes above n // LARGE_PRIME_DIVISOR hit few positions each
-    # and go through one vectorized pass, the rest through the counter.  Marking
-    # goes prime by prime, so blocks and passes may come in any order.  The
-    # counter adds uint8 scalars (255 subtracts 1 mod 256), faster than ints.
+    # Each prime's partial sums stay in {0, 1}, so blocks and regimes may come
+    # in any order.  The per-prime loop adds uint8 scalars (255 subtracts 1
+    # mod 256), faster than ints.
     plus, minus = np.uint8(1), np.uint8(255)
     for block in blocks:
-        split = int(np.searchsorted(block, n // LARGE_PRIME_DIVISOR, side="right"))
-        _mark_odd_valuations(marks, lo, block[split:])
-        for p in block[:split].tolist():
+        small = int(np.searchsorted(block, n // LARGE_PRIME_DIVISOR, side="right"))
+        large = int(np.searchsorted(block, n, side="right"))
+        for p in block[:small].tolist():
             q, d, e = p, plus, minus
-            while q <= hi:
-                if (start := -lo % q) < n:  # a power past n hits one position or none
-                    view = marks[start::q]
-                    np.add(view, d, out=view)
+            while q <= n:
+                view = marks[-lo % q :: q]
+                np.add(view, d, out=view)
                 q, d, e = q * p, e, d
+            # the first power past n hits one position or none, and every
+            # higher power only that one: count them there by hand
+            if (start := -lo % q) < n:
+                r, hits = (lo + start) // q, 1
+                while r % p == 0:
+                    r, hits = r // p, hits + 1
+                if hits % 2:
+                    marks[start] = marks.item(start) + (1 if d is plus else -1)
+        _count_listed(marks, lo, block[small:large])
+        _count_single(marks, lo, block[large:])
 
     # a byte holding 2 or more is read as uint8 here, never as bool
     return SegmentTable(lo=lo, hi=hi, bits=np.logical_not(marks, out=marks.view(bool)))
 
 
-def _mark_odd_valuations(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Set marks[i] = 1 where v_p(lo + i) is odd for some p in primes.
+def _count_listed(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Count v_p's parity for each p in primes (all p <= n = marks.size), a
+    chunk of about LARGE_PRIME_CHUNK hits at a time."""
+    n = marks.size
+    i = 0
+    while i < primes.size:
+        # each prime from primes[i] on hits at most n // primes[i] + 1 positions
+        p = primes[i : i + max(1, LARGE_PRIME_CHUNK * int(primes[i]) // n)]
+        i += p.size
+        _count_multiples(marks, lo, p)
 
-    Primes come LARGE_PRIME_CHUNK at a time and walk the segment together,
-    one multiple of each still inside it per round; v_p's parity there is
-    found by exact int64 division (lo + i < 2^63).
-    """
+
+def _count_single(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Count v_p's parity for each p in primes (all p > n = marks.size), each
+    hitting one position or none, LARGE_PRIME_CHUNK primes at a time."""
     n = marks.size
     for c in range(0, primes.size, LARGE_PRIME_CHUNK):
         p = primes[c : c + LARGE_PRIME_CHUNK]
-        pos = -lo % p
-        while (keep := pos < n).any():
-            p, pos = p[keep], pos[keep]
-            # at: entries still divisible by p, q: their value with p divided out so far
-            odd = np.ones(pos.size, dtype=bool)
-            at, q, pa = np.arange(pos.size), (lo + pos) // p, p
-            while at.size:
-                more = q % pa == 0
-                at, pa = at[more], pa[more]
-                q = q[more] // pa
-                odd[at] ^= True
-            marks[pos[odd]] = 1
-            pos += p
+        _count_multiples(marks, lo, p[-lo % p < n])
+
+
+def _count_multiples(marks: np.ndarray, lo: int, p: np.ndarray) -> None:
+    """Add +1 at every multiple of each prime in p in the segment, -1 at
+    every multiple of its square, +1 along its cube, ..., each power's
+    multiples listed at once and added unbuffered, as several primes may hit
+    one position.  A power past hi, or one whose multiples miss the segment
+    (so those of every higher power do too), drops its prime."""
+    n = marks.size
+    hi = lo + n - 1
+    q, d, e = p, np.uint8(1), np.uint8(255)
+    while p.size:
+        first = -lo % q
+        hits = (n - 1 - first) // q + 1  # first + j * q for 0 <= j < hits; none if first >= n
+        # pos: j * q + first for the j-th hit of each power q, with j * q < n
+        ends = np.cumsum(hits)
+        pos = np.arange(int(ends[-1]), dtype=np.int64)
+        ends -= hits
+        pos -= np.repeat(ends, hits)
+        pos *= np.repeat(q, hits)
+        pos += np.repeat(first, hits)
+        np.add.at(marks, pos, d)
+        keep = (hits > 0) & (q <= hi // p)
+        p = p[keep]
+        q = q[keep] * p
+        d, e = e, d
 
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
-    """Stream SegmentTables of DEFAULT_SEGMENT integers covering [lo, hi] in
-    order.  A range of more than one segment sieves every segment against
-    one held list of base primes, p3_primes(sqrt(hi)); a range of one
-    segment streams its base primes (see sieve_segment).
+    """Stream SegmentTables covering [lo, hi] in order.
+
+    A range of up to MAX_SEGMENT integers whose base primes, as one list
+    (p3_primes(sqrt(hi)), about 8 * sqrt(hi) / (2 ln sqrt(hi)) bytes), would
+    outweigh one byte of marks per integer, and any range of up to
+    DEFAULT_SEGMENT integers, is one segment that streams its base primes
+    (see sieve_segment).  Any other range is sieved DEFAULT_SEGMENT integers
+    at a time, every segment against one held list.
 
     threads is ignored; it stays only because the benchmark probes pass it.
     """
@@ -185,14 +235,20 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
         return
     if lo < 1 or hi > INT64_MAX:
         raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
-    base = p3_primes(isqrt(hi)) if hi - lo >= DEFAULT_SEGMENT else None
+    n, root = hi - lo + 1, isqrt(hi)
+    if n <= DEFAULT_SEGMENT or n <= MAX_SEGMENT and 4 * root > n * log(root):
+        yield sieve_segment(lo, hi)
+        return
+    base = p3_primes(root)
     for a in range(lo, hi + 1, DEFAULT_SEGMENT):
         yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 
 
-def _count(lo: int, hi: int, q: int = 1, a: int = 0) -> int:
-    """Members n in [lo, hi] with n = a (mod q).  map drops each segment before
+def _count(caller: str, lo: int, hi: int, q: int = 1, a: int = 0) -> int:
+    """Members n in [lo, hi] with n = a (mod q), for the public count caller,
+    which names a refused prime-sieve budget.  map drops each segment before
     the next is sieved (a generator expression's loop variable would hold it)."""
+    check_sieve_limit(caller, isqrt(hi))
     return sum(map(lambda seg: int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])), iter_segments(lo, hi)))
 
 
@@ -200,7 +256,7 @@ def count_upto(x: int) -> int:
     """Number of sums of two squares in [1, x]."""
     if not 0 <= x <= INT64_MAX:
         raise DomainError(f"count_upto: need 0 <= x <= 2^63 - 1, got x={x}")
-    return _count(1, x)
+    return _count("count_upto", 1, x)
 
 
 def count_interval(x: int, y: int) -> int:
@@ -211,7 +267,7 @@ def count_interval(x: int, y: int) -> int:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
     if x + y > INT64_MAX:
         raise DomainError(f"count_interval: need x + y <= 2^63 - 1, got x={x}, y={y}")
-    return _count(x + 1, x + y)
+    return _count("count_interval", x + 1, x + y)
 
 
 def count_progression(x: int, q: int, a: int) -> int:
@@ -222,4 +278,4 @@ def count_progression(x: int, q: int, a: int) -> int:
         raise DomainError(f"count_progression: need 0 <= a < q, got a={a}, q={q}")
     if not 0 <= x <= INT64_MAX:
         raise DomainError(f"count_progression: need 0 <= x <= 2^63 - 1, got x={x}")
-    return _count(1, x, q, a)
+    return _count("count_progression", 1, x, q, a)

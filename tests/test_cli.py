@@ -223,6 +223,32 @@ class TestCliBehavior:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["sieve", "--from", "2000000000000000000", "--to", "2000000000000000100"],
+             "sieve_segment: sieve to 1414213562 exceeds the prime-sieve budget (limit 2^30)"),
+            (["count", "--x", "2000000000000000000", "--y", "100"],
+             "count_interval: sieve to 1414213562 exceeds the prime-sieve budget (limit 2^30)"),
+            (["count", "--x", "9223372036854775807", "--q", "10000000000000000", "--a", "5"],
+             "count_progression: sieve to 3037000499 exceeds the prime-sieve budget (limit 2^30)"),
+            (["constants", "--truncation", "100000000000"],
+             "landau_constant: sieve to 100000000000 exceeds the prime-sieve budget (limit 2^30)"),
+        ],
+        ids=["sieve", "count-interval", "count-progression", "constants"],
+    )
+    def test_prime_sieve_budget_names_the_function(self, monkeypatch, argv, message, capsys):
+        # refused by the public function the command calls, before any prime
+        # block is sieved or any list is built
+        def reached(*args, **kwargs):
+            raise AssertionError("a prime sieve started before the budget was checked")
+
+        for name in ("twosq.sieve.iter_prime_blocks", "twosq.sieve.p3_primes", "twosq.arith.iter_prime_blocks"):
+            monkeypatch.setattr(name, reached)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (["scan-progressions", "--x", "10000000000000000000", "--Q", "1", "--a", "1"],
              "scan_progressions: need 3 <= x <= 2^63 - 1, got x=10000000000000000000"),
             # refused before its 10^7 + 1 rows meet the row budget

@@ -113,6 +113,20 @@ class TestSievePrimes:
                 if blocks:
                     assert np.concatenate(blocks).tolist() == expect(0, limit)
 
+    @pytest.mark.parametrize("piece", [4, 8, 36])
+    def test_slice_layout(self, monkeypatch, piece):
+        # within each range of 64 integers, one block per slice of piece
+        # integers from the range's start, the last slice cut at the range's end
+        monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 64)
+        monkeypatch.setattr("twosq.primes.PRIME_SLICE", piece)
+        for p3, expect in ((False, primes_between), (True, p3_between)):
+            for limit in (2, 3, 99, 961, 4099):
+                root = isqrt(limit)
+                ranges = [(a, min(a + 63, limit)) for a in range(root + 1, limit + 1, 64)]
+                slices = [(0, root)] + [(c, min(c + piece - 1, b)) for a, b in ranges for c in range(a, b + 1, piece)]
+                blocks = list(iter_prime_blocks(limit, p3=p3))
+                assert [b.tolist() for b in blocks] == [expect(a, b) for a, b in slices], (limit, piece, p3)
+
     def test_block_edges(self, monkeypatch):
         # limit 3: sqrt is 1, so 2 comes in a streamed block of its own
         monkeypatch.setattr("twosq.primes.PRIME_SEGMENT", 1)

@@ -46,7 +46,7 @@ def columns(rep):
 
 @pytest.fixture(scope="module")
 def multi_segment_marks():
-    return two_square_marks(6 * DEFAULT_SEGMENT + 300)
+    return two_square_marks(12 * DEFAULT_SEGMENT + 300)
 
 
 class TestScanIntervals:
@@ -99,17 +99,18 @@ class TestScanIntervals:
 
     def test_prefix_counts_held_per_segment(self):
         # each segment's prefix counts are one byte each at y = 30 and read
-        # only at the window boundaries inside it (6.0 MiB traced); int32
-        # prefixes peaked at 18 MiB, and whole-segment int64 sums and boolean
-        # masks over the columns at 50 MiB
+        # only at the window boundaries inside it (3.0 MiB traced with 2^20-
+        # integer segments, 6.0 MiB with 2^21); int32 prefixes peaked at 18
+        # MiB, and whole-segment int64 sums and boolean masks over the columns
+        # at 50 MiB
         _landau()  # cached, so the peak is the scan's own
         tracemalloc.start()
         try:
-            rep = scan_intervals(3 * DEFAULT_SEGMENT, 30, stride=10**5)
+            rep = scan_intervals(6 * DEFAULT_SEGMENT, 30, stride=10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
+        assert peak < 4 << 20
         assert rep.counts.tolist() == [count_interval(x, 30) for x in columns(rep)["key"].tolist()]
 
     def test_bench_scan_memory(self):
@@ -142,10 +143,10 @@ class TestScanIntervals:
         assert_window_counts(rep.counts, two_square_marks(2 * X + y), X, y, 1)
 
     @pytest.mark.parametrize("y", [30, 300])
-    @pytest.mark.parametrize("X, stride", [(2 * DEFAULT_SEGMENT - 1, 1), (3 * DEFAULT_SEGMENT, 7),
-                                           (3 * DEFAULT_SEGMENT, 10**5)])
+    @pytest.mark.parametrize("X, stride", [(4 * DEFAULT_SEGMENT - 1, 1), (6 * DEFAULT_SEGMENT, 7),
+                                           (6 * DEFAULT_SEGMENT, 10**5)])
     def test_counts_across_segments(self, multi_segment_marks, X, y, stride):
-        # three or four segments of some 4e5 members each: the running base
+        # six to eight segments of some 2e5 members each: the running base
         # wraps modulo 2^8 (y = 30) and 2^16 (y = 300) at every segment; at
         # stride 1, 2^22 windows are all the row budget allows
         rep = scan_intervals(X, y, stride)

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from math import isqrt
 
@@ -12,10 +13,12 @@ from twosq.sieve import (
     DEFAULT_SEGMENT,
     LARGE_PRIME_CHUNK,
     LARGE_PRIME_DIVISOR,
+    MAX_SEGMENT,
     count_interval,
     count_progression,
     count_upto,
     is_two_square,
+    iter_segments,
     sieve_segment,
 )
 
@@ -155,9 +158,9 @@ class TestHighWindows:
 
 
 class TestLargePrimePass:
-    """Base primes above n // LARGE_PRIME_DIVISOR skip the toggle loop; these
-    windows put p, p^2, p^3 and products of two such primes in that pass and
-    check every bit against is_two_square."""
+    """Base primes above n // LARGE_PRIME_DIVISOR skip the per-prime loop;
+    these windows put p, p^2, p^3 and products of two such primes in the
+    listed and single-hit passes and check every bit against is_two_square."""
 
     @pytest.mark.parametrize("p", [103, 10007])
     @pytest.mark.parametrize("e", [2, 3])
@@ -183,7 +186,7 @@ class TestLargePrimePass:
 
     @pytest.mark.parametrize("start", [3**26 - 40, 11**12 - 40, 7**14 - 40, 10**12 + 1])
     def test_short_segments(self, start):
-        # n <= 64 puts every base prime in the vectorized pass, 3 and 11 included
+        # n <= 64 puts every base prime in the listed and single-hit passes, 3 and 11 included
         end = start + 2 * 64
         base = p3_primes(isqrt(end))
         expect = [is_two_square(n) for n in range(start, end + 1)]
@@ -194,7 +197,8 @@ class TestLargePrimePass:
 
     def test_window_at_1e17(self):
         # the 8.5e6 base primes up to sqrt(hi) ~ 3.2e8 (65 MiB as one list)
-        # reach the window a block at a time: 1.72 MiB traced
+        # reach the window a slice of a block at a time: 0.76 MiB traced (1.72
+        # MiB with whole blocks)
         lo, hi = 10**17, 10**17 + 199
         tracemalloc.start()
         try:
@@ -202,13 +206,14 @@ class TestLargePrimePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+        assert peak < 1 << 20
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
 
     def test_base_primes_streamed(self):
-        # the base primes up to sqrt(hi) ~ 3.2e7 are streamed one block of
-        # PRIME_SEGMENT integers at a time and never held whole (7.4 MiB as one
-        # list): one block's flags and primes and a chunk's scratch, 1.67 MiB
+        # the base primes up to sqrt(hi) ~ 3.2e7 are streamed a slice of
+        # PRIME_SLICE integers at a time and never held whole (7.4 MiB as one
+        # list): one block's flags, a slice's primes and a chunk's scratch,
+        # 0.70 MiB (1.67 MiB with whole blocks)
         lo, hi = 10**15, 10**15 + 1999
         tracemalloc.start()
         try:
@@ -216,14 +221,15 @@ class TestLargePrimePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+        assert peak < 1 << 20
         sample = range(lo, hi + 1, 97)
         assert [bool(seg.bits[n - lo]) for n in sample] == [is_two_square(n) for n in sample]
 
     def test_long_window_holds_no_base_list(self):
         # one segment of 2^20 integers at 1e14 streams its 332,398 base primes
-        # rather than holding them (2.5 MiB): the 1 MiB of marks, one block and
-        # a chunk's scratch, 2.81 MiB traced
+        # rather than holding them (2.5 MiB): the 1 MiB of marks, one block's
+        # flags, a slice's primes and a chunk's scratch, 2.05 MiB traced (2.81
+        # MiB with whole blocks and chunks of 2^14 primes walking the segment)
         lo, hi = 10**14 + 1, 10**14 + (1 << 20)
         tracemalloc.start()
         try:
@@ -231,7 +237,7 @@ class TestLargePrimePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.2 * (1 << 20)
+        assert peak < 2.5 * (1 << 20)
         assert count == int(np.count_nonzero(sieve_segment(lo, hi, p3_primes(isqrt(hi))).bits))
 
     @given(
@@ -246,9 +252,10 @@ class TestLargePrimePass:
         assert np.array_equal(sieve_segment(lo, hi).bits, held.bits)
 
     def test_short_window_allocates_chunks(self):
-        # the 332,398 given base primes reach the vectorized pass
+        # the 332,398 given base primes reach the single-hit pass
         # LARGE_PRIME_CHUNK at a time, so a 200-integer window allocates
-        # chunk-sized arrays only (2.9 MiB when they spanned every prime)
+        # chunk-sized arrays only: 0.07 MiB traced (2.9 MiB when they spanned
+        # every prime)
         lo, hi = 10**14, 10**14 + 199
         base = p3_primes(10**7)
         tracemalloc.start()
@@ -257,7 +264,7 @@ class TestLargePrimePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 19
+        assert peak < 1 << 17
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, hi + 1)]
 
     @given(
@@ -270,8 +277,8 @@ class TestLargePrimePass:
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
 
     def test_every_prime_vectorized(self, monkeypatch, oracle_marks_100k):
-        # divisor 2^30 sends every base prime through the vectorized pass; 3 then
-        # has more multiples than one chunk holds
+        # divisor 2^30 sends every base prime through the listed pass; 3 alone
+        # then has more multiples than a chunk's LARGE_PRIME_CHUNK hits
         lo, hi = 10**12 - (1 << 15), 10**12 + (1 << 15)
         base = p3_primes(isqrt(hi))
         split = sieve_segment(lo, hi, base).bits
@@ -284,16 +291,69 @@ class TestLargePrimePass:
     def test_prime_powers_in_each_pass(self, monkeypatch, oracle_marks_6m, power, divisor):
         # a window longer than sqrt(hi) under divisor 1 sends every base prime
         # through the per-prime parity loop, under divisor 2^30 through the
-        # vectorized pass; 3^13, 7^8 and 11^6 test the toggles along p^2, p^3, ...
-        # There every prime walks the window, in chunks of one prime, of 7
-        # (primes leaving a chunk at different rounds) and of the default size.
+        # listed pass; 3^13, 7^8 and 11^6 test the counts along p^2, p^3, ...
+        # The 100-integer window sends the primes above 100 through the
+        # single-hit pass.  The listed pass takes chunks of 1 hit (one prime a
+        # chunk), of 7 (primes dropping out of a chunk at different powers) and
+        # of the default size; the single-hit pass, chunks of as many primes.
         lo, hi = power - 3000, power + 3000
         assert isqrt(hi) <= hi - lo + 1 and hi < oracle_marks_6m.size
         monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", divisor)
-        for chunk in (1, 7, LARGE_PRIME_CHUNK) if divisor > 1 else (LARGE_PRIME_CHUNK,):
+        for chunk in (1, 7, LARGE_PRIME_CHUNK):
             monkeypatch.setattr("twosq.sieve.LARGE_PRIME_CHUNK", chunk)
-            for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi)):
+            for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi), (power - 50, power + 49)):
                 assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (chunk, a, b)
+
+
+class TestStreamRule:
+    """iter_segments sieves a range as one segment streaming its base primes
+    where their list would outweigh the range's marks, and otherwise holds the
+    list for segments of DEFAULT_SEGMENT integers."""
+
+    # (x, n): windows (x, x + n] up to n stream, from n + 1 hold.  At 1e12 the
+    # list (39,175 primes, 0.31 MB) never outweighs more than one segment; at
+    # 1e14 and 1e17 the lists of 332,398 and 8.5e6 primes weigh 2.66 and 68 MB
+    CROSSOVERS = [(10**12, 1 << 20), (10**14, 2_481_682), (10**17, 64_628_693)]
+
+    @pytest.mark.parametrize("x, n", CROSSOVERS)
+    def test_route_at_crossover(self, monkeypatch, x, n):
+        # the routes alone: no segment is sieved and no list is built
+        calls = []
+        monkeypatch.setattr("twosq.sieve.sieve_segment", lambda lo, hi, base=None: calls.append((lo, hi, base)))
+        monkeypatch.setattr("twosq.sieve.p3_primes", lambda limit: "held")
+        assert n <= MAX_SEGMENT
+        list(iter_segments(x + 1, x + n))
+        assert calls == [(x + 1, x + n, None)]
+        calls.clear()
+        list(iter_segments(x + 1, x + n + 1))
+        assert [c[2] for c in calls] == ["held"] * -(-(n + 1) // DEFAULT_SEGMENT)
+        assert calls[0][0] == x + 1 and calls[-1][1] == x + n + 1
+
+    @pytest.mark.parametrize("x, n", CROSSOVERS[:2])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_counts_at_crossover(self, x, n, side):
+        # just below the crossover one streamed segment, just above held-list
+        # segments: both count what one segment over the held list marks, and
+        # a seeded sample of its bits matches factorization
+        lo, hi = x + 1, x + n + side
+        held = sieve_segment(lo, hi, p3_primes(isqrt(hi))).bits
+        assert count_interval(x, n + side) == int(np.count_nonzero(held))
+        sample = random.Random(n + side).sample(range(lo, hi + 1), 200)
+        assert [bool(held[m - lo]) for m in sample] == [is_two_square(m) for m in sample]
+
+    def test_long_window_far_out_streams(self):
+        # 2^22 integers at 1e17 are one segment streaming their 8.5e6 base
+        # primes: the 4 MiB of marks, one block's flags, a slice's primes and a
+        # chunk's scratch, 5.16 MiB traced (69 MiB with the list held)
+        lo, hi = 10**17 + 1, 10**17 + (1 << 22)
+        tracemalloc.start()
+        try:
+            count = count_interval(lo - 1, hi - lo + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+        assert count == int(np.count_nonzero(sieve_segment(lo, hi, p3_primes(isqrt(hi))).bits))
 
 
 class TestParityCounter:
@@ -305,8 +365,9 @@ class TestParityCounter:
     @pytest.mark.parametrize("x", [1_775_033_636_579_511, 140_227_657_289_781_369])
     def test_headroom(self, monkeypatch, x):
         # in 2^13 integers every prime up to 79 < 2^13 / LARGE_PRIME_DIVISOR is
-        # counted; divisor 2^30 sends every prime through the vectorized pass,
-        # which stores 1 and counts nothing
+        # counted by the per-prime loop; divisor 2^30 sends every prime through
+        # the listed pass, which counts the same units in unbuffered adds, all
+        # of a chunk's first powers before any square
         lo, hi = x - 4000, x + 4191
         assert 79 <= (hi - lo + 1) // LARGE_PRIME_DIVISOR
         counted = sieve_segment(lo, hi).bits
@@ -343,19 +404,21 @@ class TestCounts:
     def test_count_holds_one_segment(self):
         # a segment is freed before the next is sieved, its membership bits
         # are its marks inverted in place, and no prime allocates scratch: one
-        # segment's bytes and little else (1.005 segments traced)
+        # segment's bytes and little else (1.01 segments traced)
         tracemalloc.start()
         try:
-            count = count_upto(3 * DEFAULT_SEGMENT)
+            count = count_upto(6 * DEFAULT_SEGMENT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * DEFAULT_SEGMENT
         assert count == 1269406
 
-    @pytest.mark.parametrize("y", [DEFAULT_SEGMENT - 1, DEFAULT_SEGMENT, DEFAULT_SEGMENT + 1])
+    @pytest.mark.parametrize("y", [DEFAULT_SEGMENT + edge for edge in (-1, 0, 1)]
+                             + [2 * DEFAULT_SEGMENT + edge for edge in (-1, 0, 1)])
     def test_segment_boundary(self, oracle_marks_6m, y):
-        # up to one segment streams its base primes, past it they are held
+        # up to one segment streams its base primes, past it they are held;
+        # two segments' edges are those of the earlier 2^21-integer segment
         x = 1_234_567
         assert count_interval(x, y) == int(np.count_nonzero(oracle_marks_6m[x + 1 : x + y + 1]))
 
