@@ -7,20 +7,21 @@ most one other prime factor = 3 (mod 4), to the first power, so n is a
 member exactly when its odd part is 1 (mod 4).
 
 A segment of n integers holds one byte of marks per integer, and its base
-primes split in three regimes, each counting v_p's parity in the marks:
+primes split in two regimes, each counting v_p's parity in the marks:
 adding 1 along the multiples of p, subtracting 1 along those of p^2, adding
-1 along p^3, ..., so a byte gains v_p mod 2 from p.
+1 along p^3, ..., so a byte gains v_p mod 2 from p.  A class of positions
+with many members takes strided stores; one with a single member or none is
+counted by hand or listed, never sliced.
 - Primes up to n / 64 have many multiples each and take one Python
   iteration each: one strided in-place add per power up to n.  A power past
   n hits one position or none, the same one for every further power, so
   that position is counted by hand, with no view and no numpy call.
-- Primes from n / 64 to n hit at most 65 positions each: a chunk of them has
-  every multiple in the segment listed at once (the bucket sieve of Oliveira
-  e Silva, Herzog and Pardi, Math. Comp. 83, 2014) and counted with one
-  unbuffered add, then the multiples of their squares, cubes, ... the same
-  way, each power dropping the primes whose multiples it missed.
-- Primes above n (the common case in short windows far out) hit one
-  position or none, found by one modulo per prime and counted the same way.
+- Primes above n / 64 hit at most 65 positions each, and in a short window
+  far out most hit none: a chunk of them drops the primes whose multiples
+  miss the segment, has every multiple of the rest listed at once (the
+  bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014)
+  and counted with one unbuffered add, then the multiples of their squares,
+  cubes, ... the same way.
 The membership bits are the marks inverted in place: a segment's memory is
 n bytes plus a chunk's scratch.
 
@@ -64,10 +65,10 @@ MAX_SEGMENT = 1 << 26
 # most LARGE_PRIME_DIVISOR + 1 positions each and skip the per-prime loop.
 LARGE_PRIME_DIVISOR = 64
 
-# Hits listed at once by the passes over primes above n // LARGE_PRIME_DIVISOR,
-# and primes checked at once above n: it bounds their scratch, a few int64
-# arrays of a chunk's hits.  On the same host 2^12 / 2^13 / 2^14 took
-# 28 / 27 / 24 ms for 2^20 integers at 1e14 (min of 7).
+# Hits listed at once, and at most as many primes, by the pass over primes
+# above n // LARGE_PRIME_DIVISOR: it bounds its scratch, a few int64 arrays of
+# a chunk.  On the same host 2^12 / 2^13 / 2^14 took 28 / 27 / 24 ms for 2^20
+# integers at 1e14 (min of 7).
 LARGE_PRIME_CHUNK = 1 << 13
 
 
@@ -137,12 +138,16 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
     # uint8 never wraps.
     marks = np.zeros(n, dtype=np.uint8)
 
-    # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k.  Steps
-    # are capped at n (which hits the same one position) to stay below 2^63.
+    # m has odd part 3 (mod 4) iff m = 3 * 2^k (mod 2^(k+2)) for some k: one
+    # strided store per k while 2^(k+2) <= n.  Past that, every m with v_2(m)
+    # >= k is one of the at most 4 multiples of 2^k here, marked by hand.
     k = 0
-    while 3 << k <= hi:
-        marks[((3 << k) - lo) % (4 << k) :: min(4 << k, n)] = 1
+    while 4 << k <= n:
+        marks[((3 << k) - lo) % (4 << k) :: 4 << k] = 1
         k += 1
+    for i in range(-lo % (1 << k), n, 1 << k):
+        if (m := lo + i) // (m & -m) % 4 == 3:
+            marks[i] = 1
 
     # Each prime's partial sums stay in {0, 1}, so blocks and regimes may come
     # in any order.  The per-prime loop adds uint8 scalars (255 subtracts 1
@@ -150,7 +155,6 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
     plus, minus = np.uint8(1), np.uint8(255)
     for block in blocks:
         small = int(np.searchsorted(block, n // LARGE_PRIME_DIVISOR, side="right"))
-        large = int(np.searchsorted(block, n, side="right"))
         for p in block[:small].tolist():
             q, d, e = p, plus, minus
             while q <= n:
@@ -165,58 +169,48 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> Se
                     r, hits = r // p, hits + 1
                 if hits % 2:
                     marks[start] = marks.item(start) + (1 if d is plus else -1)
-        _count_listed(marks, lo, block[small:large])
-        _count_single(marks, lo, block[large:])
+        _count_listed(marks, lo, block[small:])
 
     # a byte holding 2 or more is read as uint8 here, never as bool
     return SegmentTable(lo=lo, hi=hi, bits=np.logical_not(marks, out=marks.view(bool)))
 
 
 def _count_listed(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Count v_p's parity for each p in primes (all p <= n = marks.size), a
-    chunk of about LARGE_PRIME_CHUNK hits at a time."""
-    n = marks.size
-    i = 0
-    while i < primes.size:
-        # each prime from primes[i] on hits at most n // primes[i] + 1 positions
-        p = primes[i : i + max(1, LARGE_PRIME_CHUNK * int(primes[i]) // n)]
-        i += p.size
-        _count_multiples(marks, lo, p)
-
-
-def _count_single(marks: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Count v_p's parity for each p in primes (all p > n = marks.size), each
-    hitting one position or none, LARGE_PRIME_CHUNK primes at a time."""
-    n = marks.size
-    for c in range(0, primes.size, LARGE_PRIME_CHUNK):
-        p = primes[c : c + LARGE_PRIME_CHUNK]
-        _count_multiples(marks, lo, p[-lo % p < n])
-
-
-def _count_multiples(marks: np.ndarray, lo: int, p: np.ndarray) -> None:
-    """Add +1 at every multiple of each prime in p in the segment, -1 at
-    every multiple of its square, +1 along its cube, ..., each power's
-    multiples listed at once and added unbuffered, as several primes may hit
-    one position.  A power past hi, or one whose multiples miss the segment
-    (so those of every higher power do too), drops its prime."""
+    """Count v_p's parity for each p in primes, a chunk of about
+    LARGE_PRIME_CHUNK hits and at most LARGE_PRIME_CHUNK primes at a time:
+    +1 at every multiple of p in the segment, -1 at every multiple of p^2,
+    +1 along p^3, ..., each power's multiples listed at once and added
+    unbuffered, as several primes may hit one position.  A power whose
+    multiples miss the segment (so those of every higher power do too), or
+    whose next power passes hi, drops its prime."""
     n = marks.size
     hi = lo + n - 1
-    q, d, e = p, np.uint8(1), np.uint8(255)
-    while p.size:
-        first = -lo % q
-        hits = (n - 1 - first) // q + 1  # first + j * q for 0 <= j < hits; none if first >= n
-        # pos: j * q + first for the j-th hit of each power q, with j * q < n
-        ends = np.cumsum(hits)
-        pos = np.arange(int(ends[-1]), dtype=np.int64)
-        ends -= hits
-        pos -= np.repeat(ends, hits)
-        pos *= np.repeat(q, hits)
-        pos += np.repeat(first, hits)
-        np.add.at(marks, pos, d)
-        keep = (hits > 0) & (q <= hi // p)
-        p = p[keep]
-        q = q[keep] * p
-        d, e = e, d
+    i = 0
+    while i < primes.size:
+        # a prime p >= primes[i] hits at most n // primes[i] + 1 positions, one if p > n
+        p = primes[i : i + max(1, LARGE_PRIME_CHUNK * min(int(primes[i]), n) // n)]
+        i += p.size
+        q, d, e = p, np.uint8(1), np.uint8(255)
+        while True:
+            # drop the misses first, so the hit lists span only the primes that hit
+            first = -lo % q
+            keep = first < n
+            p, q, first = p[keep], q[keep], first[keep]
+            if not p.size:
+                break
+            hits = (n - 1 - first) // q + 1  # first + j * q for 0 <= j < hits
+            # pos: j * q + first for the j-th hit of each power q
+            ends = np.cumsum(hits)
+            pos = np.arange(int(ends[-1]), dtype=np.int64)
+            ends -= hits
+            pos -= np.repeat(ends, hits)
+            pos *= np.repeat(q, hits)
+            pos += np.repeat(first, hits)
+            np.add.at(marks, pos, d)
+            keep = q <= hi // p
+            p = p[keep]
+            q = q[keep] * p
+            d, e = e, d
 
 
 def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:

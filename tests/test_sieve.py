@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import p3_primes
+from twosq.primes import is_prime, p3_primes
 from twosq.sieve import (
     DEFAULT_SEGMENT,
     LARGE_PRIME_CHUNK,
@@ -157,10 +157,40 @@ class TestHighWindows:
         assert seg.bits.tolist() == [is_two_square(n) for n in range(lo, lo + span + 1)]
 
 
+@pytest.fixture(scope="module")
+def base_3x2e50() -> np.ndarray:
+    """The primes = 3 (mod 4) up to sqrt(3 * 2^50 + 2^8), sieved once."""
+    return p3_primes(isqrt((3 << 50) + (1 << 8)))
+
+
+class TestTwoAdicMarks:
+    """A window of n integers takes one strided store per k with 2^(k+2) <= n
+    and marks the multiples of the next 2^k, at most 4, by hand.  These
+    windows hold 2^k (a member) and 3 * 2^k (not one) for k up to 50, and
+    2^k * r for r the least prime = 3 (mod 4) above 2^(k+1): r exceeds
+    sqrt(2^k * r), so no base prime rules that one out and only its 2-adic
+    mark does.  Each sits at the start, middle or end of windows of n on both
+    sides of 4 << j integers."""
+
+    @pytest.mark.parametrize("k", [3, 11, 17, 24, 37, 50])
+    def test_high_valuation(self, base_3x2e50, k):
+        xs = [1 << k, 3 << k]
+        if k <= 24:  # 2^k * r stays below 3 * 2^50
+            xs.append(next(r for r in range((2 << k) + 3, 4 << k, 4) if is_prime(r)) << k)
+        for x in xs:
+            expect = {m: is_two_square(m) for m in range(max(1, x - 130), x + 131)}
+            for j in (0, 1, 3, 5):
+                for n in ((4 << j) - 1, 4 << j, (4 << j) + 1):
+                    for lo in sorted({max(1, x - n + 1), max(1, x - n // 2), x}):
+                        seg = sieve_segment(lo, lo + n - 1, base_3x2e50)
+                        assert seg.bits.tolist() == [expect[m] for m in range(lo, lo + n)], (x, lo, n)
+
+
 class TestLargePrimePass:
     """Base primes above n // LARGE_PRIME_DIVISOR skip the per-prime loop;
     these windows put p, p^2, p^3 and products of two such primes in the
-    listed and single-hit passes and check every bit against is_two_square."""
+    listed pass, below and above n, and check every bit against
+    is_two_square."""
 
     @pytest.mark.parametrize("p", [103, 10007])
     @pytest.mark.parametrize("e", [2, 3])
@@ -186,7 +216,7 @@ class TestLargePrimePass:
 
     @pytest.mark.parametrize("start", [3**26 - 40, 11**12 - 40, 7**14 - 40, 10**12 + 1])
     def test_short_segments(self, start):
-        # n <= 64 puts every base prime in the listed and single-hit passes, 3 and 11 included
+        # n <= 64 puts every base prime in the listed pass, 3 and 11 included
         end = start + 2 * 64
         base = p3_primes(isqrt(end))
         expect = [is_two_square(n) for n in range(start, end + 1)]
@@ -252,10 +282,11 @@ class TestLargePrimePass:
         assert np.array_equal(sieve_segment(lo, hi).bits, held.bits)
 
     def test_short_window_allocates_chunks(self):
-        # the 332,398 given base primes reach the single-hit pass
-        # LARGE_PRIME_CHUNK at a time, so a 200-integer window allocates
-        # chunk-sized arrays only: 0.07 MiB traced (2.9 MiB when they spanned
-        # every prime)
+        # the 332,398 given base primes reach the listed pass LARGE_PRIME_CHUNK
+        # at a time, each round dropping the primes that miss the window before
+        # it lists hits, so a 200-integer window allocates one chunk's residues
+        # and little more: 0.08 MiB traced (2.9 MiB when they spanned every
+        # prime, 0.32 MiB when each round dropped its misses after listing)
         lo, hi = 10**14, 10**14 + 199
         base = p3_primes(10**7)
         tracemalloc.start()
@@ -292,16 +323,21 @@ class TestLargePrimePass:
         # a window longer than sqrt(hi) under divisor 1 sends every base prime
         # through the per-prime parity loop, under divisor 2^30 through the
         # listed pass; 3^13, 7^8 and 11^6 test the counts along p^2, p^3, ...
-        # The 100-integer window sends the primes above 100 through the
-        # single-hit pass.  The listed pass takes chunks of 1 hit (one prime a
-        # chunk), of 7 (primes dropping out of a chunk at different powers) and
-        # of the default size; the single-hit pass, chunks of as many primes.
+        # The 100-integer window sends the primes above 100 through the listed
+        # pass, most of them missing it.  The listed pass takes chunks of 1 hit
+        # (one prime a chunk), of 7 (primes dropping out of a chunk at
+        # different powers) and of the default size.  Windows of 1019 - 1,
+        # 1019 and 1019 + 1 integers, 1019 a base prime, have chunks under
+        # divisor 2^30 holding primes on both sides of n.
         lo, hi = power - 3000, power + 3000
         assert isqrt(hi) <= hi - lo + 1 and hi < oracle_marks_6m.size
         monkeypatch.setattr("twosq.sieve.LARGE_PRIME_DIVISOR", divisor)
+        windows = [(lo, hi), (lo + 1, hi - 2), (power, hi), (power - 50, power + 49)]
+        windows += [(power - 509, power - 509 + n - 1) for n in (1018, 1019, 1020)]
+        assert 1019 in p3_primes(isqrt(hi))
         for chunk in (1, 7, LARGE_PRIME_CHUNK):
             monkeypatch.setattr("twosq.sieve.LARGE_PRIME_CHUNK", chunk)
-            for a, b in ((lo, hi), (lo + 1, hi - 2), (power, hi), (power - 50, power + 49)):
+            for a, b in windows:
                 assert np.array_equal(sieve_segment(a, b).bits, oracle_marks_6m[a : b + 1]), (chunk, a, b)
 
 
