@@ -5,7 +5,7 @@ float formatting is fixed at 10 significant digits and rationals print as
 "num/den"; identical report objects therefore serialize to identical bytes
 regardless of how they were computed.
 
-Only numpy columns are formatted as they are written, CHUNK_ROWS (2^12) rows
+Only numpy columns are formatted as they are written, CHUNK_ROWS (2^10) rows
 at a time: a 1-D integer array (a `sieve` report's members, a scan's record
 keys) becomes one ", "-joined string per chunk, and a row table (`Records`:
 scan rows, special-function tabulations, `sieve` members in CSV) asks its row
@@ -50,11 +50,13 @@ from .errors import ResourceError
 # 2 GiB budget gives 2^22 rows.
 MAX_SCAN_ROWS = (1 << 31) // 512
 
-# Rows per chunk of every long list.  A chunk's Python objects cost ~85 B per
-# row at peak; 2^12 is the knee for the seed-0 benchmark scan (150,664 rows),
-# each chunk formatted as it is written: CLI peak RSS 39.2 / 39.2 / 42.9 /
-# 60.9 MB at 2^10 / 2^12 / 2^14 / 2^16, at equal wall time.
-CHUNK_ROWS = 1 << 12
+# Rows per chunk of every long list.  A JSON scan row is about 95 B of text, so
+# a chunk of 2^10 rows and its cells stay below glibc's 128 KiB mmap threshold
+# and are reused from the heap; a 2^12 chunk (about 400 KB) was mapped,
+# faulted in and unmapped each time.  The seed-0 benchmark scan (150,664 rows)
+# takes 4,948 minor faults against 13,254 at 2^12 (a bare `count --x 100`:
+# 4,636), and peaks at 31.1 against 32.3 MB CLI RSS, at equal wall time.
+CHUNK_ROWS = 1 << 10
 
 
 def format_float(v: float) -> str:

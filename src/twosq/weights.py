@@ -49,12 +49,13 @@ MAX_SUPPORT_PAIRS = 4_000_000
 # Class members per chunk of a weighted experiment.  Only one chunk's n, hit
 # counts, form values, member index lists and divisor sums (squared one Python
 # int at a time) are held at once, so the experiment's memory does not grow
-# with the class beyond one membership table per run of forms.  On the seed-0
-# bench gpy-demo (68,861 members, support 119) the traced peak is 3.70 MiB at
-# 2^14 and 1.97 MiB at 2^13, at equal run time on a 2-vCPU host (in-process,
-# min of 5: 69-97 ms against 68-93 ms, alternating); 2^12 gives 1.11 MiB but
-# takes 81 ms.
-CLASS_CHUNK = 1 << 13
+# with the class beyond one membership table per run of forms.  A chunk costs
+# no per-prime pow, and most top primes no hit array (see _chunk_divisor_sums),
+# so small chunks are cheap: on the seed-0 bench gpy-demo (68,861 members,
+# support 119) the traced peak is 1.02 MiB at 2^12 against 1.99 MiB at 2^13
+# with a hit array and index list per prime, and takes 56-59 against 61-64 ms
+# (in-process, min of 7 in each of two alternating processes, 2-vCPU host).
+CLASS_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -356,39 +357,39 @@ class WeightedScanReport:
         }
 
 
-def _chunk_divisor_sums(
-    n0: int,
-    size: int,
-    W: int,
-    by_top: dict[int, list[int]],
-    roots: dict[int, Sequence[int]],
-    lam_scaled: dict[int, int],
-) -> np.ndarray:
+def _chunk_divisor_sums(i0: int, size: int, by_top: dict[int, list[int]], offsets: dict[int, Sequence[int]],
+                        parents: set[int], lam_scaled: dict[int, int]) -> np.ndarray:
     """Exact sum of scaled lambda_d over support d dividing the form product,
-    per n = n0 + W*i for 0 <= i < size, as an object array of Python ints.
+    per class member i0 + i, 0 <= i < size, as an object array of Python ints.
 
     The support is walked instead of the n.  d = 1 divides the product at
     every n; a squarefree d > 1 divides it exactly at the n where d / p
     does and p hits (n is a root of the product mod p), p the largest prime
-    of d.  by_top groups the support elements above 1 by that prime, primes
-    ascending, so the members of d / p, whose primes are all below p, are
-    known before d is visited.  Each d adds lambda_d at its members, which
-    are distinct positions, so the fancy-index add is exact and no Python
-    code runs per n.
+    of d: at every p-th class member from each of p's offsets.  by_top
+    groups the support elements above 1 by that prime, primes ascending, so
+    the members of d / p, whose primes are all below p, are known before d
+    is visited; they are kept only for the parents, the d that divide a
+    later element.  A prime that divides no other support element adds
+    lambda_p by strided slices, with no hit array.  Each d adds lambda_d at
+    its members, which are distinct positions, so every add is exact and no
+    Python code runs per n.
     """
     totals = np.full(size, lam_scaled[1], dtype=object)
     members = {1: np.arange(size)}
     for p, ds in by_top.items():
-        # support primes are coprime to W, so the n = r (mod p) are every
-        # p-th member from i = (r - n0) / W (mod p)
-        w_inv = pow(W, -1, p)
+        starts = [(o - i0) % p for o in offsets[p]]
+        if ds == [p] and p not in parents:
+            for s in starts:
+                totals[s::p] += lam_scaled[p]
+            continue
         hit = np.zeros(size, dtype=bool)
-        for r in roots[p]:
-            hit[(r - n0) * w_inv % p :: p] = True
+        for s in starts:
+            hit[s::p] = True
         for d in ds:
             parent = members[d // p]
             ix = parent[hit[parent]]
-            members[d] = ix
+            if d in parents:
+                members[d] = ix
             totals[ix] += lam_scaled[d]
     return totals
 
@@ -445,7 +446,10 @@ def weighted_experiment(
     by_top: dict[int, list[int]] = {}
     for d in ws.support[1:]:
         by_top.setdefault(ws.support_factors[d][-1], []).append(d)
-    roots = {p: roots_mod(p, sysm.forms) for p in by_top}
+    parents = {d // p for p, ds in by_top.items() for d in ds}
+    # support primes are coprime to W, so the n = r (mod p) are every p-th
+    # class member from index (r - first_n) / W (mod p)
+    offsets = {p: [(r - first_n) * pow(W, -1, p) % p for r in roots_mod(p, sysm.forms)] for p in by_top}
 
     hit_total = 0
     sum_w_scaled = 0
@@ -457,7 +461,7 @@ def weighted_experiment(
         for form, table in zip(sysm.forms, tables):
             hits += table.bits[form.a * ns + form.b - table.lo]
         hit_total += int(hits.sum())
-        t = _chunk_divisor_sums(chunk_lo, ns.size, W, by_top, roots, ws.lam_scaled)
+        t = _chunk_divisor_sums((chunk_lo - first_n) // W, ns.size, by_top, offsets, parents, ws.lam_scaled)
         for v, h in zip(t.tolist(), hits.tolist()):
             sq = v * v
             sum_w_scaled += sq

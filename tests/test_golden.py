@@ -4,23 +4,25 @@ Each digest was recorded from the toolkit before its root-set, trial-division
 and squarefree-product helpers were merged into one copy each; the
 scan-intervals and scan-progressions digests were recorded before scan rows
 became numpy columns; the `g` tabulations and the 70,000-row scan (wider than
-one 2^16-row writer chunk then, 18 chunks of 2^12 rows now) were recorded
+one 2^16-row writer chunk then, 69 chunks of 2^10 rows now) were recorded
 before rows were written from templates and `g` read a per-table search
 index; the sieve, count, constants, `special --at` and remaining CSV digests
 were recorded before every report came to be written by `dispatch` alone;
-the 12,460-member sieve of [1, 50000] (four 2^12-row chunks) was recorded
+the 12,460-member sieve of [1, 50000] (13 chunks of 2^10 rows) was recorded
 while member lists were still Python lists written element by element; the
-7,901-row tabulations of each special function (two chunks) were recorded
+7,901-row tabulations of each special function (eight chunks) were recorded
 while tables were still evaluated one row at a time; the CSV weights at
 R = 35000, whose JSON holds a number past the default digit limit, were
 recorded while that JSON still ended in a traceback; the 12,600 Maier
-d-terms (JSON and CSV) and the 11,568 records of a y = 1 scan (three chunks
-each) were recorded while long Python lists were still checked value by
+d-terms (JSON and CSV) and the 11,568 records of a y = 1 scan (13 and 12
+chunks) were recorded while long Python lists were still checked value by
 value and formatted a chunk at a time as they were written; the buchstab
 and `g` tabulations over [19, 50] (31,001 rows each) were recorded while
 omega was still tabulated to u = 50, before its table was cut at u = 20
-with the limit e^-gamma beyond.  Any
-change to a report's bytes fails here; re-record a digest only for a
+with the limit e^-gamma beyond; the weighted experiment over 33,333
+class members (nine 2^12-member chunks) was recorded while its chunks held
+2^13 members, each with a hit array and an index list per support prime.
+Any change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
 
@@ -67,6 +69,10 @@ CASES = {
     "gpy_demo_mass_check": (
         ["gpy-demo", "--k", "3", "--X", "20000", "--R", "1000", "--W", "21", "--mass-check", "--threads", "1"],
         "c3a58ee5afdbbfcbb3b8ae44ceb524c068b9f53e6ac2d9b38c03593b6db87ce3",
+    ),
+    "gpy_demo_multichunk": (  # 33,333 class members: several CLASS_CHUNK chunks
+        ["gpy-demo", "--k", "3", "--X", "100000", "--R", "1000", "--W", "3", "--mass-check", "--threads", "1"],
+        "d84ae3cb42debe80c2e6abead09e630d75933c323aedd3f3e73a71b56bf6f26e",
     ),
     "maier_demo": (
         ["maier-demo", "--z", "7", "--a", "1", "--x", "10000", "--Q", "100"],

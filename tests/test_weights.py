@@ -341,10 +341,16 @@ class TestWeightW:
 
     def test_matches_fast_path(self):
         # the scaled-integer route used in bulk scans must agree with the
-        # pointwise gcd-chain definition; the second class spans more than
-        # one chunk of the serial pass
-        cases = [(3, 3, 60, 1000, 1400), (2, 1, 30, 10**5, 10**5 + 20_000)]
-        for k, W, R, X_lo, X_hi in cases:
+        # pointwise gcd-chain definition, also across the boundaries of the
+        # serial pass's chunks: (k, W, R, X_lo, X_hi, at least this many chunks)
+        cases = [
+            (3, 3, 60, 1000, 1400, 1),
+            (2, 1, 30, 10**5, 10**5 + 20_000, 2),
+            # 10^4 members; the parents 7 and 11 divide 77, 133, 161, 217 and
+            # 209, 253, while 43, 47, ..., 283 divide no other support element
+            (3, 3, 300, 10**5, 10**5 + 30_000, 3),
+        ]
+        for k, W, R, X_lo, X_hi, chunks in cases:
             system = AdmissibleSystem.build(build_default_set(k), W=W)
             ws = build_weights(system, R)
             report = weighted_experiment(ws, X_lo, X_hi)
@@ -356,7 +362,7 @@ class TestWeightW:
                     sum_hits_w += w * sum(is_two_square(form(n)) for form in system.forms)
             assert report.sum_w == sum_w
             assert report.sum_hits_w == sum_hits_w
-        assert report.class_size > CLASS_CHUNK
+            assert -(-report.class_size // CLASS_CHUNK) >= chunks
 
 
 def table_per_form_experiment(ws, X_lo, X_hi):
@@ -373,8 +379,10 @@ def table_per_form_experiment(ws, X_lo, X_hi):
     by_top = {}
     for d in ws.support[1:]:
         by_top.setdefault(ws.support_factors[d][-1], []).append(d)
-    roots = {p: roots_mod(p, sysm.forms) for p in by_top}
-    w = _chunk_divisor_sums(first_n, ns.size, sysm.W, by_top, roots, ws.lam_scaled) ** 2
+    parents = {d // p for p, ds in by_top.items() for d in ds}
+    # the class members i < p at which some form value is divisible by p
+    offsets = {p: [i for i in range(p) if any(f(first_n + sysm.W * i) % p == 0 for f in sysm.forms)] for p in by_top}
+    w = _chunk_divisor_sums(0, ns.size, by_top, offsets, parents, ws.lam_scaled) ** 2
     d2 = ws.lam_denom**2
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=sysm.k, W=sysm.W, v0=sysm.v0,
@@ -441,9 +449,12 @@ class TestMembershipRuns:
 
     def test_bench_system_memory(self):
         # the seed-0 bench gpy-demo's 68,861 class members: one shared table,
-        # and chunks of 2^13 members summed over Python ints with no object
-        # arrays of t^2 and hits * t^2 (1.97 MiB traced; 3.70 MiB with chunks
-        # of 2^14, 6.6 MiB with four tables and those arrays)
+        # and chunks of 2^12 members summed over Python ints with no object
+        # arrays of t^2 and hits * t^2, index lists only for the parents and
+        # no hit array for a prime that divides no other support element
+        # (1.02 MiB traced; 1.99 MiB with chunks of 2^13 and a hit array and
+        # index list per prime, 3.70 MiB with chunks of 2^14, 6.6 MiB with
+        # four tables and those object arrays)
         forms, W, R, X, _ = RUN_CASES["bench"]
         ws = build_weights(AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W), R)
         tracemalloc.start()
@@ -453,7 +464,7 @@ class TestMembershipRuns:
         finally:
             tracemalloc.stop()
         assert report.class_size == 68_861
-        assert peak <= 2.5 * 2**20
+        assert peak <= 1.5 * 2**20
 
 
 class TestWeightedExperiment:
@@ -488,8 +499,9 @@ class TestWeightedExperiment:
 
         system = AdmissibleSystem.build(build_default_set(2), W=3)
         ws = build_weights(system, 100)
+        monkeypatch.setattr(wmod, "CLASS_CHUNK", 10**4)
         r1 = weighted_experiment(ws, 10**4, 3 * 10**4)
-        assert r1.class_size <= CLASS_CHUNK
+        assert r1.class_size <= wmod.CLASS_CHUNK
         monkeypatch.setattr(wmod, "CLASS_CHUNK", 1000)
         r2 = weighted_experiment(ws, 10**4, 3 * 10**4)
         assert r1.sum_w == r2.sum_w
