@@ -30,7 +30,6 @@ _EXPORTS = {
         "MaierReport",
         "ScanReport",
         "maier_demo",
-        "predicted_average",
         "scan_intervals",
         "scan_progressions",
         "scan_residues",

@@ -33,7 +33,6 @@ chosen mode would ignore).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -157,23 +156,25 @@ def _cmd_special(args):
     return {"fn": args.fn, "rows": table}, table
 
 
-def _parse_forms(text: str) -> list[LinearForm]:
+def _parse_forms(name: str, text: str) -> list[LinearForm]:
+    import json  # only --forms is read as JSON: no other run loads it
+
     try:
         pairs = [(a, b) for a, b in json.loads(text)]
         if not all(type(v) is int for pair in pairs for v in pair):  # not bool, float or str
             raise TypeError("coefficients must be JSON integers")
     except (ValueError, TypeError) as exc:
-        raise DomainError(f"--forms must be JSON like [[1,1],[1,5]], got {text!r}: {exc}")
+        raise DomainError(f"{name}: --forms must be JSON like [[1,1],[1,5]], got {text!r}: {exc}")
     return [_cli.LinearForm(a, b) for a, b in pairs]
 
 
 def _build_system(args) -> AdmissibleSystem:
-    forms = _parse_forms(args.forms) if args.forms else _cli.build_default_set(args.k, args.p0)
+    forms = _parse_forms(args.subcommand, args.forms) if args.forms else _cli.build_default_set(args.k, args.p0)
     W = 1 if args.W is None and args.X is None else args.W
     if args.paper_strict and args.X is not None:
         violations = _cli.size_conditions(forms, args.X)
         if violations:
-            raise DomainError("paper-strict size conditions violated: " + "; ".join(violations))
+            raise DomainError(f"{args.subcommand}: paper-strict size conditions violated: " + "; ".join(violations))
     with warnings.catch_warnings():
         warnings.simplefilter("error" if args.paper_strict else "ignore")
         return _cli.AdmissibleSystem.build(forms, p0=args.p0, W=W, X=args.X)
@@ -192,7 +193,7 @@ def _cmd_admissible(args):
 def _paper_strict_R(args) -> int:
     if args.paper_strict:
         if args.X is None:
-            raise DomainError("--paper-strict requires --X (it couples R to X^(1/10))")
+            raise DomainError(f"{args.subcommand}: --paper-strict requires --X (it couples R to X^(1/10))")
         return max(1, int(args.X ** 0.1))
     return args.R
 

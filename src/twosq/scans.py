@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import landau_constant, phi_S, phi_S_floats
+from .arith import landau_constant, phi_S_floats
 from .errors import DomainError, ResourceError
 from .primes import INT64_MAX, p3_primes
 from .reportio import CHUNK_ROWS, Records, check_rows
@@ -40,6 +40,11 @@ def _landau() -> float:
     return landau_constant(LANDAU_TRUNCATION)[0]
 
 
+def _progression_predictions(x: int, lo: int, hi: int) -> np.ndarray:
+    """The density prediction S x / (phi_S(q) sqrt(ln x)) for every q in [lo, hi]."""
+    return _landau() * x / (phi_S_floats(lo, hi) * math.sqrt(math.log(x)))
+
+
 def _progression_applicable(a, q):
     """The progression prediction needs gcd(a, q) = 1 and a = 1 (mod gcd(4, q)).
 
@@ -47,35 +52,6 @@ def _progression_applicable(a, q):
     """
     m = np.gcd(4, q)
     return (np.gcd(a, q) == 1) & (a % m == 1 % m)
-
-
-@dataclass(frozen=True)
-class PredictedAverage:
-    value: float
-    applicable: bool
-    note: str = ""
-
-
-def predicted_average(kind: str, **params) -> PredictedAverage:
-    """Density-model prediction for a window or progression count.
-
-    kind="interval" (params x, y): S * y / sqrt(ln x).
-    kind="progression" (params x, q, a): S * x / (phi_S(q) sqrt(ln x)),
-    flagged inapplicable unless gcd(a, q) = 1 and a = 1 (mod gcd(4, q)).
-    """
-    if kind not in ("interval", "progression"):
-        raise DomainError(f"predicted_average: unknown kind {kind!r}")
-    S = _landau()
-    x = params["x"]
-    if math.log(x) <= 1.0:
-        raise DomainError(f"predicted_average: need ln x > 1, got x={x}")
-    if kind == "interval":
-        return PredictedAverage(value=S * params["y"] / math.sqrt(math.log(x)), applicable=True)
-    q, a = params["q"], params["a"]
-    value = S * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
-    ok = bool(_progression_applicable(a, q))
-    note = "" if ok else "prediction requires gcd(a,q)=1 and a=1 (mod gcd(4,q))"
-    return PredictedAverage(value=value, applicable=ok, note=note)
 
 
 ROW_FIELDS = ("key", "count", "predicted", "ratio", "applicable")
@@ -254,7 +230,7 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
             counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
         del seg  # freed before the next segment is sieved
     # one phi_S sieve over [Q, 2Q] serves every derived pass
-    predicted = _landau() * x / (phi_S_floats(Q, 2 * Q) * math.sqrt(math.log(x)))
+    predicted = _progression_predictions(x, Q, 2 * Q)
 
     def derive(i: int, j: int):
         keys = np.arange(Q + i, Q + j, dtype=np.int64)
@@ -275,7 +251,7 @@ def scan_residues(x: int, q: int) -> ScanReport:
         members = seg.members()
         if members.size:
             counts += np.bincount(members % q, minlength=q)
-    pred_q = predicted_average("progression", x=x, q=q, a=1).value
+    pred_q = _progression_predictions(x, q, q)[0]
 
     def derive(i: int, j: int):
         keys = np.arange(i, j, dtype=np.int64)

@@ -92,7 +92,7 @@ def halfdim_f_closed(s):
     """f on [0, 3]: zero up to 1, then the one-step asinh integral (math.asinh per value)."""
     s = np.asarray(s, dtype=float)
     v = np.sqrt(np.maximum(s - 1.0, 0.0)).ravel().tolist()
-    return _HALFDIM_A * np.reshape([math.asinh(x) for x in v], s.shape) / np.sqrt(np.maximum(s, 1.0))
+    return _HALFDIM_A * np.fromiter(map(math.asinh, v), float, len(v)).reshape(s.shape) / np.sqrt(np.maximum(s, 1.0))
 
 
 def _stencil_start(base, kink_start: int, kink_stride: int):
@@ -237,8 +237,7 @@ def _build_halfdim(h: float) -> tuple[np.ndarray, np.ndarray]:
     ss = np.arange(3 * n1 + 1) * h
     Fv[0] = np.inf
     Fv[1 : 2 * n1 + 1] = halfdim_F_closed(ss[1 : 2 * n1 + 1])
-    fv[: n1 + 1] = 0.0
-    fv[n1 + 1 : 3 * n1 + 1] = _HALFDIM_A * np.arcsinh(np.sqrt(ss[n1 + 1 :] - 1.0)) / np.sqrt(ss[n1 + 1 :])
+    fv[: 3 * n1 + 1] = halfdim_f_closed(ss)
 
     _march_F_first_window(Fv, n1, h)
 

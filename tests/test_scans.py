@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twosq.arith import phi_S_floats
+from twosq.arith import phi_S, phi_S_floats
 from twosq.errors import DomainError
 from twosq.reportio import CHUNK_ROWS, Records, to_csv, to_json
 from twosq.scans import (
@@ -16,7 +16,6 @@ from twosq.scans import (
     _landau,
     _progression_applicable,
     maier_demo,
-    predicted_average,
     scan_intervals,
     scan_progressions,
     scan_residues,
@@ -37,6 +36,11 @@ def assert_window_counts(counts, marks, X, y, stride):
         offsets = np.arange(X + i * stride, X + j * stride, stride) - lo
         cum = np.cumsum(marks[lo : lo + step + y], dtype=np.int64)  # cum[k]: members in [lo, lo + k]
         assert np.array_equal(counts[i:j], cum[offsets + y] - cum[offsets]), (lo, i, j)
+
+
+def progression_prediction(x, q):
+    """S x / (phi_S(q) sqrt(ln x)) for one q, from the exact Fraction phi_S."""
+    return _landau() * x / (float(phi_S(q)) * math.sqrt(math.log(x)))
 
 
 def columns(rep):
@@ -222,9 +226,9 @@ class TestSegmentEdges:
         expect = {
             "intervals": (scan_intervals(X, y, stride), keys, S * y / np.sqrt(np.log(keys)), np.ones(n, dtype=bool)),
             "progressions": (scan_progressions(x, Q, 1), qs,
-                             np.array([predicted_average("progression", x=x, q=q, a=1).value for q in qs.tolist()]),
+                             np.array([progression_prediction(x, q) for q in qs.tolist()]),
                              _progression_applicable(1, qs)),
-            "residues": (scan_residues(x, n), residues, np.full(n, predicted_average("progression", x=x, q=n, a=1).value),
+            "residues": (scan_residues(x, n), residues, np.full(n, progression_prediction(x, n)),
                          _progression_applicable(residues, n)),
         }
         bounds = sorted({*range(0, n, CHUNK_ROWS), 1, 777, n - 1, n})
@@ -256,7 +260,7 @@ class TestScanProgressions:
     def test_predictions_use_exact_phi(self):
         # the phi_S column covers q in [2500, 5000]; each prediction matches the single-q route bit for bit
         rep = scan_progressions(100, 2500, 1)
-        expect = [predicted_average("progression", x=100, q=q, a=1).value for q in range(2500, 5001)]
+        expect = [progression_prediction(100, q) for q in range(2500, 5001)]
         assert columns(rep)["predicted"].tolist() == expect
 
     def test_phi_S_sieved_once_per_report(self, monkeypatch):
@@ -585,27 +589,30 @@ class TestMaier:
             maier_demo(MaierConfig(z=3, a=1, x=10**10, Q=1))
 
 
-class TestPredictedAverage:
+class TestPredictions:
     def test_interval_form(self):
-        x = round(math.exp(16))
-        pa = predicted_average("interval", x=x, y=100)
-        assert pa.applicable
-        assert abs(pa.value - 100.0 * 0.7642236536 / 4.0) < 0.01
+        # S y / sqrt(ln x) at ln x = 16, the window at X; stride X keeps two rows
+        X = round(math.exp(16))
+        rep = scan_intervals(X, 100, stride=X)
+        assert columns(rep)["applicable"].tolist() == [True, True]
+        assert abs(columns(rep)["predicted"][0] - 100.0 * 0.7642236536 / 4.0) < 0.01
 
     def test_progression_q1_reduces_to_interval(self):
+        # q = 1 is the whole range: S x / sqrt(ln x)
         x = 10**6
-        pa_prog = predicted_average("progression", x=x, q=1, a=0)
-        pa_int = predicted_average("interval", x=x, y=x)
-        assert pa_prog.applicable
-        assert abs(pa_prog.value - pa_int.value) < 1e-9
+        rep = scan_progressions(x, 1, 0)
+        assert columns(rep)["applicable"][0]
+        want = _landau() * x / math.sqrt(math.log(x))
+        assert abs(columns(rep)["predicted"][0] - want) <= 1e-9 * want
 
     def test_inapplicable_flagged(self):
-        pa = predicted_average("progression", x=10**4, q=4, a=3)
-        assert not pa.applicable
-        assert pa.note
+        # the prediction needs gcd(a, 4) = 1 and a = 1 (mod 4): a = 0, 2 and 3 are flagged
+        rep = scan_residues(10**4, 4)
+        assert columns(rep)["applicable"].tolist() == [False, True, False, False]
 
     def test_domain(self):
+        # ln x > 1, as the predictions need, from x >= 3 on
         with pytest.raises(DomainError):
-            predicted_average("interval", x=2, y=10)
+            scan_progressions(2, 1, 0)
         with pytest.raises(DomainError):
-            predicted_average("nonsense", x=100)
+            scan_residues(2, 1)

@@ -361,6 +361,14 @@ class TestHalfDim:
         assert halfdim_f(1.0 - eps) == 0.0
         assert 0.0 < halfdim_f(1.0 + eps) < 1.1 * A_CONST * math.sqrt(eps)
 
+    @pytest.mark.parametrize("h", [TABLE_H, 2.0 * TABLE_H], ids=["h", "2h"])
+    def test_f_table_is_the_closed_form_on_0_3(self, h):
+        # the table and the evaluator share one closed form: on [0, 3] every
+        # node holds halfdim_f_closed's bits (np.arcsinh gives others)
+        n1 = round(1.0 / h)
+        _, fv = _build_halfdim(h)
+        assert np.array_equal(fv[: 3 * n1 + 1], halfdim_f_closed(np.arange(3 * n1 + 1) * h))
+
     def test_table_error_estimates(self):
         Ft, ft = halfdim_tables()
         assert Ft.err_estimate < 1e-9
@@ -511,9 +519,8 @@ def ref_build_halfdim(h):
     ss = np.arange(total) * h
     Fv[0] = np.inf
     Fv[1 : 2 * n1 + 1] = A_CONST / np.sqrt(ss[1 : 2 * n1 + 1])
-    fv[: n1 + 1] = 0.0
     top = min(3 * n1, total - 1)
-    fv[n1 + 1 : top + 1] = A_CONST * np.arcsinh(np.sqrt(ss[n1 + 1 : top + 1] - 1.0)) / np.sqrt(ss[n1 + 1 : top + 1])
+    fv[: top + 1] = halfdim_f_closed(ss[: top + 1])
 
     _march_F_first_window(Fv, n1, h)
     f_prod = math.sqrt(3.0) * fv[3 * n1]  # sqrt(s) f(s) at s = 3
