@@ -415,7 +415,7 @@ def dispatch(argv: list[str] | None = None) -> int:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.writelines(chunks)
             except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+                print(f"error: {args.subcommand}: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
                 return 1
         else:
             try:

@@ -8,7 +8,8 @@ integer column (an interval scan's in the narrowest unsigned dtype that holds
 y, one byte per window for y < 256), and derives its other columns from its
 parameters a chunk of rows at a time (a progression scan slices its
 predictions from one held float column); every scan checks its row count
-against one budget, `reportio.MAX_SCAN_ROWS`, before it allocates the counts.
+against `reportio.MAX_SCAN_ROWS`, and its sieve bound against the prime-sieve
+budget in its own name, before it allocates the counts.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from .arith import landau_constant, phi_S_floats
 from .errors import DomainError, ResourceError
-from .primes import INT64_MAX, p3_primes
+from .primes import INT64_MAX, check_sieve_limit, p3_primes
 from .reportio import CHUNK_ROWS, Records, check_rows
-from .sieve import is_two_square, iter_segments
+from .sieve import _counts, is_two_square, iter_segments
 
 # Euler-product truncation of the Landau-Ramanujan constant in predictions.
 LANDAU_TRUNCATION = 10**6
@@ -183,6 +184,7 @@ def scan_intervals(X: int, y: int, stride: int = 1) -> ScanReport:
         raise DomainError(f"scan_intervals: need 2X + y <= 2^63 - 1, got X={X}, y={y}")
     n = X // stride + 1
     check_rows("scan_intervals", n)
+    check_sieve_limit("scan_intervals", math.isqrt(2 * X + y))
 
     # Members in (X, t] at t = x + y less those at t = x, x = X + i * stride:
     # each boundary meets a segment in one strided slice of its prefix counts,
@@ -223,12 +225,7 @@ def scan_progressions(x: int, Q: int, a: int) -> ScanReport:
     if Q < 1 or not 0 <= a <= INT64_MAX:
         raise DomainError(f"scan_progressions: need Q >= 1 and 0 <= a <= 2^63 - 1, got Q={Q}, a={a}")
     check_rows("scan_progressions", Q + 1)
-    qs = range(Q, 2 * Q + 1)
-    counts = np.zeros(len(qs), dtype=np.int64)
-    for seg in iter_segments(1, x):
-        for i, q in enumerate(qs):
-            counts[i] += int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q]))
-        del seg  # freed before the next segment is sieved
+    counts = _counts("scan_progressions", 1, x, range(Q, 2 * Q + 1), a)
     # one phi_S sieve over [Q, 2Q] serves every derived pass
     predicted = _progression_predictions(x, Q, 2 * Q)
 
@@ -246,6 +243,7 @@ def scan_residues(x: int, q: int) -> ScanReport:
     if q < 1:
         raise DomainError(f"scan_residues: q must be >= 1, got {q}")
     check_rows("scan_residues", q)
+    check_sieve_limit("scan_residues", math.isqrt(x))
     counts = np.zeros(q, dtype=np.int64)
     for seg in iter_segments(1, x):
         members = seg.members()

@@ -223,12 +223,11 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
     (see sieve_segment).  Any other range is sieved DEFAULT_SEGMENT integers
     at a time, every segment against one held list.
 
+    Callers check the range; sieve_segment refuses one outside [1, 2^63 - 1].
     threads is ignored; it stays only because the benchmark probes pass it.
     """
     if hi < lo:
         return
-    if lo < 1 or hi > INT64_MAX:
-        raise DomainError(f"iter_segments: need 1 <= lo and hi < 2^63, got [{lo}, {hi}]")
     n, root = hi - lo + 1, isqrt(hi)
     if n <= DEFAULT_SEGMENT or n <= MAX_SEGMENT and 4 * root > n * log(root):
         yield sieve_segment(lo, hi)
@@ -238,19 +237,23 @@ def iter_segments(lo: int, hi: int, threads: int = 1) -> Iterator[SegmentTable]:
         yield sieve_segment(a, min(a + DEFAULT_SEGMENT - 1, hi), base)
 
 
-def _count(caller: str, lo: int, hi: int, q: int = 1, a: int = 0) -> int:
-    """Members n in [lo, hi] with n = a (mod q), for the public count caller,
-    which names a refused prime-sieve budget.  map drops each segment before
-    the next is sieved (a generator expression's loop variable would hold it)."""
-    check_sieve_limit(caller, isqrt(hi))
-    return sum(map(lambda seg: int(np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])), iter_segments(lo, hi)))
+def _counts(who: str, lo: int, hi: int, qs=(1,), a: int = 0) -> np.ndarray:
+    """Members n in [lo, hi] with n = a (mod q), an int64 count per q in qs, each
+    segment dropped before the next is sieved; who names a refused sieve budget."""
+    check_sieve_limit(who, isqrt(hi))
+    counts = np.zeros(len(qs), dtype=np.int64)
+    for seg in iter_segments(lo, hi):
+        for i, q in enumerate(qs):
+            counts[i] += np.count_nonzero(seg.bits[(a - seg.lo) % q :: q])
+        del seg
+    return counts
 
 
 def count_upto(x: int) -> int:
     """Number of sums of two squares in [1, x]."""
     if not 0 <= x <= INT64_MAX:
         raise DomainError(f"count_upto: need 0 <= x <= 2^63 - 1, got x={x}")
-    return _count("count_upto", 1, x)
+    return int(_counts("count_upto", 1, x)[0])
 
 
 def count_interval(x: int, y: int) -> int:
@@ -261,7 +264,7 @@ def count_interval(x: int, y: int) -> int:
         raise DomainError(f"count_interval: y must be >= 1, got {y}")
     if x + y > INT64_MAX:
         raise DomainError(f"count_interval: need x + y <= 2^63 - 1, got x={x}, y={y}")
-    return _count("count_interval", x + 1, x + y)
+    return int(_counts("count_interval", x + 1, x + y)[0])
 
 
 def count_progression(x: int, q: int, a: int) -> int:
@@ -272,4 +275,4 @@ def count_progression(x: int, q: int, a: int) -> int:
         raise DomainError(f"count_progression: need 0 <= a < q, got a={a}, q={q}")
     if not 0 <= x <= INT64_MAX:
         raise DomainError(f"count_progression: need 0 <= x <= 2^63 - 1, got x={x}")
-    return _count("count_progression", 1, x, q, a)
+    return int(_counts("count_progression", 1, x, (q,), a)[0])

@@ -397,11 +397,14 @@ def _chunk_divisor_sums(i0: int, size: int, by_top: dict[int, list[int]], offset
 def _membership_tables(forms: Sequence, X_lo: int, X_hi: int) -> list[SegmentTable]:
     """A membership table per form over its values on (X_lo, X_hi].  A run of
     forms of one leading coefficient whose windows overlap shares one, closed
-    before its span would pass MAX_SEGMENT; sieve_segment refuses a value past
-    2^63 - 1 or a longer window."""
+    before its span would pass MAX_SEGMENT.  A form whose own window would pass
+    it is refused before any run is sieved; sieve_segment refuses a value past
+    2^63 - 1."""
     runs: list[list] = [[]]
     for form in sorted(set(forms), key=lambda f: (f.a, f.b)):  # in a run, the last form reaches furthest
         run, lo, hi = runs[-1], form(X_lo + 1), form(X_hi)
+        if hi - lo >= MAX_SEGMENT:
+            raise ResourceError(f"weighted_experiment: {form} spans {hi - lo + 1} values, past budget {MAX_SEGMENT}")
         if run and (form.a != run[0].a or lo > run[-1](X_hi) or hi - run[0](X_lo + 1) >= MAX_SEGMENT):
             runs.append(run := [])
         run.append(form)
@@ -433,35 +436,30 @@ def weighted_experiment(
     sysm = ws.system
     W, v0, k = sysm.W, sysm.v0, sysm.k
 
+    # One strided view per form: element i is the membership of its value at
+    # n = X_lo + 1 + i.  The unweighted average over every n counts the views.
     tables = _membership_tables(sysm.forms, X_lo, X_hi)
+    views = [t.bits[f(X_lo + 1) - t.lo :: f.a][: X_hi - X_lo] for f, t in zip(sysm.forms, tables)]
+    total_hits_all = sum(int(np.count_nonzero(view)) for view in views)
 
-    # Unweighted average over every n in range: one progression count per form.
-    total_hits_all = 0
-    for form, table in zip(sysm.forms, tables):
-        # the form's image is every a-th bit from its value at X_lo + 1
-        total_hits_all += int(np.count_nonzero(table.bits[form(X_lo + 1) - table.lo :: form.a][: X_hi - X_lo]))
-
-    # with no class member the chunk loop below runs zero times
-    first_n = X_lo + 1 + ((v0 - (X_lo + 1)) % W)
+    # the class is the view elements i0, i0 + W, ...; with none the chunk loop below runs zero times
+    i0 = (v0 - (X_lo + 1)) % W
     by_top: dict[int, list[int]] = {}
     for d in ws.support[1:]:
         by_top.setdefault(ws.support_factors[d][-1], []).append(d)
     parents = {d // p for p, ds in by_top.items() for d in ds}
     # support primes are coprime to W, so the n = r (mod p) are every p-th
-    # class member from index (r - first_n) / W (mod p)
-    offsets = {p: [(r - first_n) * pow(W, -1, p) % p for r in roots_mod(p, sysm.forms)] for p in by_top}
+    # class member from index (r - n0) / W (mod p), n0 = X_lo + 1 + i0 the first
+    offsets = {p: [(r - X_lo - 1 - i0) * pow(W, -1, p) % p for r in roots_mod(p, sysm.forms)] for p in by_top}
 
     hit_total = 0
     sum_w_scaled = 0
     sum_hw_scaled = 0
     step = CLASS_CHUNK * W
-    for chunk_lo in range(first_n, X_hi + 1, step):
-        ns = np.arange(chunk_lo, min(chunk_lo + step, X_hi + 1), W, dtype=np.int64)
-        hits = np.zeros(ns.size, dtype=np.int64)
-        for form, table in zip(sysm.forms, tables):
-            hits += table.bits[form.a * ns + form.b - table.lo]
+    for i in range(i0, X_hi - X_lo, step):
+        hits = np.sum([view[i : i + step : W] for view in views], axis=0, dtype=np.int64)
         hit_total += int(hits.sum())
-        t = _chunk_divisor_sums((chunk_lo - first_n) // W, ns.size, by_top, offsets, parents, ws.lam_scaled)
+        t = _chunk_divisor_sums((i - i0) // W, hits.size, by_top, offsets, parents, ws.lam_scaled)
         for v, h in zip(t.tolist(), hits.tolist()):
             sq = v * v
             sum_w_scaled += sq
@@ -470,7 +468,7 @@ def weighted_experiment(
     d2 = ws.lam_denom**2
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=k, W=W, v0=v0,
-        class_size=len(range(first_n, X_hi + 1, W)),
+        class_size=len(range(i0, X_hi - X_lo, W)),
         class_hits=hit_total,
         sum_w=Fraction(sum_w_scaled, d2),
         sum_hits_w=Fraction(sum_hw_scaled, d2),

@@ -170,7 +170,7 @@ class TestCliBehavior:
         code, out, err = run_cli(["count", "--x", "10", "--out", str(path)], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "No such file or directory" in err
+        assert err.startswith("error: count: ") and "No such file or directory" in err
         assert not path.parent.exists()
 
     @pytest.mark.parametrize("argv", [["weights", "--R", "35000"], ["weights", "--R", "100000", "--format", "csv"]],

@@ -33,15 +33,18 @@ VECTORS = [
     ("scan-intervals --X 16 --y 17", 1),
     ("scan-intervals --X 16 --y 1 --stride 0", 1),
     ("scan-intervals --X 16777216 --y 1", 1),
+    ("scan-intervals --X 1000000000000000000 --y 1 --stride 1000000000000000000", 1),
     ("scan-progressions --x 2 --Q 1", 1),
     ("scan-progressions --x 3 --Q 1 --a 0", 0),
     ("scan-progressions --x 100 --Q 0", 1),
     ("scan-progressions --x 100 --Q 1 --a -1", 1),
     ("scan-progressions --x 100 --Q 4194304", 1),
+    ("scan-progressions --x 2000000000000000000 --Q 1", 1),
     ("scan-residues --x 2 --q 1", 1),
     ("scan-residues --x 3 --q 1", 0),
     ("scan-residues --x 100 --q 0", 1),
     ("scan-residues --x 100 --q 4194305", 1),
+    ("scan-residues --x 2000000000000000000 --q 3", 1),
     ("constants --truncation 9", 1),
     ("constants --truncation 10", 0),
     (f"constants --truncation {2**30 + 1}", 1),

@@ -409,6 +409,7 @@ RUN_CASES = {
     "k4": ([(1, 1), (1, 5), (1, 13), (1, 17)], 3, 1000, 100_000, 1),
     "slope_1000": ([(1, 1), (1000, 1)], 1, 100, 5_000, 2),
     "slope_3": ([(1, 1), (3, 2), (1, 5)], 1, 120, 20_000, 2),
+    "slope_3_W3": ([(1, 1), (3, 2), (1, 5)], 3, 120, 20_000, 2),
     "disjoint": ([(1, 1), (1, 50_001)], 1, 100, 10_000, 2),
     "slopes_overlap": ([(1, 5), (2, 1)], 1, 100, 10_000, 2),
 }
@@ -446,6 +447,15 @@ class TestMembershipRuns:
         made = counted_tables(monkeypatch)
         assert weighted_experiment(ws, X, 2 * X) == whole == table_per_form_experiment(ws, X, 2 * X)
         assert [(t.lo, t.hi) for t in made] == spans
+
+    def test_form_past_segment_budget_refused_before_sieving(self, monkeypatch):
+        # 3000n + 1 spans 89,997,001 values over (30000, 60000], past 2^26: the
+        # experiment refuses by name before it sieves the table of n + 1
+        ws = build_weights(AdmissibleSystem.build([LinearForm(1, 1), LinearForm(3000, 1)], W=1), 100)
+        made = counted_tables(monkeypatch)
+        with pytest.raises(ResourceError, match=r"^weighted_experiment: "):
+            weighted_experiment(ws, 30_000, 60_000)
+        assert made == []
 
     def test_bench_system_memory(self):
         # the seed-0 bench gpy-demo's 68,861 class members: one shared table,
