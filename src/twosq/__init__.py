@@ -47,6 +47,7 @@ _EXPORTS = {
         "QuadFormReport",
         "WeightSystem",
         "build_weights",
+        "check_form_windows",
         "check_weight_mass",
         "gamma_p3_indicator",
         "quadratic_forms",

@@ -207,8 +207,9 @@ def _cmd_weights(args):
 
 def _cmd_gpy_demo(args):
     system = _build_system(args)
-    ws = _cli.build_weights(system, _paper_strict_R(args))
     x_lo = args.X if args.X is not None else 10**6
+    _cli.check_form_windows(system.forms, x_lo, 2 * x_lo)  # refused before the weights are built
+    ws = _cli.build_weights(system, _paper_strict_R(args))
     if args.mass_check:  # refused before the experiment, not after it
         ws.check_pair_budget("check_weight_mass")
     report = _cli.weighted_experiment(ws, x_lo, 2 * x_lo)

@@ -40,21 +40,19 @@ import numpy as np
 from .admissible import AdmissibleSystem
 from .arith import nu as nu_of, p3_squarefree_factored, roots_mod
 from .errors import DomainError, ResourceError
-from .primes import sieve_primes, squarefree_products
+from .primes import check_sieve_limit, sieve_primes, squarefree_products
 from .sieve import MAX_SEGMENT, SegmentTable, sieve_segment
 
 # Direct double sums are O(|support|^2); refuse beyond this many pairs.
 MAX_SUPPORT_PAIRS = 4_000_000
 
-# Class members per chunk of a weighted experiment.  Only one chunk's n, hit
-# counts, form values, member index lists and divisor sums (squared one Python
-# int at a time) are held at once, so the experiment's memory does not grow
-# with the class beyond one membership table per run of forms.  A chunk costs
-# no per-prime pow, and most top primes no hit array (see _chunk_divisor_sums),
-# so small chunks are cheap: on the seed-0 bench gpy-demo (68,861 members,
-# support 119) the traced peak is 1.02 MiB at 2^12 against 1.99 MiB at 2^13
-# with a hit array and index list per prime, and takes 56-59 against 61-64 ms
-# (in-process, min of 7 in each of two alternating processes, 2-vCPU host).
+# Class members per chunk of a weighted experiment.  Only one chunk's hit
+# counts and divisor sums (squared one Python int at a time) are held at once,
+# so the experiment's memory does not grow with the class beyond one
+# membership table per run of forms.  A chunk costs one index add per support
+# element (see _chunk_divisor_sums), so small chunks are cheap: on the seed-0
+# bench gpy-demo (68,861 members, support 119) the traced peak is 0.90 MiB at
+# 2^12 against 1.57 MiB at 2^13.
 CLASS_CHUNK = 1 << 12
 
 
@@ -116,6 +114,7 @@ def build_weights(system: AdmissibleSystem, R: int) -> WeightSystem:
     """
     if R < 1:
         raise DomainError(f"build_weights: R must be >= 1, got {R}")
+    check_sieve_limit("build_weights", R - 1)
     supp = p3_squarefree_factored(R, system.W * system.p0)
 
     nu_table: dict[int, int] = dict(system.nu_table)
@@ -357,54 +356,64 @@ class WeightedScanReport:
         }
 
 
-def _chunk_divisor_sums(i0: int, size: int, by_top: dict[int, list[int]], offsets: dict[int, Sequence[int]],
-                        parents: set[int], lam_scaled: dict[int, int]) -> np.ndarray:
-    """Exact sum of scaled lambda_d over support d dividing the form product,
-    per class member i0 + i, 0 <= i < size, as an object array of Python ints.
+def _class_offsets(ws: WeightSystem, first_n: int) -> dict[int, np.ndarray]:
+    """{d: the class indices i mod d at which support d > 1 divides the form
+    product at n = first_n + W i}: a squarefree d divides it exactly when
+    n mod d is in the CRT product of its primes' root sets.  Walking the
+    support ascending, a prime p carries its roots r to (r - first_n) / W
+    mod p (p is coprime to W), and d = e p, p its largest prime, joins each
+    offset of e with each of p by the CRT.  is_p3_admissible refuses a form
+    with p | gcd(a, b), which would cover every residue, so each form has at
+    most one root mod p and d at most k^omega(d) offsets."""
+    W, forms = ws.system.W, ws.system.forms
+    offsets: dict[int, list[int]] = {}
+    for d in ws.support[1:]:
+        p = ws.support_factors[d][-1]
+        e = d // p
+        if e == 1:
+            offsets[d] = [(r - first_n) * pow(W, -1, p) % p for r in roots_mod(p, forms)]
+        else:
+            inv = pow(e, -1, p)
+            offsets[d] = [a + e * ((b - a) * inv % p) for a in offsets[e] for b in offsets[p]]
+    return {d: np.array(offs, dtype=np.int64) for d, offs in offsets.items()}
 
-    The support is walked instead of the n.  d = 1 divides the product at
-    every n; a squarefree d > 1 divides it exactly at the n where d / p
-    does and p hits (n is a root of the product mod p), p the largest prime
-    of d: at every p-th class member from each of p's offsets.  by_top
-    groups the support elements above 1 by that prime, primes ascending, so
-    the members of d / p, whose primes are all below p, are known before d
-    is visited; they are kept only for the parents, the d that divide a
-    later element.  A prime that divides no other support element adds
-    lambda_p by strided slices, with no hit array.  Each d adds lambda_d at
-    its members, which are distinct positions, so every add is exact and no
-    Python code runs per n.
-    """
+
+def _chunk_divisor_sums(c0: int, size: int, offsets: dict[int, np.ndarray], lam_scaled: dict) -> np.ndarray:
+    """Exact sum of scaled lambda_d over support d dividing the form product,
+    per class member c0 + i, 0 <= i < size, as an object array of Python ints:
+    d = 1 divides it at every member, and each d > 1 at every d-th member from
+    each of its class offsets.  np.add.at adds in place with no gathered copy
+    (on the seed-0 bench gpy-demo, 40 KB less peak RSS than `totals[ix] +=`),
+    and no Python code runs per n."""
     totals = np.full(size, lam_scaled[1], dtype=object)
-    members = {1: np.arange(size)}
-    for p, ds in by_top.items():
-        starts = [(o - i0) % p for o in offsets[p]]
-        if ds == [p] and p not in parents:
-            for s in starts:
-                totals[s::p] += lam_scaled[p]
-            continue
-        hit = np.zeros(size, dtype=bool)
-        for s in starts:
-            hit[s::p] = True
-        for d in ds:
-            parent = members[d // p]
-            ix = parent[hit[parent]]
-            if d in parents:
-                members[d] = ix
-            totals[ix] += lam_scaled[d]
+    for d, offs in offsets.items():
+        ix = ((offs - c0) % d)[:, None] + np.arange(0, size, d)
+        np.add.at(totals, ix[ix < size], lam_scaled[d])
     return totals
+
+
+def check_form_windows(forms: Sequence, X_lo: int, X_hi: int) -> None:
+    """Refuse, in weighted_experiment's name, an empty (X_lo, X_hi] or one over
+    which a form's values span more than MAX_SEGMENT: checked before any table
+    is sieved, and by a caller before it builds the weights."""
+    if X_hi <= X_lo:
+        raise DomainError(f"weighted_experiment: need X_hi > X_lo, got ({X_lo}, {X_hi}]")
+    for form in forms:
+        span = form(X_hi) - form(X_lo + 1) + 1
+        if span > MAX_SEGMENT:
+            raise ResourceError(f"weighted_experiment: {form} spans {span} values, past budget {MAX_SEGMENT}")
 
 
 def _membership_tables(forms: Sequence, X_lo: int, X_hi: int) -> list[SegmentTable]:
     """A membership table per form over its values on (X_lo, X_hi].  A run of
     forms of one leading coefficient whose windows overlap shares one, closed
-    before its span would pass MAX_SEGMENT.  A form whose own window would pass
-    it is refused before any run is sieved; sieve_segment refuses a value past
-    2^63 - 1."""
+    before its span would pass MAX_SEGMENT.  Each form's own window is checked
+    by check_form_windows before any run is sieved; sieve_segment refuses a
+    value past 2^63 - 1."""
+    check_form_windows(forms, X_lo, X_hi)
     runs: list[list] = [[]]
     for form in sorted(set(forms), key=lambda f: (f.a, f.b)):  # in a run, the last form reaches furthest
         run, lo, hi = runs[-1], form(X_lo + 1), form(X_hi)
-        if hi - lo >= MAX_SEGMENT:
-            raise ResourceError(f"weighted_experiment: {form} spans {hi - lo + 1} values, past budget {MAX_SEGMENT}")
         if run and (form.a != run[0].a or lo > run[-1](X_hi) or hi - run[0](X_lo + 1) >= MAX_SEGMENT):
             runs.append(run := [])
         run.append(form)
@@ -414,25 +423,20 @@ def _membership_tables(forms: Sequence, X_lo: int, X_hi: int) -> list[SegmentTab
     return [tables[form] for form in forms]
 
 
-def weighted_experiment(
-    ws: WeightSystem,
-    X_lo: int,
-    X_hi: int,
-) -> WeightedScanReport:
+def weighted_experiment(ws: WeightSystem, X_lo: int, X_hi: int) -> WeightedScanReport:
     """Weighted and unweighted membership-hit averages over (X_lo, X_hi].
 
     Computes sum w_n, sum hits(n) w_n over the class n = v0 (mod W), the
     weighted average of hits, the unweighted average over the same class,
     and the unweighted average over all n in range, reading hits from one
     membership table per run of forms.  The class is processed serially in
-    chunks of CLASS_CHUNK members.  In each chunk one pass over the support,
-    in order of largest prime, finds the members each d divides and adds the
-    integer lambda_d * D (D the common lambda denominator) to their totals
-    t_n; then sum w_n = sum t_n^2 / D^2.  Every sum is in Python integers, so
-    the results are exact and do not depend on the chunking.
+    chunks of CLASS_CHUNK members.  In each chunk one pass over the support
+    adds the integer lambda_d * D (D the common lambda denominator) to the
+    totals t_n of the members d divides, read from its class offsets (found
+    once per experiment); then sum w_n = sum t_n^2 / D^2.  Every sum is in
+    Python integers, so the results are exact and do not depend on the
+    chunking.
     """
-    if X_hi <= X_lo:
-        raise DomainError(f"weighted_experiment: need X_hi > X_lo, got ({X_lo}, {X_hi}]")
     sysm = ws.system
     W, v0, k = sysm.W, sysm.v0, sysm.k
 
@@ -444,22 +448,14 @@ def weighted_experiment(
 
     # the class is the view elements i0, i0 + W, ...; with none the chunk loop below runs zero times
     i0 = (v0 - (X_lo + 1)) % W
-    by_top: dict[int, list[int]] = {}
-    for d in ws.support[1:]:
-        by_top.setdefault(ws.support_factors[d][-1], []).append(d)
-    parents = {d // p for p, ds in by_top.items() for d in ds}
-    # support primes are coprime to W, so the n = r (mod p) are every p-th
-    # class member from index (r - n0) / W (mod p), n0 = X_lo + 1 + i0 the first
-    offsets = {p: [(r - X_lo - 1 - i0) * pow(W, -1, p) % p for r in roots_mod(p, sysm.forms)] for p in by_top}
+    offsets = _class_offsets(ws, X_lo + 1 + i0)
 
-    hit_total = 0
-    sum_w_scaled = 0
-    sum_hw_scaled = 0
+    hit_total = sum_w_scaled = sum_hw_scaled = 0
     step = CLASS_CHUNK * W
     for i in range(i0, X_hi - X_lo, step):
         hits = np.sum([view[i : i + step : W] for view in views], axis=0, dtype=np.int64)
         hit_total += int(hits.sum())
-        t = _chunk_divisor_sums((i - i0) // W, hits.size, by_top, offsets, parents, ws.lam_scaled)
+        t = _chunk_divisor_sums((i - i0) // W, hits.size, offsets, ws.lam_scaled)
         for v, h in zip(t.tolist(), hits.tolist()):
             sq = v * v
             sum_w_scaled += sq
@@ -560,6 +556,7 @@ def verify_sieve_summation(kappa: float, gamma_spec: Callable[[int], float], R: 
         raise DomainError(f"verify_sieve_summation: R must be >= 2, got {R}")
     if kappa <= 0:
         raise DomainError(f"verify_sieve_summation: kappa must be > 0, got {kappa}")
+    check_sieve_limit("verify_sieve_summation", R - 1)
 
     primes = [int(p) for p in sieve_primes(R - 1)]
     gam: dict[int, float] = {}

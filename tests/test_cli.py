@@ -287,6 +287,19 @@ class TestCliBehavior:
         assert code == 1 and out == ""
         assert err == "error: check_weight_mass: |support|^2 = 7123561 exceeds 4000000; reduce R\n"
 
+    def test_form_window_refused_before_the_weights(self, monkeypatch, capsys):
+        # n + 1 spans 10^8 values over (10^8, 2 * 10^8], past the segment
+        # budget: refused before the weights at R = 2 * 10^6 are built (it
+        # once took 90 s to build them first)
+        def reached(*args, **kwargs):
+            raise AssertionError("build_weights ran before the form windows were checked")
+
+        monkeypatch.setattr("twosq.cli.build_weights", reached)
+        argv = ["gpy-demo", "--k", "1", "--W", "1", "--X", "100000000", "--R", "2000000"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: weighted_experiment: n+1 spans 100000000 values, past budget 67108864\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -562,7 +575,7 @@ class TestLazyImports:
     def test_star_import_resolves_every_export(self):
         namespace = {}
         exec("from twosq import *", namespace)
-        assert len(set(twosq.__all__)) == len(twosq.__all__) == 48
+        assert len(set(twosq.__all__)) == len(twosq.__all__) == 49
         for module, names in twosq._EXPORTS.items():
             home = import_module(f"twosq.{module}")
             for name in names:

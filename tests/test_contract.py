@@ -73,15 +73,18 @@ VECTORS = [
     ("weights --k 0 --R 10", 1),
     ("weights --k 1 --R 0", 1),
     ("weights --k 1 --R 1", 0),
+    ("weights --k 1 --R 1073741826", 1),
     ("gpy-demo --k 2 --X 1000 --paper-strict", 1),
     ("gpy-demo --k 1 --W 0", 1),
     ("gpy-demo --k 1 --X 100 --R 2", 0),
+    ("gpy-demo --k 1 --X 100 --R 1073741826", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --delta 1", 1),
     ("maier-demo --z 1 --x 10 --Q 1", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 2", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 3", 1),
     ("maier-demo --z 3 --x 10 --Q 1", 0),
     ("verify --summation --summation-R 1", 1),
+    ("verify --summation --summation-R 1073741826", 1),
     ("nonsense", 2),
 ]
 

@@ -14,7 +14,7 @@ from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
     CLASS_CHUNK,
     WeightedScanReport,
-    _chunk_divisor_sums,
+    _class_offsets,
     build_weights,
     gamma_p3_indicator,
     check_weight_mass,
@@ -367,7 +367,9 @@ class TestWeightW:
 
 def table_per_form_experiment(ws, X_lo, X_hi):
     """Reference: the weighted experiment with one membership table per form,
-    the whole class in one chunk, and the sums taken over object arrays."""
+    the whole class in one chunk, and the sums taken over object arrays.  A
+    support d divides the form product at the members where each of its
+    primes divides some form value, read from the values mod p."""
     sysm = ws.system
     tables = [sieve_segment(form(X_lo + 1), form(X_hi)) for form in sysm.forms]
     total_hits_all = sum(int(np.count_nonzero(t.bits[:: f.a])) for f, t in zip(sysm.forms, tables))
@@ -376,13 +378,15 @@ def table_per_form_experiment(ws, X_lo, X_hi):
     hits = np.zeros(ns.size, dtype=np.int64)
     for form, table in zip(sysm.forms, tables):
         hits += table.bits[form.a * ns + form.b - table.lo]
-    by_top = {}
-    for d in ws.support[1:]:
-        by_top.setdefault(ws.support_factors[d][-1], []).append(d)
-    parents = {d // p for p, ds in by_top.items() for d in ds}
-    # the class members i < p at which some form value is divisible by p
-    offsets = {p: [i for i in range(p) if any(f(first_n + sysm.W * i) % p == 0 for f in sysm.forms)] for p in by_top}
-    w = _chunk_divisor_sums(0, ns.size, by_top, offsets, parents, ws.lam_scaled) ** 2
+    primes = {p for facs in ws.support_factors.values() for p in facs}
+    divides = {p: np.any([(f.a * ns + f.b) % p == 0 for f in sysm.forms], axis=0) for p in primes}
+    totals = np.zeros(ns.size, dtype=object)
+    for d in ws.support:
+        on = np.ones(ns.size, dtype=bool)
+        for p in ws.support_factors[d]:
+            on &= divides[p]
+        totals[on] += ws.lam_scaled[d]
+    w = totals**2
     d2 = ws.lam_denom**2
     return WeightedScanReport(
         X_lo=X_lo, X_hi=X_hi, R=ws.R, k=sysm.k, W=sysm.W, v0=sysm.v0,
@@ -460,11 +464,9 @@ class TestMembershipRuns:
     def test_bench_system_memory(self):
         # the seed-0 bench gpy-demo's 68,861 class members: one shared table,
         # and chunks of 2^12 members summed over Python ints with no object
-        # arrays of t^2 and hits * t^2, index lists only for the parents and
-        # no hit array for a prime that divides no other support element
-        # (1.02 MiB traced; 1.99 MiB with chunks of 2^13 and a hit array and
-        # index list per prime, 3.70 MiB with chunks of 2^14, 6.6 MiB with
-        # four tables and those object arrays)
+        # arrays of t^2 and hits * t^2, each support element adding lambda_d
+        # along its class offsets (0.90 MiB traced; 1.57 MiB with chunks of
+        # 2^13, 6.6 MiB with four tables and those object arrays)
         forms, W, R, X, _ = RUN_CASES["bench"]
         ws = build_weights(AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W), R)
         tracemalloc.start()
@@ -574,6 +576,25 @@ def reference_case_weights(name):
     forms, W, p0, R, X_lo, X_hi = REFERENCE_CASES[name]
     system = AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W, p0=p0)
     return build_weights(system, R), X_lo, X_hi
+
+
+class TestClassOffsets:
+    """Each support element's class offsets are the class indices, by brute
+    force, at which it divides the form product."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_brute_force(self, name):
+        ws, X_lo, _ = reference_case_weights(name)
+        sysm = ws.system
+        first_n = X_lo + 1 + (sysm.v0 - (X_lo + 1)) % sysm.W
+        offsets = _class_offsets(ws, first_n)
+        assert sorted(offsets) == list(ws.support[1:])
+
+        def product(i):
+            return math.prod(f(first_n + sysm.W * i) for f in sysm.forms)
+
+        for d, offs in offsets.items():
+            assert sorted(offs.tolist()) == [i for i in range(d) if product(i) % d == 0], d
 
 
 class TestSupportScanRoute:
