@@ -171,7 +171,9 @@ def _parse_forms(name: str, text: str) -> list[LinearForm]:
 def _build_system(args) -> AdmissibleSystem:
     forms = _parse_forms(args.subcommand, args.forms) if args.forms else _cli.build_default_set(args.k, args.p0)
     W = 1 if args.W is None and args.X is None else args.W
-    if args.paper_strict and args.X is not None:
+    if args.paper_strict:
+        if args.X is None:
+            raise DomainError(f"{args.subcommand}: --paper-strict requires --X (it couples R to X^(1/10))")
         violations = _cli.size_conditions(forms, args.X)
         if violations:
             raise DomainError(f"{args.subcommand}: paper-strict size conditions violated: " + "; ".join(violations))
@@ -191,11 +193,8 @@ def _cmd_admissible(args):
 
 
 def _paper_strict_R(args) -> int:
-    if args.paper_strict:
-        if args.X is None:
-            raise DomainError(f"{args.subcommand}: --paper-strict requires --X (it couples R to X^(1/10))")
-        return max(1, int(args.X ** 0.1))
-    return args.R
+    """R = X^(1/10) under --paper-strict (_build_system has refused it without --X), else --R."""
+    return max(1, int(args.X ** 0.1)) if args.paper_strict else args.R
 
 
 def _cmd_weights(args):
@@ -264,6 +263,14 @@ def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
 
 
 def _cmd_verify(args):
+    if args.summation_R is not None and not args.summation:
+        raise UsageError("verify: --summation-R needs --summation")
+    summation = {}
+    if args.summation:  # first, so that its sieve bound is refused before the grid is built
+        R = 10**6 if args.summation_R is None else args.summation_R
+        rep = _cli.verify_sieve_summation(0.5, _cli.gamma_p3_indicator, R)
+        summation = {"summation": {"kappa": 0.5, "R": rep.R, "lhs": rep.lhs, "rhs": rep.rhs,
+                                   "rel_error": rep.rel_error}}
     systems = {
         (k, W): _cli.AdmissibleSystem.build(_cli.build_default_set(k), W=W) for k in VERIFY_GRID_K for W in VERIFY_GRID_W
     }
@@ -283,16 +290,8 @@ def _cmd_verify(args):
         "lambda1_monotone_in_R": lam1_monotone,
         "all_ok": all(c["identities"] and c["ystar_roundtrip"] and c["sign_matches_mu"] for c in checks)
         and lam1_monotone,
+        **summation,
     }
-    if args.summation:
-        rep = _cli.verify_sieve_summation(0.5, _cli.gamma_p3_indicator, args.summation_R)
-        doc["summation"] = {
-            "kappa": 0.5,
-            "R": rep.R,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "rel_error": rep.rel_error,
-        }
     header = ["k", "R", "W", "identities", "ystar_roundtrip", "sign_matches_mu"]
     return doc, (header, [tuple(int(c[f]) for f in header) for c in checks])
 
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "exact-identity suite over a (k, R, W) grid")
     p.add_argument("--summation", action="store_true", help="append the dimension-1/2 summation check")
-    p.add_argument("--summation-R", type=int, default=10**6)
+    p.add_argument("--summation-R", type=int, default=None, help="the summation's R (default 10^6); needs --summation")
     add_common(p)
 
     return parser

@@ -21,11 +21,10 @@ unit delay is always grid-aligned.  All three equations have the form
 Simpson's rule.  It takes the delay value at each step midpoint from the
 same cubic that interpolates a finished table: a four-node stencil that
 never straddles a window junction (the functions have derivative
-discontinuities there).  Two windows are special.  On omega's first, (2, 3],
-the midpoint values 1/(u-1) are closed-form.  On F's first, (2, 4],
-f(s-1) ~ C sqrt(s-2) at the left edge, so each step is integrated by
-Gauss-Legendre after the substitution t = 2 + v^2, which removes the corner
-exactly.
+discontinuities there), clamped one-sided at the table start.  One window
+is special: on F's first, (2, 4], f(s-1) ~ C sqrt(s-2) at the left edge,
+which Simpson cannot integrate, so each step is integrated by Gauss-Legendre
+after the substitution t = 2 + v^2, which removes the corner exactly.
 
 Each builder allocates its whole table and marches it in place.  Each
 table is built again at twice the step to estimate its error (Richardson):
@@ -172,17 +171,17 @@ class DelayTable:
         return np.minimum.accumulate(marks[::-1])[::-1]
 
 
-def _march(dst, src, j0: int, j1: int, h: float, grid0: float, kernel, scale, start, src_kinks, mids=None):
+def _march(dst, src, j0: int, j1: int, h: float, grid0: float, kernel, scale, start, src_kinks):
     """Simpson march of (scale(t) dst(t))' = kernel(t) src(t - 1) over grid
     indices (j0, j1], where t = grid0 + index * h and scale * dst = start at j0.
 
-    The delayed values at step midpoints are mids if given, else the cubic
-    on src's junction-aware stencil (src_kinks = (kink_start, kink_stride)).
+    The delayed values at step midpoints are the cubic on src's
+    junction-aware stencil (src_kinks = (kink_start, kink_stride)).
     Returns scale * dst at j1.
     """
     n1 = round(1.0 / h)
-    if mids is None:  # the step midpoints, one unit back, sit half-way between src's nodes
-        mids = _cubic(src, np.arange(j0 - n1, j1 - n1) + 0.5, src_kinks)
+    # the step midpoints, one unit back, sit half-way between src's nodes
+    mids = _cubic(src, np.arange(j0 - n1, j1 - n1) + 0.5, src_kinks)
     t = grid0 + np.arange(j0, j1 + 1) * h
     g = kernel(t) * src[j0 - n1 : j1 - n1 + 1]
     gm = kernel(t[:-1] + 0.5 * h) * mids
@@ -198,10 +197,7 @@ def _build_buchstab(h: float) -> tuple[np.ndarray]:
     om[: n1 + 1] = omega_closed(1.0 + np.arange(n1 + 1) * h)
     prod = 1.0  # u*omega(u) at u = 2
     for j0 in range(n1, (OMEGA_UMAX - 1) * n1, n1):
-        # on (2, 3] the delayed omega(u - 1) = 1/(u - 1) is closed-form at
-        # the step midpoints too
-        mids = omega_closed(1.0 + (np.arange(n1) + 0.5) * h) if j0 == n1 else None
-        prod = _march(om, om, j0, j0 + n1, h, 1.0, lambda u: 1.0, lambda u: u, prod, (n1, n1), mids)
+        prod = _march(om, om, j0, j0 + n1, h, 1.0, lambda u: 1.0, lambda u: u, prod, (n1, n1))
     return (om,)
 
 

@@ -184,3 +184,26 @@ class TestAdmissibleSystem:
         assert any("k=4" in m for m in msgs)
         with pytest.warns(UserWarning):
             AdmissibleSystem.build(forms, X=10**6)
+
+    def test_coefficient_size_conditions(self):
+        # at X = 1000, (ln X)^(1/3) = 1.904, and k = 1 is within (ln X)^(1/5) = 1.471
+        assert size_conditions([LinearForm(2, 1000)], 1000) == [
+            "a=2 exceeds (ln X)^(1/3)=1.904",
+            "a=2 is even",
+            "b=1000 is not < X=1000",
+        ]
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: AdmissibleSystem.build([LinearForm(1, 1)], p0=9, W=1),
+             "AdmissibleSystem: p0 must be 1 or prime, got 9"),
+            (lambda: AdmissibleSystem.build([LinearForm(1, 1)]), "AdmissibleSystem: provide W or X"),
+            (lambda: find_v0([LinearForm(1, 1)], 0), "find_v0: W must be >= 1, got 0"),
+        ],
+        ids=["p0-not-prime", "neither-W-nor-X", "find_v0-W-below-1"],
+    )
+    def test_refusal_names_its_function(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -248,6 +248,19 @@ class TestP1Numbers:
         assert p1_numbers(1) == [1]
         assert p1_numbers(1, 5) == [1]
 
+    @pytest.mark.parametrize(
+        "k, exclude, message",
+        [
+            (0, None, "p1_numbers: k must be >= 1, got 0"),
+            (3, 9, "p1_numbers: exclude_prime must be prime or None, got 9"),
+        ],
+        ids=["k-below-1", "exclude-not-prime"],
+    )
+    def test_refusal_names_its_function(self, k, exclude, message):
+        with pytest.raises(DomainError) as exc:
+            p1_numbers(k, exclude)
+        assert str(exc.value) == message
+
     def test_all_factors_1mod4(self):
         for h in p1_numbers(60):
             for p in factorize(h):

@@ -300,6 +300,18 @@ class TestCliBehavior:
         assert code == 1 and out == ""
         assert err == "error: weighted_experiment: n+1 spans 100000000 values, past budget 67108864\n"
 
+    def test_summation_refused_before_the_grid(self, monkeypatch, capsys):
+        # the summation sieves primes below R: past the budget it is refused
+        # before the 18 weight systems of the (k, R, W) grid are built
+        def reached(*args, **kwargs):
+            raise AssertionError("build_weights ran before the summation bound was checked")
+
+        monkeypatch.setattr("twosq.cli.build_weights", reached)
+        code, out, err = run_cli(["verify", "--summation", "--summation-R", "1073741826"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: verify_sieve_summation: sieve to 1073741825 exceeds the prime-sieve budget"
+                       " (limit 2^30)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -461,6 +473,13 @@ class TestCliBehavior:
         )
         assert code == 1
         assert "size condition" in err
+
+    def test_paper_strict_rejects_coefficients(self, capsys):
+        # a = 2 exceeds (ln X)^(1/3) = 1.904 at X = 1000, and is even
+        code, out, err = run_cli(["weights", "--paper-strict", "--X", "1000", "--forms", "[[2,1]]"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: weights: paper-strict size conditions violated:"
+                       " a=2 exceeds (ln X)^(1/3)=1.904; a=2 is even\n")
 
     def test_maier_budget_checked_before_enumeration(self, capsys):
         # 1,783,627,776 d with d^2 | P: listing them before the budget check

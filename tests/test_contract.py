@@ -69,6 +69,7 @@ VECTORS = [
     ("admissible --W 0", 1),
     ("admissible --W 9", 1),
     ("admissible --k 1 --W 1", 0),
+    ("admissible --k 1 --paper-strict", 1),
     ("weights --k 1 --R 10 --paper-strict", 1),
     ("weights --k 0 --R 10", 1),
     ("weights --k 1 --R 0", 1),
@@ -85,6 +86,7 @@ VECTORS = [
     ("maier-demo --z 3 --x 10 --Q 1", 0),
     ("verify --summation --summation-R 1", 1),
     ("verify --summation --summation-R 1073741826", 1),
+    ("verify --summation-R 5", 2),
     ("nonsense", 2),
 ]
 

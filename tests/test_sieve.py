@@ -424,6 +424,20 @@ class TestCounts:
         assert count_interval(0, 10) == 7
         assert count_interval(9992, 4) == 0
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (-1, 10, "count_interval: x must be >= 0, got -1"),
+            (10, 0, "count_interval: y must be >= 1, got 0"),
+            (2**63 - 1, 1, f"count_interval: need x + y <= 2^63 - 1, got x={2**63 - 1}, y=1"),
+        ],
+        ids=["x-negative", "y-below-1", "past-int64"],
+    )
+    def test_count_interval_refusal_names_its_function(self, x, y, message):
+        with pytest.raises(DomainError) as exc:
+            count_interval(x, y)
+        assert str(exc.value) == message
+
     def test_count_progression_examples(self):
         assert count_progression(40, 4, 1) == 8
         assert count_progression(40, 4, 3) == 0

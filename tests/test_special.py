@@ -448,7 +448,7 @@ def ref_window_mids(src, bases, kink_start, kink_stride):
         + _MID_CENTER[3] * src[b + 2]
     )
     kinks_at = lambda i: (i >= kink_start) & ((i - kink_start) % kink_stride == 0)
-    right = kinks_at(b)
+    right = kinks_at(b) | (b == 0)  # one-sided at the table start, as at a junction
     if np.any(right):
         br = b[right]
         out[right] = (
@@ -482,12 +482,8 @@ def ref_build_buchstab(h, u_max=OMEGA_UMAX):
         j1 = j0 + n1
         f0 = om[j0 - n1 : j1 - n1]
         f1 = om[j0 - n1 + 1 : j1 - n1 + 1]
-        if m == 2:
-            t_mid = (m - 1.0) + (np.arange(n1) + 0.5) * h
-            fm = 1.0 / t_mid
-        else:
-            bases = np.arange(j0 - n1, j1 - n1)
-            fm = ref_window_mids(om, bases, kink_start=n1, kink_stride=n1)
+        bases = np.arange(j0 - n1, j1 - n1)
+        fm = ref_window_mids(om, bases, kink_start=n1, kink_stride=n1)
         inc = (h / 6.0) * (f0 + 4.0 * fm + f1)
         w_vals = w_cur + np.cumsum(inc)
         us = 1.0 + (np.arange(j0 + 1, j1 + 1)) * h

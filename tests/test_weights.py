@@ -339,6 +339,12 @@ class TestWeightW:
         for n in range(1, 200):
             assert weight_w(k1_weights, n) >= 0
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_refusal_names_its_function(self, k1_weights, n):
+        with pytest.raises(DomainError) as exc:
+            weight_w(k1_weights, n)
+        assert str(exc.value) == f"weight_w: n must be >= 1, got {n}"
+
     def test_matches_fast_path(self):
         # the scaled-integer route used in bulk scans must agree with the
         # pointwise gcd-chain definition, also across the boundaries of the
