@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import check_sieve_limit, factorize, is_prime, iter_prime_blocks, p3_primes, sieve_primes, squarefree_products
+from .primes import check_sieve_limit, factorize, is_prime, iter_prime_blocks, sieve_primes
 
 # Euler's constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -149,18 +149,3 @@ def p1_numbers(k: int, exclude_prime: int | None = None) -> list[int]:
             out.append(n)
         n += 1
     return out
-
-
-def p3_squarefree_factored(R: int, coprime_to: int = 1) -> list[tuple[int, tuple[int, ...]]]:
-    """Ascending (r, prime tuple) for squarefree r < R with all prime
-    factors = 3 (mod 4).
-
-    1 is included; r sharing a factor with coprime_to are dropped.  These
-    are exactly the admissible divisor-support elements of the weight
-    construction.
-    """
-    if R < 1:
-        raise DomainError(f"p3_squarefree: R must be >= 1, got {R}")
-    primes = [p for p in p3_primes(R - 1).tolist() if math.gcd(p, coprime_to) == 1]
-    return sorted(squarefree_products(primes, R))
-

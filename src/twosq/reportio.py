@@ -123,8 +123,6 @@ def _scalar(obj: Any) -> str:
         return _quote(obj)
     if isinstance(obj, Fraction):  # after the built-in types: an ABC check is slow
         return _quote(format_fraction(obj))
-    if hasattr(obj, "item"):  # numpy scalars and other number-likes
-        return _scalar(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

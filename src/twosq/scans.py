@@ -293,7 +293,7 @@ class MaierConfig:
     @property
     def power_floor(self) -> Fraction:
         """a (4x/Q + 1): each p^alpha_p must reach this."""
-        return self.a * (Fraction(4 * self.x, self.Q) + 1)
+        return self.a * self.u_limit
 
     @property
     def u_limit(self) -> Fraction:

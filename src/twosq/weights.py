@@ -1,9 +1,10 @@
 """Exact-rational squared-divisor-sum sieve weights and their experiments.
 
 The weight on n is w_n = (sum over d | prod_i L_i(n) of lambda_d)^2 when
-n = v0 (mod W), else 0; the support of lambda is squarefree d < R composed
-of primes = 3 (mod 4), coprime to W*p0.  With nu(p) the number of roots of
-the form product in [1, p),
+n = v0 (mod W), else 0.  The support of lambda is built from its primes, the
+p = 3 (mod 4) below R coprime to W*p0 with nu(p) > 0, nu(p) being the number
+of roots of the form product in [1, p): it is every squarefree d < R made of
+them.  Then
 
   lambda_d = mu(d) (prod_{p|d} p/nu(p)) sum_{r: d|r} prod_{p|r} nu(p)/(p - nu(p)),
 
@@ -38,9 +39,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .admissible import AdmissibleSystem
-from .arith import nu as nu_of, p3_squarefree_factored, roots_mod
+from .arith import nu as nu_of, roots_mod
 from .errors import DomainError, ResourceError
-from .primes import check_sieve_limit, sieve_primes, squarefree_products
+from .primes import check_sieve_limit, p3_primes, sieve_primes, squarefree_products
 from .sieve import MAX_SEGMENT, SegmentTable, sieve_segment
 
 # Direct double sums are O(|support|^2); refuse beyond this many pairs.
@@ -107,27 +108,22 @@ class WeightSystem:
 def build_weights(system: AdmissibleSystem, R: int) -> WeightSystem:
     """Exact lambda_d, ystar_r and diagonal quadratic forms for cutoff R.
 
-    A prime with nu(p) = 0 (every root of the form product at n = 0, as for
-    {n+3} at p = 3) is dropped from the support: lambda vanishes on every
-    multiple of such p, so no weight changes, and dropping it keeps the
-    closed-form ystar route equal to its defining route.
+    The support is built from its primes: each p = 3 (mod 4) below R coprime
+    to W*p0 with nu(p) > 0.  A prime with nu(p) = 0 (every root of the form
+    product at n = 0, as for {n+3} at p = 3) is dropped before any product is
+    formed: lambda would vanish on every multiple of such p, so no weight
+    changes, and dropping it keeps the closed-form ystar route equal to its
+    defining route.
     """
     if R < 1:
         raise DomainError(f"build_weights: R must be >= 1, got {R}")
     check_sieve_limit("build_weights", R - 1)
-    supp = p3_squarefree_factored(R, system.W * system.p0)
-
-    nu_table: dict[int, int] = dict(system.nu_table)
-    for _, facs in supp:
-        for p in facs:
-            if p not in nu_table:
-                nu_table[p] = nu_of(p, system.forms)
+    primes = [p for p in p3_primes(R - 1).tolist() if math.gcd(p, system.W * system.p0) == 1]
+    nu_table = dict(system.nu_table) | {p: nu_of(p, system.forms) for p in primes if p not in system.nu_table}
     for p, v in nu_table.items():
         if v >= p:
             raise DomainError(f"build_weights: nu({p}) = {v} >= {p}; system not usable at this prime")
-    dead = [p for p, v in nu_table.items() if v == 0]
-    if dead:
-        supp = [(r, facs) for r, facs in supp if all(p not in dead for p in facs)]
+    supp = sorted(squarefree_products([p for p in primes if nu_table[p]], R))
     support = tuple(r for r, _ in supp)
     factors = {r: facs for r, facs in supp}
 

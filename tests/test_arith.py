@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosq.admissible import LinearForm
-from twosq.arith import landau_constant, nu, p1_numbers, p3_squarefree_factored, phi_S, phi_S_floats
+from twosq.arith import landau_constant, nu, p1_numbers, phi_S, phi_S_floats
 from twosq.errors import DomainError, ResourceError
 from twosq.primes import factorize, iter_prime_blocks, sieve_primes
 
@@ -271,24 +271,3 @@ class TestP1Numbers:
         hs = p1_numbers(100)
         worst = max(h / (k * math.sqrt(math.log(k + 2))) for k, h in enumerate(hs, start=1))
         assert worst <= 8.0
-
-
-class TestP3Squarefree:
-    def test_examples(self):
-        assert p3_squarefree_factored(10, 1) == [(1, ()), (3, (3,)), (7, (7,))]
-        assert [r for r, _ in p3_squarefree_factored(25, 3)] == [1, 7, 11, 19, 23]
-        assert p3_squarefree_factored(2) == [(1, ())]
-
-    def test_structure(self):
-        for r, primes in p3_squarefree_factored(500):
-            fac = factorize(r)
-            assert sorted(primes) == sorted(fac)
-            for p, e in fac.items():
-                assert e == 1
-                assert p % 4 == 3
-            assert r % 4 in (1, 3)
-
-    def test_coprimality(self):
-        for r, _ in p3_squarefree_factored(200, 21):
-            assert math.gcd(r, 21) == 1
-

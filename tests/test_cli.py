@@ -134,6 +134,43 @@ class TestCliExamples:
         assert doc["k"] == 2
         assert doc["mass_check"]["within_bound"] is True
 
+    def test_gpy_demo_empty_class(self, capsys):
+        # (5, 10] holds no n = 0 (mod 21): the run succeeds, and the averages
+        # over the class and the margin are null (None in CSV)
+        argv = ["gpy-demo", "--k", "1", "--W", "21", "--X", "5"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (
+            '{"version": "v1", "X_lo": 5, "X_hi": 10, "R": 1000, "k": 1, "W": 21, "v0": 0, '
+            '"class_size": 0, "sum_w": "0", "sum_hits_w": "0", "weighted_avg": null, '
+            '"class_unweighted_avg": null, "overall_unweighted_avg": "3/5", '
+            '"weighted_avg_float": null, "class_unweighted_avg_float": null, '
+            '"overall_unweighted_avg_float": 0.6, "empty_class": true, "margin": null}\n'
+        )
+        code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == 0
+        assert out == "\n".join([
+            "field,value",
+            "X_lo,5",
+            "X_hi,10",
+            "R,1000",
+            "k,1",
+            "W,21",
+            "v0,0",
+            "class_size,0",
+            "sum_w,0",
+            "sum_hits_w,0",
+            "weighted_avg,None",
+            "class_unweighted_avg,None",
+            "overall_unweighted_avg,3/5",
+            "weighted_avg_float,None",
+            "class_unweighted_avg_float,None",
+            "overall_unweighted_avg_float,0.6",
+            "empty_class,True",
+            "margin,None",
+            "",
+        ])
+
 
 class TestCliBehavior:
     def test_verify_thread_determinism(self, capsys):

@@ -142,6 +142,14 @@ def test_unsupported_value_rejected():
         sys.set_int_max_str_digits(limit)
 
 
+def test_numpy_scalar_rejected():
+    # a report's values are Python scalars, Fractions and numpy floats (a float
+    # subclass); a numpy int or bool is refused, not converted
+    for value in (np.int64(1), np.bool_(True), [np.int64(1)]):
+        with pytest.raises(TypeError):
+            to_json(value)
+
+
 def test_pieces_iterate_again():
     table = Records.held(FIELDS, random_columns(2 * CHUNK_ROWS + 5, seed=5))
     for pieces in (to_json({"rows": table, "ints": np.arange(3 * CHUNK_ROWS)}), to_csv(table)):

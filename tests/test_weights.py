@@ -9,7 +9,7 @@ import pytest
 from twosq.admissible import AdmissibleSystem, LinearForm, build_default_set, compute_W
 from twosq.arith import roots_mod
 from twosq.errors import DomainError, ResourceError
-from twosq.primes import squarefree_products
+from twosq.primes import factorize, is_prime, squarefree_products
 from twosq.sieve import is_two_square, sieve_segment
 from twosq.weights import (
     CLASS_CHUNK,
@@ -231,6 +231,45 @@ class TestBuildWeights:
         assert 9 not in k1_weights.support  # not squarefree
         assert 11 not in k1_weights.support  # beyond the cutoff R = 10
         assert 5 not in k1_weights.support  # 5 = 1 (mod 4)
+
+
+def brute_nu(forms, p):
+    return sum(1 for n in range(1, p) if math.prod(f(n) for f in forms) % p == 0)
+
+
+class TestSupportOracle:
+    """The support against a scan of every r < R: r is in it, with its
+    ascending prime tuple, exactly when r is squarefree and each prime of r is
+    = 3 (mod 4), prime to W*p0 and has nu(p) > 0; the nu table is the
+    system's plus nu of every such prime, whatever its nu."""
+
+    @pytest.mark.parametrize(
+        "forms, W, p0",
+        [
+            ([(1, 3)], 1, 1),  # nu(3) = 0: 3 and its multiples leave the support
+            ([(1, 1), (1, 5)], 21, 1),
+            ([(1, 1), (1, 5), (1, 13)], 3, 7),
+            ([(1, 1)], 1, 1),
+            ([(1, 1), (1, 5), (1, 13)], 1, 1),
+        ],
+    )
+    @pytest.mark.parametrize("R", [2, 10, 25, 500])
+    def test_matches_brute_force(self, forms, W, p0, R):
+        system = AdmissibleSystem.build([LinearForm(a, b) for a, b in forms], W=W, p0=p0)
+        ws = build_weights(system, R)
+        prime_nu = {
+            p: brute_nu(system.forms, p)
+            for p in range(3, R, 4)
+            if is_prime(p) and (W * p0) % p
+        }
+        want = {}
+        for r in range(1, R):
+            fac = factorize(r)
+            if all(e == 1 and prime_nu.get(p, 0) > 0 for p, e in fac.items()):
+                want[r] = tuple(sorted(fac))
+        assert ws.support == tuple(want)
+        assert dict(ws.support_factors) == want
+        assert ws.nu_table == {**system.nu_table, **prime_nu}
 
 
 class TestQuadraticForms:
