@@ -139,12 +139,12 @@ def p1_numbers(k: int, exclude_prime: int | None = None) -> list[int]:
     """
     if k < 1:
         raise DomainError(f"p1_numbers: k must be >= 1, got {k}")
-    if exclude_prime is not None and exclude_prime != 1 and not is_prime(exclude_prime):
+    if exclude_prime is not None and not is_prime(exclude_prime):
         raise DomainError(f"p1_numbers: exclude_prime must be prime or None, got {exclude_prime}")
     out: list[int] = []
     n = 1
     while len(out) < k:
-        excluded = exclude_prime not in (None, 1) and n % exclude_prime == 0
+        excluded = exclude_prime is not None and n % exclude_prime == 0
         if not excluded and all(p % 4 == 1 for p in factorize(n)):
             out.append(n)
         n += 1

@@ -235,7 +235,7 @@ def _cmd_gpy_demo(args):
 
 
 def _cmd_maier_demo(args):
-    report = _cli.maier_demo(_cli.MaierConfig(z=args.z, a=args.a, x=args.x, Q=args.Q, delta=args.delta))
+    report = _cli.maier_demo(_cli.MaierConfig(z=args.z, a=args.a, x=args.x, Q=args.Q))
     return report.to_json_dict(), (["d", "count"], report.d_terms)
 
 
@@ -257,7 +257,7 @@ def _verify_cell(k: int, R: int, W: int, ws: WeightSystem) -> dict:
         "sign_matches_mu": sign_ok,
         "Q_nu": rep.Q_nu,
         "Q_nu_minus1": rep.Q_nu_minus1,
-        "lambda_max": rep.lambda_max,
+        "lambda_max": ws.lambda_max,
         "support_size": len(ws.support),
     }
 
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
     add_common(p)
 
     p = add("verify", _cmd_verify, "exact-identity suite over a (k, R, W) grid")

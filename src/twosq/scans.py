@@ -276,7 +276,6 @@ class MaierConfig:
     a: int
     x: int
     Q: int
-    delta: float = 0.1
 
     def __post_init__(self) -> None:
         if self.z < 2:
@@ -287,8 +286,6 @@ class MaierConfig:
             raise DomainError(f"MaierConfig: a must be odd, got {self.a}")
         if not is_two_square(self.a):
             raise DomainError(f"MaierConfig: a={self.a} is not a sum of two squares")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"MaierConfig: delta must be in (0, 1), got {self.delta}")
 
     @property
     def power_floor(self) -> Fraction:
@@ -345,7 +342,6 @@ class MaierReport:
             "a": self.config.a,
             "x": self.config.x,
             "Q": self.config.Q,
-            "delta": self.config.delta,
             "P_exponents": {str(p): e for p, e in sorted(self.P_exponents.items())},
             "P": self.P,
             "d_terms": self.d_terms,

@@ -3,8 +3,8 @@
 The weight on n is w_n = (sum over d | prod_i L_i(n) of lambda_d)^2 when
 n = v0 (mod W), else 0.  The support of lambda is built from its primes, the
 p = 3 (mod 4) below R coprime to W*p0 with nu(p) > 0, nu(p) being the number
-of roots of the form product in [1, p): it is every squarefree d < R made of
-them.  Then
+of roots of the form product in [1, p): it is d = 1 and every squarefree
+d < R made of them.  Then
 
   lambda_d = mu(d) (prod_{p|d} p/nu(p)) sum_{r: d|r} prod_{p|r} nu(p)/(p - nu(p)),
 
@@ -61,7 +61,7 @@ CLASS_CHUNK = 1 << 12
 class WeightSystem:
     """Divisor-sum weights for one admissible system at support cutoff R.
 
-    support lists the admissible squarefree d < R with their prime tuples.
+    support lists 1 and the admissible squarefree d < R with their prime tuples.
     Q_nu and Q_nu_minus1 hold the diagonal-route values of the two quadratic
     forms (the direct double sums are recomputed by quadratic_forms for
     verification).
@@ -113,7 +113,8 @@ def build_weights(system: AdmissibleSystem, R: int) -> WeightSystem:
     product at n = 0, as for {n+3} at p = 3) is dropped before any product is
     formed: lambda would vanish on every multiple of such p, so no weight
     changes, and dropping it keeps the closed-form ystar route equal to its
-    defining route.
+    defining route.  d = 1, the empty product, is always in the support, so
+    R = 1 and R = 2 both give the support (1,), with lambda_1 = Q_nu = 1.
     """
     if R < 1:
         raise DomainError(f"build_weights: R must be >= 1, got {R}")
@@ -201,7 +202,6 @@ class QuadFormReport:
     Q_nu_minus1: Fraction
     diag_nu: Fraction
     diag_nu_minus1: Fraction
-    lambda_max: Fraction
 
     @property
     def identities_hold(self) -> bool:
@@ -257,13 +257,7 @@ def quadratic_forms(ws: WeightSystem) -> QuadFormReport:
     q_nu1 = Fraction(
         _pair_sum("quadratic_forms", ws, ws.lam_scaled, {p: Fraction(v - 1, p - 1) for p, v in nu_t.items()}), d2
     )
-    return QuadFormReport(
-        Q_nu=q_nu,
-        Q_nu_minus1=q_nu1,
-        diag_nu=ws.Q_nu,
-        diag_nu_minus1=ws.Q_nu_minus1,
-        lambda_max=ws.lambda_max,
-    )
+    return QuadFormReport(Q_nu=q_nu, Q_nu_minus1=q_nu1, diag_nu=ws.Q_nu, diag_nu_minus1=ws.Q_nu_minus1)
 
 
 def weight_w(ws: WeightSystem, n: int) -> Fraction:
@@ -472,7 +466,6 @@ def weighted_experiment(ws: WeightSystem, X_lo: int, X_hi: int) -> WeightedScanR
 class WeightMassReport:
     """Measured weight mass vs (X/W) * Q_nu with the explicit per-pair bound."""
 
-    X: int
     measured: Fraction
     main_term: Fraction
     bound: Fraction
@@ -499,7 +492,7 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
     main = Fraction(X, ws.system.W) * ws.Q_nu
     abs_scaled = {d: abs(v) for d, v in ws.lam_scaled.items()}
     bound = Fraction(_pair_sum("check_weight_mass", ws, abs_scaled, ws.nu_table), ws.lam_denom**2)
-    return WeightMassReport(X=X, measured=report.sum_w, main_term=main, bound=bound)
+    return WeightMassReport(measured=report.sum_w, main_term=main, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,11 @@ class TestPhiS:
             phi_S(0)
 
     @pytest.mark.parametrize(
-        "lo,hi", [(1, 5000), (3**14 - 50, 3**14 + 50), (7**9 - 20, 7**9 + 20), ((1 << 26) - 300, (1 << 26) - 1)]
+        "lo,hi",
+        [(1, 5000), (3**14 - 50, 3**14 + 50), (7**9 - 20, 7**9 + 20), ((1 << 26) - 300, (1 << 26) - 1)]
+        # ending on a prime power: under `while power < hi` phi_S_floats(1, 9)[-1]
+        # read 5.0625 where phi_S(9) = 6.75
+        + [(max(1, hi - 50), hi) for hi in (9, 27, 49, 121, 3**14, 7**8)],
     )
     def test_floats_match_single_q(self, lo, hi):
         # == on floats: every value must equal float(phi_S(q)) bit for bit
@@ -253,8 +257,9 @@ class TestP1Numbers:
         [
             (0, None, "p1_numbers: k must be >= 1, got 0"),
             (3, 9, "p1_numbers: exclude_prime must be prime or None, got 9"),
+            (3, 1, "p1_numbers: exclude_prime must be prime or None, got 1"),
         ],
-        ids=["k-below-1", "exclude-not-prime"],
+        ids=["k-below-1", "exclude-not-prime", "exclude-one"],
     )
     def test_refusal_names_its_function(self, k, exclude, message):
         with pytest.raises(DomainError) as exc:

@@ -79,7 +79,7 @@ VECTORS = [
     ("gpy-demo --k 1 --W 0", 1),
     ("gpy-demo --k 1 --X 100 --R 2", 0),
     ("gpy-demo --k 1 --X 100 --R 1073741826", 1),
-    ("maier-demo --z 3 --x 10 --Q 1 --delta 1", 1),
+    ("maier-demo --z 3 --x 10 --Q 1 --delta 0.1", 2),
     ("maier-demo --z 1 --x 10 --Q 1", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 2", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 3", 1),

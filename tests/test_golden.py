@@ -22,6 +22,8 @@ omega was still tabulated to u = 50, before its table was cut at u = 20
 with the limit e^-gamma beyond; the weighted experiment over 33,333
 class members (nine 2^12-member chunks) was recorded while its chunks held
 2^13 members, each with a hit array and an index list per support prime.
+The two Maier JSON digests were re-recorded when the unread `delta` input
+left the report; the Maier CSV digests did not move.
 Any change to a report's bytes fails here; re-record a digest only for a
 deliberate, documented format change.
 """
@@ -76,7 +78,7 @@ CASES = {
     ),
     "maier_demo": (
         ["maier-demo", "--z", "7", "--a", "1", "--x", "10000", "--Q", "100"],
-        "b024c5862fbab47268fdb8e05e9cc5dcf402b141422d690b7c0270d80fec9f4d",
+        "43e233b20436b7282ae4440aeb6632ae9f829e0d0fab576bd0193ccace011053",
     ),
     "count_progression": (
         ["count", "--x", "100000", "--q", "12", "--a", "5", "--threads", "1"],
@@ -261,7 +263,7 @@ CASES = {
     ),
     "maier_demo_chunks_json": (
         ["maier-demo", "--z", "23", "--a", "1000001", "--x", "1000000", "--Q", "100"],
-        "2f1e1d010e081f3d994215a04b4d86df5c882093716be55f1c1bfd1f05bd9ce9",
+        "fa6be20e3c0736091d4a12fddcfd7c5bd8dccc6715b02f37a4b380e2c57e6b03",
     ),
     "maier_demo_chunks_csv": (
         ["maier-demo", "--z", "23", "--a", "1000001", "--x", "1000000", "--Q", "100", "--format", "csv"],

@@ -194,12 +194,22 @@ class TestBuildWeights:
         assert ws.ystar[7] == 0
 
     def test_trivial_support(self, k1_system):
-        ws = build_weights(k1_system, 2)
-        assert ws.support == (1,)
-        assert ws.lam[1] == 1
-        assert ws.ystar[1] == 1
-        assert ws.Q_nu == 1
-        assert ws.Q_nu_minus1 == 1
+        # d = 1, the empty product, is in the support even at R = 1
+        for R in (1, 2):
+            ws = build_weights(k1_system, R)
+            assert ws.support == (1,)
+            assert ws.lam[1] == 1
+            assert ws.ystar[1] == 1
+            assert ws.Q_nu == 1
+            assert ws.Q_nu_minus1 == 1
+
+    def test_nu_at_least_p_refused(self):
+        # AdmissibleSystem.build never caches such a nu; built directly, the
+        # system is refused by name at its first unusable prime
+        system = AdmissibleSystem(forms=(LinearForm(1, 1),), p0=1, W=3, v0=0, nu_table={3: 3})
+        with pytest.raises(DomainError) as exc:
+            build_weights(system, 10)
+        assert str(exc.value) == "build_weights: nu(3) = 3 >= 3; system not usable at this prime"
 
     def test_sign_matches_mu(self):
         system = AdmissibleSystem.build(build_default_set(3), W=1)
