@@ -49,7 +49,6 @@ _EXPORTS = {
         "build_weights",
         "check_form_windows",
         "check_weight_mass",
-        "gamma_p3_indicator",
         "quadratic_forms",
         "verify_sieve_summation",
         "weight_w",

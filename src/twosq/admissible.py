@@ -150,8 +150,8 @@ class AdmissibleSystem:
         forms = tuple(forms)
         if len(set(forms)) != len(forms):
             raise DomainError("AdmissibleSystem: forms must be pairwise distinct")
-        if p0 != 1 and not is_prime(p0):
-            raise DomainError(f"AdmissibleSystem: p0 must be 1 or prime, got {p0}")
+        if p0 != 1 and not (p0 <= INT64_MAX and is_prime(p0)):
+            raise DomainError(f"AdmissibleSystem: p0 must be 1 or a prime <= 2^63 - 1, got {p0}")
         if not is_p3_admissible(forms):
             raise AdmissibilityError("AdmissibleSystem: forms are not admissible")
         if p0 > 1:
@@ -166,6 +166,8 @@ class AdmissibleSystem:
             W = compute_W(X, p0)
         elif W < 1:
             raise DomainError(f"AdmissibleSystem: W must be >= 1, got {W}")
+        elif W > INT64_MAX:
+            raise DomainError(f"AdmissibleSystem: W must be <= 2^63 - 1, got {W}")
         else:
             for p, e in factorize(W).items():
                 if e > 1 or p % 4 != 3:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import check_sieve_limit, factorize, is_prime, iter_prime_blocks, sieve_primes
+from .primes import INT64_MAX, check_sieve_limit, factorize, is_prime, iter_prime_blocks, sieve_primes
 
 # Euler's constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -139,8 +139,8 @@ def p1_numbers(k: int, exclude_prime: int | None = None) -> list[int]:
     """
     if k < 1:
         raise DomainError(f"p1_numbers: k must be >= 1, got {k}")
-    if exclude_prime is not None and not is_prime(exclude_prime):
-        raise DomainError(f"p1_numbers: exclude_prime must be prime or None, got {exclude_prime}")
+    if exclude_prime is not None and not (exclude_prime <= INT64_MAX and is_prime(exclude_prime)):
+        raise DomainError(f"p1_numbers: exclude_prime must be a prime <= 2^63 - 1 or None, got {exclude_prime}")
     out: list[int] = []
     n = 1
     while len(out) < k:

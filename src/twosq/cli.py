@@ -178,7 +178,7 @@ def _build_system(args) -> AdmissibleSystem:
         if violations:
             raise DomainError(f"{args.subcommand}: paper-strict size conditions violated: " + "; ".join(violations))
     with warnings.catch_warnings():
-        warnings.simplefilter("error" if args.paper_strict else "ignore")
+        warnings.simplefilter("ignore")  # build only warns of size conditions, refused above under --paper-strict
         return _cli.AdmissibleSystem.build(forms, p0=args.p0, W=W, X=args.X)
 
 
@@ -268,7 +268,7 @@ def _cmd_verify(args):
     summation = {}
     if args.summation:  # first, so that its sieve bound is refused before the grid is built
         R = 10**6 if args.summation_R is None else args.summation_R
-        rep = _cli.verify_sieve_summation(0.5, _cli.gamma_p3_indicator, R)
+        rep = _cli.verify_sieve_summation(R)
         summation = {"summation": {"kappa": 0.5, "R": rep.R, "lhs": rep.lhs, "rhs": rep.rhs,
                                    "rel_error": rep.rel_error}}
     systems = {

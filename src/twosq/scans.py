@@ -280,10 +280,11 @@ class MaierConfig:
     def __post_init__(self) -> None:
         if self.z < 2:
             raise DomainError(f"MaierConfig: z must be >= 2, got {self.z}")
+        check_sieve_limit("MaierConfig", self.z)  # P_exponents sieves the primes up to z
         if self.Q < 1 or self.x < 2 * self.Q:
             raise DomainError(f"MaierConfig: need Q >= 1 and x >= 2Q, got x={self.x}, Q={self.Q}")
-        if self.a % 2 == 0:
-            raise DomainError(f"MaierConfig: a must be odd, got {self.a}")
+        if self.a % 2 == 0 or not 1 <= self.a <= INT64_MAX:
+            raise DomainError(f"MaierConfig: a must be odd and in [1, 2^63 - 1], got {self.a}")
         if not is_two_square(self.a):
             raise DomainError(f"MaierConfig: a={self.a} is not a sum of two squares")
 

@@ -25,7 +25,8 @@ every element at once, a support prime at a time (the zeta transform over the
 squarefree lattice).  Everything is computed in exact rational arithmetic:
 Fractions, or integer numerator/denominator pairs where a sum runs over
 every pair of support elements; the identities are verified by computing
-both routes.
+both routes.  verify_sieve_summation checks the summation lemma at the
+paper's sieve dimension 1/2.
 """
 
 from __future__ import annotations
@@ -496,7 +497,7 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
 
 
 # ---------------------------------------------------------------------------
-# Dimension-kappa summation check.
+# Dimension-1/2 summation check.
 # ---------------------------------------------------------------------------
 
 
@@ -504,61 +505,37 @@ def check_weight_mass(ws: WeightSystem, report: WeightedScanReport) -> WeightMas
 class SummationReport:
     """Left side (exact enumeration) vs right side (asymptotic main term)."""
 
-    kappa: float
     R: int
     lhs: float
     singular_series: float
 
     @property
-    def gamma_factor(self) -> float:
-        return math.gamma(self.kappa)
-
-    @property
-    def integral(self) -> float:
-        return 1.0 / self.kappa
-
-    @property
     def rhs(self) -> float:
-        return self.singular_series * math.log(self.R) ** self.kappa / self.gamma_factor * self.integral
+        return self.singular_series * math.log(self.R) ** 0.5 / math.gamma(0.5) * 2.0
 
     @property
     def rel_error(self) -> float:
         return abs(self.lhs - self.rhs) / self.rhs if self.rhs else math.inf
 
 
-def gamma_p3_indicator(p: int) -> float:
-    """Density 1 on primes = 3 (mod 4), 0 elsewhere (dimension 1/2)."""
-    return 1.0 if p % 4 == 3 else 0.0
-
-
-def verify_sieve_summation(kappa: float, gamma_spec: Callable[[int], float], R: int) -> SummationReport:
-    """Compare sum_{r<R} mu^2(r) prod_{p|r} gamma/(p-gamma) against
-    S_gamma (ln R)^kappa / Gamma(kappa) * int_0^1 t^(kappa-1) dt,
-    where S_gamma = prod_{p<R} (1 - gamma(p)/p)^(-1) (1 - 1/p)^kappa and the
-    integral is 1/kappa.
+def verify_sieve_summation(R: int) -> SummationReport:
+    """The paper's dimension-1/2 sieve, density 1 on the primes p = 3 (mod 4):
+    compare sum_{r<R} mu^2(r) prod_{p|r} 1/(p-1), over the r made of those
+    primes, against S (ln R)^(1/2) / Gamma(1/2) * int_0^1 t^(-1/2) dt, where
+    S = prod_{p<R, p=3 (4)} (1 - 1/p)^(-1) * prod_{p<R} (1 - 1/p)^(1/2).
 
     The left side is an exact enumeration over the squarefree support; the
-    right side is the asymptotic main term.  gamma must satisfy
-    0 <= gamma(p) <= min(2 kappa, p/2).
+    right side is the asymptotic main term.
     """
     if R < 2:
         raise DomainError(f"verify_sieve_summation: R must be >= 2, got {R}")
-    if kappa <= 0:
-        raise DomainError(f"verify_sieve_summation: kappa must be > 0, got {kappa}")
     check_sieve_limit("verify_sieve_summation", R - 1)
 
     primes = [int(p) for p in sieve_primes(R - 1)]
-    gam: dict[int, float] = {}
-    for p in primes:
-        gp = float(gamma_spec(p))
-        if not 0.0 <= gp <= min(2.0 * kappa, 0.5 * p):
-            raise DomainError(f"verify_sieve_summation: gamma({p}) = {gp} outside [0, min(2 kappa, p/2)]")
-        gam[p] = gp
-    active = [p for p in primes if gam[p] > 0.0]
-    ratios = {p: gam[p] / (p - gam[p]) for p in active}
+    ratios = {p: 1.0 / (p - 1.0) for p in primes if p % 4 == 3}
 
     terms: list[float] = []
-    for _, facs in squarefree_products(active, R):
+    for _, facs in squarefree_products(list(ratios), R):
         # multiplied in ascending prime order, so each term's rounding is fixed
         wt = 1.0
         for p in facs:
@@ -567,6 +544,6 @@ def verify_sieve_summation(kappa: float, gamma_spec: Callable[[int], float], R: 
     lhs = math.fsum(terms)
 
     log_parts = [
-        -math.log1p(-gam[p] / p) + kappa * math.log1p(-1.0 / p) for p in primes
+        (-math.log1p(-1.0 / p) if p % 4 == 3 else 0.0) + 0.5 * math.log1p(-1.0 / p) for p in primes
     ]
-    return SummationReport(kappa=kappa, R=R, lhs=lhs, singular_series=math.exp(math.fsum(log_parts)))
+    return SummationReport(R=R, lhs=lhs, singular_series=math.exp(math.fsum(log_parts)))

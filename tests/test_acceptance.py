@@ -28,7 +28,6 @@ from twosq.special import (
 )
 from twosq.weights import (
     build_weights,
-    gamma_p3_indicator,
     check_weight_mass,
     quadratic_forms,
     verify_sieve_summation,
@@ -201,7 +200,7 @@ def test_09_maier_ratio():
 
 
 def test_10_summation_lemma():
-    rep = verify_sieve_summation(0.5, gamma_p3_indicator, 10**6)
+    rep = verify_sieve_summation(10**6)
     report(
         10,
         rep.rel_error < 0.05,

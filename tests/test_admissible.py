@@ -197,11 +197,15 @@ class TestAdmissibleSystem:
         "call, message",
         [
             (lambda: AdmissibleSystem.build([LinearForm(1, 1)], p0=9, W=1),
-             "AdmissibleSystem: p0 must be 1 or prime, got 9"),
+             "AdmissibleSystem: p0 must be 1 or a prime <= 2^63 - 1, got 9"),
+            (lambda: AdmissibleSystem.build([LinearForm(1, 1)], p0=2**63, W=1),
+             f"AdmissibleSystem: p0 must be 1 or a prime <= 2^63 - 1, got {2**63}"),
+            (lambda: AdmissibleSystem.build([LinearForm(1, 1)], W=2**63),
+             f"AdmissibleSystem: W must be <= 2^63 - 1, got {2**63}"),
             (lambda: AdmissibleSystem.build([LinearForm(1, 1)]), "AdmissibleSystem: provide W or X"),
             (lambda: find_v0([LinearForm(1, 1)], 0), "find_v0: W must be >= 1, got 0"),
         ],
-        ids=["p0-not-prime", "neither-W-nor-X", "find_v0-W-below-1"],
+        ids=["p0-not-prime", "p0-above-int64", "W-above-int64", "neither-W-nor-X", "find_v0-W-below-1"],
     )
     def test_refusal_names_its_function(self, call, message):
         with pytest.raises(DomainError) as exc:

@@ -256,10 +256,11 @@ class TestP1Numbers:
         "k, exclude, message",
         [
             (0, None, "p1_numbers: k must be >= 1, got 0"),
-            (3, 9, "p1_numbers: exclude_prime must be prime or None, got 9"),
-            (3, 1, "p1_numbers: exclude_prime must be prime or None, got 1"),
+            (3, 9, "p1_numbers: exclude_prime must be a prime <= 2^63 - 1 or None, got 9"),
+            (3, 1, "p1_numbers: exclude_prime must be a prime <= 2^63 - 1 or None, got 1"),
+            (3, 2**63, f"p1_numbers: exclude_prime must be a prime <= 2^63 - 1 or None, got {2**63}"),
         ],
-        ids=["k-below-1", "exclude-not-prime", "exclude-one"],
+        ids=["k-below-1", "exclude-not-prime", "exclude-one", "exclude-above-int64"],
     )
     def test_refusal_names_its_function(self, k, exclude, message):
         with pytest.raises(DomainError) as exc:

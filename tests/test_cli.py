@@ -631,7 +631,7 @@ class TestLazyImports:
     def test_star_import_resolves_every_export(self):
         namespace = {}
         exec("from twosq import *", namespace)
-        assert len(set(twosq.__all__)) == len(twosq.__all__) == 49
+        assert len(set(twosq.__all__)) == len(twosq.__all__) == 48
         for module, names in twosq._EXPORTS.items():
             home = import_module(f"twosq.{module}")
             for name in names:

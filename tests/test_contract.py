@@ -68,6 +68,9 @@ VECTORS = [
     ("admissible --forms [] --W 1", 1),
     ("admissible --W 0", 1),
     ("admissible --W 9", 1),
+    (f"admissible --W {I63 + 1}", 1),
+    (f"admissible --p0 {I63 + 1}", 1),
+    (f"admissible --forms [[1,1]] --W 3 --p0 {I63 + 1}", 1),
     ("admissible --k 1 --W 1", 0),
     ("admissible --k 1 --paper-strict", 1),
     ("weights --k 1 --R 10 --paper-strict", 1),
@@ -83,6 +86,8 @@ VECTORS = [
     ("maier-demo --z 1 --x 10 --Q 1", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 2", 1),
     ("maier-demo --z 3 --x 10 --Q 1 --a 3", 1),
+    (f"maier-demo --z 3 --x 10 --Q 1 --a {I63 + 2}", 1),
+    ("maier-demo --z 1073741825 --x 10 --Q 1", 1),
     ("maier-demo --z 3 --x 10 --Q 1", 0),
     ("verify --summation --summation-R 1", 1),
     ("verify --summation --summation-R 1073741826", 1),

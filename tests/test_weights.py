@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from twosq.weights import (
     WeightedScanReport,
     _class_offsets,
     build_weights,
-    gamma_p3_indicator,
     check_weight_mass,
     quadratic_forms,
     verify_sieve_summation,
@@ -717,31 +717,60 @@ class TestWeightMass:
             check_weight_mass(ws, weighted_experiment(build_weights(system, 50), 1000, 2000))
 
 
+# pi to 46 digits, for Gamma(1/2) = sqrt(pi)
+PI = Decimal("3.141592653589793238462643383279502884197169399")
+
+
+def p3_summation_weight(r):
+    """prod 1/(p - 1) over the primes p of r if r is squarefree and every p is
+    3 (mod 4), else 0; r factored by trial division."""
+    wt, f = Fraction(1), 2
+    while r > 1:
+        if f * f > r:
+            f = r  # what is left is prime
+        if r % f == 0:
+            r //= f
+            if f % 4 != 3 or r % f == 0:
+                return Fraction(0)
+            wt /= f - 1
+        f += 1
+    return wt
+
+
+def summation_oracle(R):
+    """Reference for verify_sieve_summation with no sieve and no float series:
+    the exact left side over r < R, and S and the right side
+    S (ln R)^(1/2) / sqrt(pi) * 2 at 40 digits, the primes below R found by
+    trial division."""
+    lhs = sum(map(p3_summation_weight, range(1, R)), Fraction(0))
+    primes = [p for p in range(2, R) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+    with localcontext(prec=40):
+        one = Decimal(1)
+        every = math.prod((one - one / p for p in primes), start=one)
+        p3 = math.prod((one - one / p for p in primes if p % 4 == 3), start=one)
+        S = every.sqrt() / p3
+        return lhs, S, S * Decimal(R).ln().sqrt() / PI.sqrt() * 2
+
+
 class TestSummation:
     def test_smoke_small_R(self):
-        rep = verify_sieve_summation(0.5, gamma_p3_indicator, 10)
+        rep = verify_sieve_summation(10)
         # exact left side over support {1, 3, 7}: 1 + 1/2 + 1/6
         assert abs(rep.lhs - (1 + 0.5 + 1 / 6)) < 1e-12
         assert rep.rhs > 0
 
-    @pytest.mark.parametrize("kappa", [0.5, 0.75, 1.0])
-    def test_integral_closed_form(self, kappa):
-        # int_0^1 t^(kappa-1) dt = 1/kappa; at kappa = 1/2 it is the 2.0 that
-        # an adaptive quadrature of the same integral returns
-        rep = verify_sieve_summation(kappa, gamma_p3_indicator, 100)
-        assert rep.integral == 1 / kappa
-        assert rep.rhs == pytest.approx(rep.singular_series * math.log(100) ** kappa / rep.gamma_factor / kappa, rel=1e-15)
-
-    def test_gamma_bound_violation(self):
-        with pytest.raises(DomainError):
-            verify_sieve_summation(0.5, lambda p: 3.0, 100)
+    @pytest.mark.parametrize("R", [2, 3, 4, 10, 1000, 10**4])
+    def test_matches_independent_oracle(self, R):
+        lhs, S, rhs = summation_oracle(R)
+        rep = verify_sieve_summation(R)
+        assert abs(Fraction(rep.lhs) - lhs) <= lhs / 10**14
+        for got, want in ((rep.singular_series, S), (rep.rhs, rhs)):
+            assert abs(Decimal(got) - want) <= want * Decimal("1e-14"), (got, want)
 
     def test_asymptotic_accuracy_midsize(self):
-        rep = verify_sieve_summation(0.5, gamma_p3_indicator, 10**5)
+        rep = verify_sieve_summation(10**5)
         assert rep.rel_error < 0.08
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            verify_sieve_summation(0.0, gamma_p3_indicator, 100)
-        with pytest.raises(DomainError):
-            verify_sieve_summation(0.5, gamma_p3_indicator, 1)
+            verify_sieve_summation(1)
